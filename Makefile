@@ -6,11 +6,11 @@
 # allocation counts) into a JSON snapshot for cross-PR comparison.
 
 GO ?= go
-BENCH_OUT ?= BENCH_pr10.json
-BENCH_BASE ?= BENCH_pr9.json
+BENCH_OUT ?= BENCH_pr15.json
+BENCH_BASE ?= BENCH_pr10.json
 BENCH_PATTERN ?= BenchmarkObserveHot|BenchmarkTableUpdate|BenchmarkMapUpdateManyKeys|BenchmarkAblationHashTable|BenchmarkEnsembleParallel|BenchmarkObserveTelemetry|BenchmarkProfstoreIngest|BenchmarkProfstoreAgg|BenchmarkDESScheduleRun|BenchmarkSpanRecord|BenchmarkQueueSubmit|BenchmarkClusterIngest|BenchmarkClusterAgg
 
-.PHONY: build vet test race race-faults serve serve-load serve-e2e soak soak-short soak-cluster soak-cluster-short fuzz verify bench bench-check profile experiments trace faults clean
+.PHONY: build vet test race race-faults serve serve-load serve-e2e soak soak-short soak-cluster soak-cluster-short fuzz verify bench bench-check bench-smoke bench-e2e profile experiments trace faults clean
 
 build:
 	$(GO) build ./...
@@ -88,7 +88,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/profstore
 	$(GO) test -run '^$$' -fuzz FuzzRollupWire -fuzztime $(FUZZTIME) ./internal/profstore
 
-verify: build vet test race-faults serve-e2e soak-short soak-cluster-short fuzz bench-check
+verify: build vet test race-faults serve-e2e soak-short soak-cluster-short fuzz bench-smoke bench-check
 
 # -p 1 serialises the per-package test binaries: the ensemble benchmarks
 # saturate all cores, and letting them run beside the nanosecond-scale
@@ -101,15 +101,26 @@ bench:
 
 # Like bench, but a CI gate: fail (exit 3) if any benchmark regressed
 # more than BENCH_THRESHOLD percent in ns/op or allocs/op against the
-# committed PR-10 snapshot. Writes its measurements to results/ so it
+# committed PR-15 snapshot. Writes its measurements to results/ so it
 # never clobbers the committed baseline. The threshold is forgiving
 # because shared CI boxes jitter; the min-of-BENCH_COUNT noise floor
 # (see cmd/benchjson) absorbs most of it.
 BENCH_THRESHOLD ?= 30
-BENCH_CHECK_BASE ?= BENCH_pr10.json
+BENCH_CHECK_BASE ?= BENCH_pr15.json
 bench-check:
 	mkdir -p results
 	$(GO) test -p 1 -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -count $(BENCH_COUNT) ./... | $(GO) run ./cmd/benchjson -o results/bench_check.json -compare $(BENCH_CHECK_BASE) -threshold $(BENCH_THRESHOLD)
+
+# The repo benchmark (BENCHMARK.json, bench/README.md). bench-smoke is
+# its own test suite: every workload end to end at smoke size, checked
+# against the reference store (seconds; part of `make verify`).
+# bench-e2e adds one full-length run of the workload the cluster read
+# path is judged on; the last stdout line is the metrics JSON.
+bench-smoke:
+	$(GO) test ./bench
+
+bench-e2e: bench-smoke
+	bash bench/run.sh --workload cluster_read --seed 1 --seconds 12 --trace 0
 
 # Capture CPU + allocation profiles of the heaviest bundled workload
 # (an HPL run) for pprof analysis; see EXPERIMENTS.md "Profiling the

@@ -128,25 +128,7 @@ func kernelOf(name string) string {
 // aggregations of an unchanged store are served from the epoch-keyed memo
 // cache (see memo.go); the returned report is shared and must not be
 // mutated.
-func (s *Store) Aggregate(opts AggOptions) *AggReport {
-	if opts.TopN <= 0 {
-		opts.TopN = 10
-	}
-	key := memoKey{kind: "agg", a: opts.Sel, n: opts.TopN}
-	ep := s.epoch.Load()
-	if rep, ok := s.memoLookup(ep, key); ok {
-		return rep.(*AggReport)
-	}
-	rep := s.aggregateCold(opts)
-	s.memoStore(ep, key, rep)
-	return rep
-}
-
-// aggregateCold is the uncached aggregation path (also what the cold-path
-// benchmark measures).
-func (s *Store) aggregateCold(opts AggOptions) *AggReport {
-	return aggregateJobs(s.Select(opts.Sel), opts)
-}
+func (s *Store) Aggregate(opts AggOptions) *AggReport { return s.memo.Aggregate(s, opts) }
 
 // aggregateJobs merges the per-job rollups. Each job was reduced once at
 // ingest; the query-time cost is proportional to the number of distinct

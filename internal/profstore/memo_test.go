@@ -8,7 +8,18 @@ import (
 	"testing"
 )
 
-// memoStore builds a store with n synthetic jobs.
+// aggregateCold and regressCold are the uncached query paths: the
+// reference the memo is compared against, and what the cold-path
+// benchmark measures.
+func (s *Store) aggregateCold(opts AggOptions) *AggReport {
+	return aggregateJobs(s.Select(opts.Sel), opts)
+}
+
+func (s *Store) regressCold(opts RegressOptions) *RegressReport {
+	return regressFrom(s.Select(opts.Base), s.Select(opts.Head), opts)
+}
+
+// memoTestStore builds a store with n synthetic jobs.
 func memoTestStore(t *testing.T, n int) *Store {
 	t.Helper()
 	s := New()

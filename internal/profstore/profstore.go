@@ -168,11 +168,23 @@ type Store struct {
 
 	// epoch advances after every shard insert; the memo cache (memo.go)
 	// keys cached /agg and /regress reports by it.
-	epoch     atomic.Uint64
-	memoMu    sync.Mutex
-	memoEpoch uint64
-	memo      map[memoKey]any
+	epoch atomic.Uint64
+	memo  Memo
+
+	// The change log (see RollupsSince in wire.go): changed[e%changeLogLen]
+	// is the id whose insert moved the epoch to e, for the epochs in
+	// (logBase, epoch]. logMu orders the bump with its log entry.
+	logMu   sync.Mutex
+	logBase uint64
+	changed [changeLogLen]string
 }
+
+// changeLogLen is how many epoch bumps the change log remembers: the
+// most writes a member can take between two queries of one router and
+// still answer that router's next revalidation with a delta. 4 KB per
+// store; a constant, because a reply outside the window is only slower
+// (the full corpus), never wrong.
+const changeLogLen = 256
 
 // New returns an in-memory store (no WAL).
 func New() *Store {
@@ -180,7 +192,22 @@ func New() *Store {
 	for i := range s.shards {
 		s.shards[i].jobs = make(map[string]*Job)
 	}
+	s.stampEpoch()
 	return s
+}
+
+// stampEpoch starts the store's generation: the epoch and the change log
+// begin at a boot stamp no other generation — of this process or of an
+// earlier one at the same address — has counted through. Every store is
+// stamped, WAL-backed or not: a cluster member run without -wal restarts
+// empty, and a router still holding its pre-restart rollups must be told
+// "full", not have its old epoch validated once the new store has counted
+// up to it. Mixing wall-clock nanoseconds with a per-process counter keeps
+// the generations' epoch ranges disjoint.
+func (s *Store) stampEpoch() {
+	stamp := uint64(time.Now().UnixNano())<<8 | bootEpochs.Add(1)&0xff
+	s.epoch.Store(stamp)
+	s.logBase = stamp
 }
 
 // StoreOptions configures a durable store opened with OpenStore.
@@ -275,32 +302,15 @@ func OpenStore(path string, opts StoreOptions) (*Store, RecoveryStats, error) {
 	// that restarts mid-interval still compacts on schedule.
 	s.walAppends.Store(int64(records))
 	s.recoveredAtOpen, s.skippedAtOpen = st.Recovered, st.Skipped
-
-	// Boot-stamp the epoch and drop any memoised rollups. After replay
-	// the epoch counter equals the record count — the exact value the
-	// pre-restart store reached after ingesting the same records — so any
-	// (epoch, rollup) pair that crosses the restart boundary (a cluster
-	// router validating member epochs, a memo rebuilt from a loaded
-	// snapshot) would wrongly validate against the recovered corpus.
-	// Mixing wall-clock nanoseconds with a per-process open counter makes
-	// every store generation's epoch space disjoint.
-	s.epoch.Store(uint64(time.Now().UnixNano())<<8 | bootEpochs.Add(1)&0xff)
-	s.invalidateMemo()
+	// Replay counted the epoch on from New's boot stamp, so the recovered
+	// store shares no epoch with the one that wrote the log: no (epoch,
+	// rollup) pair validates across the restart.
 	return s, st, nil
 }
 
-// bootEpochs distinguishes stores opened by the same process within one
-// clock tick (see the boot-stamp in OpenStore).
+// bootEpochs distinguishes stores stamped by the same process within one
+// clock tick (see stampEpoch).
 var bootEpochs atomic.Uint64
-
-// invalidateMemo unconditionally drops every cached /agg and /regress
-// report. The next query recomputes from the live corpus.
-func (s *Store) invalidateMemo() {
-	s.memoMu.Lock()
-	s.memoEpoch = 0
-	s.memo = nil
-	s.memoMu.Unlock()
-}
 
 // Epoch returns the store's current corpus epoch: it changes after every
 // insert and never repeats across restarts or reopens.
@@ -581,8 +591,11 @@ func (s *Store) ingest(xml []byte, id string, tags []string, logIt bool) (*Job, 
 	sh.jobs[id] = job
 	sh.mu.Unlock()
 	// Invalidate cached aggregates only after the job is visible, so a
-	// cache miss that follows this bump always sees the new corpus.
-	s.epoch.Add(1)
+	// cache miss (or a RollupsSince) that follows this bump always sees
+	// the new corpus.
+	s.logMu.Lock()
+	s.changed[s.epoch.Add(1)%changeLogLen] = id
+	s.logMu.Unlock()
 
 	s.ingests.Add(1)
 	s.bytesIn.Add(int64(len(xml)))
@@ -660,6 +673,11 @@ func matcherFor(sel string) func(*Job) bool {
 	}
 }
 
+// IsIDSelector reports whether sel names a single job by id (see Select).
+func IsIDSelector(sel string) bool {
+	return sel != "" && !strings.HasPrefix(sel, "tag:") && !strings.HasPrefix(sel, "cmd:")
+}
+
 // Select resolves a job selector to the matching jobs, sorted by id —
 // the deterministic iteration order every aggregate is computed in.
 // Selectors:
@@ -669,7 +687,7 @@ func matcherFor(sel string) func(*Job) bool {
 //	"cmd:C"     jobs whose command is C
 //	anything    the single job with that id (empty result if absent)
 func (s *Store) Select(sel string) []*Job {
-	if sel != "" && !strings.HasPrefix(sel, "tag:") && !strings.HasPrefix(sel, "cmd:") {
+	if IsIDSelector(sel) {
 		// Single-id selector: direct shard lookup instead of a scan.
 		if j := s.Get(sel); j != nil {
 			return []*Job{j}

@@ -71,24 +71,7 @@ func siteTotals(jobs []*Job) map[string]ipm.Stats {
 // Repeated comparisons of an unchanged store are served from the
 // epoch-keyed memo cache (see memo.go); the returned report is shared and
 // must not be mutated.
-func (s *Store) Regress(opts RegressOptions) *RegressReport {
-	if opts.Threshold <= 0 {
-		opts.Threshold = 10
-	}
-	key := memoKey{kind: "regress", a: opts.Base, b: opts.Head, th: opts.Threshold}
-	ep := s.epoch.Load()
-	if rep, ok := s.memoLookup(ep, key); ok {
-		return rep.(*RegressReport)
-	}
-	rep := s.regressCold(opts)
-	s.memoStore(ep, key, rep)
-	return rep
-}
-
-// regressCold is the uncached comparison path.
-func (s *Store) regressCold(opts RegressOptions) *RegressReport {
-	return regressFrom(s.Select(opts.Base), s.Select(opts.Head), opts)
-}
+func (s *Store) Regress(opts RegressOptions) *RegressReport { return s.memo.Regress(s, opts) }
 
 // regressFrom compares two explicit job lists. Split from the Store so a
 // cluster router can run the identical comparison over jobs merged from

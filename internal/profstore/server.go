@@ -128,6 +128,23 @@ func boolGauge(b bool) float64 {
 // complete against the live mux.
 func (s *Server) SetDraining(d bool) { s.draining.Store(d) }
 
+// JobSource answers the two corpus-wide queries: the server's own store,
+// or (see QueryHandler) a cluster router's mirror of every member, whose
+// revalidation can fail — any error is answered 503 with Retry-After,
+// never with a partial report.
+type JobSource interface {
+	Aggregate(AggOptions) (*AggReport, error)
+	Regress(RegressOptions) (*RegressReport, error)
+}
+
+// localSource is the single-node JobSource.
+type localSource struct{ s *Store }
+
+func (l localSource) Aggregate(o AggOptions) (*AggReport, error) { return l.s.Aggregate(o), nil }
+func (l localSource) Regress(o RegressOptions) (*RegressReport, error) {
+	return l.s.Regress(o), nil
+}
+
 // observe records one served query in the counters and the latency
 // histogram.
 func (s *Server) observe(q int, start time.Time) {
@@ -135,14 +152,33 @@ func (s *Server) observe(q int, start time.Time) {
 	s.lat.Observe(time.Since(start).Seconds())
 }
 
-// Handler returns the route mux: the query surface plus /metrics.
+// QuerySurface is the dynamic type of Server.Handler(): the single-node
+// routes, plus the means to serve the two corpus-wide queries from
+// somewhere else.
+type QuerySurface struct {
+	http.Handler
+	s *Server
+}
+
+// QueryHandler returns the server's GET /agg and GET /regress handlers —
+// same parameter parsing, same counters and latency histogram, same
+// renderers — answering from src instead of the server's store.
+func (q *QuerySurface) QueryHandler(src JobSource) http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /agg", q.s.handleAgg(src))
+	mux.HandleFunc("GET /regress", q.s.handleRegress(src))
+	return mux
+}
+
+// Handler returns the route mux (a *QuerySurface): the query surface plus
+// /metrics.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /ingest", s.handleIngest)
 	mux.HandleFunc("GET /jobs", s.handleJobs)
 	mux.HandleFunc("GET /job/{id}", s.handleJob)
-	mux.HandleFunc("GET /agg", s.handleAgg)
-	mux.HandleFunc("GET /regress", s.handleRegress)
+	mux.HandleFunc("GET /agg", s.handleAgg(localSource{s.store}))
+	mux.HandleFunc("GET /regress", s.handleRegress(localSource{s.store}))
 	mux.HandleFunc("POST /compact", s.handleCompact)
 	// /healthz: liveness — the process is up and serving queries.
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -169,12 +205,18 @@ func (s *Server) Handler() http.Handler {
 		s.publishMetrics()
 		s.reg.Handler().ServeHTTP(w, r)
 	}))
-	return mux
+	return &QuerySurface{Handler: mux, s: s}
 }
 
 func (s *Server) fail(w http.ResponseWriter, code int, format string, args ...any) {
 	s.httpErrors.Add(1)
 	http.Error(w, fmt.Sprintf(format, args...), code)
+}
+
+// unavailable answers 503 with the retry hint.
+func (s *Server) unavailable(w http.ResponseWriter, err error) {
+	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
+	s.fail(w, http.StatusServiceUnavailable, "%v", err)
 }
 
 // writeJSON renders v as indented JSON (deterministic: struct fields in
@@ -222,8 +264,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		// Lifecycle errors are the store's problem, not the client's:
 		// answer 503 with a retry hint instead of blaming the document.
 		if errors.Is(err, ErrReadOnly) || errors.Is(err, ErrClosed) {
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-			s.fail(w, http.StatusServiceUnavailable, "%v", err)
+			s.unavailable(w, err)
 			return
 		}
 		s.parseErrors.Add(1)
@@ -314,7 +355,15 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handleAgg(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleAgg(src JobSource) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) { s.serveAgg(src, w, r) }
+}
+
+func (s *Server) handleRegress(src JobSource) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) { s.serveRegress(src, w, r) }
+}
+
+func (s *Server) serveAgg(src JobSource, w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer s.observe(qAgg, start)
 	topN := 0
@@ -326,7 +375,11 @@ func (s *Server) handleAgg(w http.ResponseWriter, r *http.Request) {
 		}
 		topN = n
 	}
-	rep := s.store.Aggregate(AggOptions{Sel: r.URL.Query().Get("sel"), TopN: topN})
+	rep, err := src.Aggregate(AggOptions{Sel: r.URL.Query().Get("sel"), TopN: topN})
+	if err != nil {
+		s.unavailable(w, err)
+		return
+	}
 	if wantsHTML(r) {
 		renderHTML(w, aggTmpl, rep)
 		return
@@ -334,7 +387,7 @@ func (s *Server) handleAgg(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, rep)
 }
 
-func (s *Server) handleRegress(w http.ResponseWriter, r *http.Request) {
+func (s *Server) serveRegress(src JobSource, w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer s.observe(qRegress, start)
 	q := r.URL.Query()
@@ -352,7 +405,11 @@ func (s *Server) handleRegress(w http.ResponseWriter, r *http.Request) {
 		}
 		opts.Threshold = v
 	}
-	rep := s.store.Regress(opts)
+	rep, err := src.Regress(opts)
+	if err != nil {
+		s.unavailable(w, err)
+		return
+	}
 	if rep.BaseJobs == 0 || rep.HeadJobs == 0 {
 		s.fail(w, http.StatusNotFound, "base matched %d job(s), head %d", rep.BaseJobs, rep.HeadJobs)
 		return
@@ -395,12 +452,10 @@ func renderHTML(w http.ResponseWriter, t *template.Template, data any) {
 	t.Execute(w, data)
 }
 
-// WriteJobsHTML, WriteAggHTML and WriteRegressHTML render the same HTML
-// table views the single-node handlers serve with format=html — shared
-// with the cluster router so a scattered query's HTML matches too.
-func WriteJobsHTML(w http.ResponseWriter, metas []JobMeta)       { renderHTML(w, jobsTmpl, metas) }
-func WriteAggHTML(w http.ResponseWriter, rep *AggReport)         { renderHTML(w, aggTmpl, rep) }
-func WriteRegressHTML(w http.ResponseWriter, rep *RegressReport) { renderHTML(w, regressTmpl, rep) }
+// WriteJobsHTML renders the same HTML table view the single-node /jobs
+// handler serves with format=html — shared with the cluster router so a
+// scattered listing's HTML matches too.
+func WriteJobsHTML(w http.ResponseWriter, metas []JobMeta) { renderHTML(w, jobsTmpl, metas) }
 
 const htmlStyle = `<style>
 body { font-family: sans-serif; margin: 2em; }

@@ -175,7 +175,7 @@ func (w WireJob) Job() *Job {
 func (s *Store) WireJobs() []WireJob {
 	key := memoKey{kind: "wire"}
 	ep := s.epoch.Load()
-	if v, ok := s.memoLookup(ep, key); ok {
+	if v, ok := s.memo.lookup(ep, key); ok {
 		return v.([]WireJob)
 	}
 	jobs := s.Select("")
@@ -183,7 +183,106 @@ func (s *Store) WireJobs() []WireJob {
 	for i, j := range jobs {
 		out[i] = j.Wire()
 	}
-	s.memoStore(ep, key, out)
+	s.memo.store(s, ep, key, out)
+	return out
+}
+
+// RollupKind says how a Rollups reply relates to the epoch it was asked
+// about.
+type RollupKind uint8
+
+const (
+	// RollupUnchanged: the store is still at that epoch; no jobs follow.
+	RollupUnchanged RollupKind = iota
+	// RollupDelta: the jobs ingested since that epoch follow.
+	RollupDelta
+	// RollupFull: the whole corpus follows; that epoch is older than the
+	// change log reaches, or belongs to another store generation.
+	RollupFull
+)
+
+var rollupKindNames = [...]string{"unchanged", "delta", "full"}
+
+func (k RollupKind) String() string { return rollupKindNames[k] }
+
+// ParseRollupKind is the inverse of RollupKind.String.
+func ParseRollupKind(s string) (RollupKind, error) {
+	for k, name := range rollupKindNames {
+		if s == name {
+			return RollupKind(k), nil
+		}
+	}
+	return 0, fmt.Errorf("profstore: unknown rollup reply kind %q", s)
+}
+
+// Rollups is a member's answer to "what changed since epoch E": the
+// payload of /shard/rollups?since=E.
+type Rollups struct {
+	Epoch uint64 // the store's epoch, captured before Jobs was selected
+	Kind  RollupKind
+	Jobs  []WireJob // sorted by id; shared when Kind is RollupFull, do not mutate
+}
+
+// RollupsSince answers a router holding this store's rollups as of epoch
+// since. The epoch is captured BEFORE the jobs are read (the memo.go
+// rule): a reply may carry a job newer than its epoch — the next reply
+// re-sends it — but never an epoch newer than one of its jobs, so a
+// mirror that applies every reply in turn is never ahead of its data.
+func (s *Store) RollupsSince(since uint64) Rollups {
+	s.logMu.Lock()
+	ep := s.epoch.Load()
+	n := ep - since
+	if n == 0 {
+		s.logMu.Unlock()
+		return Rollups{Epoch: ep, Kind: RollupUnchanged}
+	}
+	if since < s.logBase || since > ep || n > changeLogLen {
+		s.logMu.Unlock()
+		return Rollups{Epoch: ep, Kind: RollupFull, Jobs: s.WireJobs()}
+	}
+	ids := make([]string, 0, n)
+	for e := since + 1; e != ep+1; e++ {
+		ids = append(ids, s.changed[e%changeLogLen])
+	}
+	s.logMu.Unlock()
+	sort.Strings(ids)
+	ids = slicesCompact(ids)
+	jobs := make([]WireJob, len(ids))
+	for i, id := range ids {
+		jobs[i] = s.Get(id).Wire() // inserted before its epoch bump, and jobs are never removed
+	}
+	return Rollups{Epoch: ep, Kind: RollupDelta, Jobs: jobs}
+}
+
+// RollupMirror is a router's copy of one member's rollups, kept current
+// by applying that member's RollupsSince(Epoch) replies in turn. The
+// zero value is empty at epoch 0, which no store generation counts through
+// (see stampEpoch): its first reply is the full corpus.
+type RollupMirror struct {
+	Epoch uint64
+	jobs  map[string]*Job
+}
+
+// Apply folds in the reply to RollupsSince(m.Epoch).
+func (m *RollupMirror) Apply(r Rollups) {
+	if r.Kind == RollupUnchanged {
+		return
+	}
+	if r.Kind == RollupFull || m.jobs == nil {
+		m.jobs = make(map[string]*Job, len(r.Jobs))
+	}
+	for _, w := range r.Jobs {
+		m.jobs[w.ID] = w.Job()
+	}
+	m.Epoch = r.Epoch
+}
+
+// Jobs lists the mirrored jobs, in no particular order.
+func (m *RollupMirror) Jobs() []*Job {
+	out := make([]*Job, 0, len(m.jobs))
+	for _, j := range m.jobs {
+		out = append(out, j)
+	}
 	return out
 }
 
@@ -202,24 +301,32 @@ func DecodeWireJobs(data []byte) ([]WireJob, error) {
 	return out, nil
 }
 
-// MergeWireJobs dedups wire jobs by id (first occurrence wins — replicas
-// of a content-addressed job are identical) and returns the
-// reconstructed jobs sorted by id: the same job list, in the same
-// order, that a single store holding the union corpus would Select.
-func MergeWireJobs(shards ...[]WireJob) []*Job {
+// JobsOf reconstructs the jobs of a decoded /shard/rollups body.
+func JobsOf(wire []WireJob) []*Job {
+	out := make([]*Job, len(wire))
+	for i, w := range wire {
+		out[i] = w.Job()
+	}
+	return out
+}
+
+// MergeJobs unions job sets by id (the first set holding an id wins —
+// replicas of a content-addressed job are identical) and returns them
+// sorted by id: the same job list, in the same order, that a single
+// store holding the union corpus would Select.
+func MergeJobs(sets ...[]*Job) []*Job {
 	n := 0
-	for _, sh := range shards {
-		n += len(sh)
+	for _, set := range sets {
+		n += len(set)
 	}
 	seen := make(map[string]bool, n)
 	out := make([]*Job, 0, n)
-	for _, sh := range shards {
-		for _, w := range sh {
-			if seen[w.ID] {
-				continue
+	for _, set := range sets {
+		for _, j := range set {
+			if !seen[j.ID] {
+				seen[j.ID] = true
+				out = append(out, j)
 			}
-			seen[w.ID] = true
-			out = append(out, w.Job())
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
@@ -227,7 +334,7 @@ func MergeWireJobs(shards ...[]WireJob) []*Job {
 }
 
 // AggregateJobs computes the cross-job rollup over an explicit job list
-// — the router-side merge of MergeWireJobs output. Byte-for-byte the
+// — the router-side merge of MergeJobs output. Byte-for-byte the
 // same report a single store over the same jobs would produce.
 func AggregateJobs(jobs []*Job, opts AggOptions) *AggReport {
 	return aggregateJobs(jobs, opts)

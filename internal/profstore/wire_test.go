@@ -28,12 +28,31 @@ func reportJSON(t testing.TB, v any) string {
 	return string(b)
 }
 
+// overWire ships a reply through the wire encoding, as a router
+// receives it, and checks the encoding canonical on the way: re-encoding
+// the decoded jobs yields the same bytes.
+func overWire(t *testing.T, r Rollups) Rollups {
+	enc, err := EncodeWireJobs(r.Jobs)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	if r.Jobs, err = DecodeWireJobs(enc); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if re, err := EncodeWireJobs(r.Jobs); err != nil || !bytes.Equal(enc, re) {
+		t.Fatalf("wire encoding is not canonical (err=%v)", err)
+	}
+	return r
+}
+
 // FuzzRollupWire proves the shard rollup wire format faithful: for any
 // ingestible document, splitting the corpus across two stores, shipping
 // both halves through EncodeWireJobs/DecodeWireJobs and merging at a
 // router produces the identical /agg (and /regress) reports as one
 // store holding everything — the byte-identity contract cluster mode
-// rests on.
+// rests on. It then proves the delta protocol a fixed point: a mirror
+// that applied full(E₀) and then the since= replies to any interleaving
+// of replacing ingests holds exactly what full(Eₙ) would give it.
 func FuzzRollupWire(f *testing.F) {
 	for _, name := range []string{"base.xml", "head.xml", "energy.xml", "submit.xml"} {
 		if data, err := os.ReadFile(filepath.Join("testdata", name)); err == nil {
@@ -65,25 +84,20 @@ func FuzzRollupWire(f *testing.F) {
 		if _, err := s2.Ingest(companion, "", []string{"fixed"}); err != nil {
 			t.Fatalf("companion ingest: %v", err)
 		}
-		var shards [][]WireJob
-		for _, s := range []*Store{s1, s2} {
-			enc, err := EncodeWireJobs(s.WireJobs())
-			if err != nil {
-				t.Fatalf("encode: %v", err)
+		stores := []*Store{s1, s2}
+		mirrors := make([]RollupMirror, len(stores))
+		merge := func() []*Job {
+			var sets [][]*Job
+			for i, s := range stores {
+				mirrors[i].Apply(overWire(t, s.RollupsSince(mirrors[i].Epoch)))
+				if mirrors[i].Epoch != s.Epoch() {
+					t.Fatalf("mirror %d at epoch %d after revalidation, store at %d", i, mirrors[i].Epoch, s.Epoch())
+				}
+				sets = append(sets, mirrors[i].Jobs())
 			}
-			dec, err := DecodeWireJobs(enc)
-			if err != nil {
-				t.Fatalf("decode: %v", err)
-			}
-			// The wire format must be a fixed point: re-encoding the
-			// decoded jobs yields the same bytes.
-			re, err := EncodeWireJobs(dec)
-			if err != nil || !bytes.Equal(enc, re) {
-				t.Fatalf("wire encoding is not canonical (err=%v)", err)
-			}
-			shards = append(shards, dec)
+			return MergeJobs(sets...)
 		}
-		merged := MergeWireJobs(shards...)
+		merged := merge()
 		if got := reportJSON(t, AggregateJobs(merged, AggOptions{})); got != wantAgg {
 			t.Errorf("merged /agg differs from single-store aggregation\ngot:  %s\nwant: %s", got, wantAgg)
 		}
@@ -91,6 +105,49 @@ func FuzzRollupWire(f *testing.F) {
 		head := FilterJobs(merged, "tag:fixed")
 		if got := reportJSON(t, RegressJobs(base, head, RegressOptions{Base: "tag:fuzz", Head: "tag:fixed"})); got != wantRegress {
 			t.Errorf("merged /regress differs from single-store comparison\ngot:  %s\nwant: %s", got, wantRegress)
+		}
+
+		// Delta fixed point. The document's first bytes script an
+		// interleaving: each one either replaces one of three ids on one
+		// of the shards (and on the reference) with one of the two
+		// documents, or revalidates the mirrors mid-way.
+		script := doc
+		if len(script) > 24 {
+			script = script[:24]
+		}
+		for _, b := range script {
+			if b%5 == 4 {
+				merge()
+				continue
+			}
+			id, body := []string{"a", "b", "c"}[b%3], doc
+			if b&8 != 0 {
+				body = companion
+			}
+			shard := int(b>>4) % 2
+			// One id lives on one shard only, as under the ring.
+			if other := stores[1-shard]; other.Get(id) != nil {
+				shard = 1 - shard
+			}
+			for _, s := range []*Store{stores[shard], single} {
+				if _, err := s.Ingest(body, id, []string{"fuzz"}); err != nil {
+					t.Fatalf("replacing ingest: %v", err)
+				}
+			}
+		}
+		deltaAgg := reportJSON(t, AggregateJobs(merge(), AggOptions{}))
+		if want := reportJSON(t, single.Aggregate(AggOptions{})); deltaAgg != want {
+			t.Errorf("mirror kept by deltas differs from single-store aggregation\ngot:  %s\nwant: %s", deltaAgg, want)
+		}
+		for i, s := range stores {
+			// An epoch the store never had, as after a restart: full(Eₙ).
+			mirrors[i].Epoch = s.Epoch() + 1
+			if r := s.RollupsSince(mirrors[i].Epoch); r.Kind != RollupFull {
+				t.Fatalf("reply to an unknown epoch is %v, want full", r.Kind)
+			}
+		}
+		if fullAgg := reportJSON(t, AggregateJobs(merge(), AggOptions{})); deltaAgg != fullAgg {
+			t.Errorf("mirror kept by deltas differs from a full resync\ngot:  %s\nwant: %s", deltaAgg, fullAgg)
 		}
 	})
 }

@@ -72,7 +72,7 @@ func benchCluster(b *testing.B, n int) []string {
 }
 
 // benchDocs pre-renders the corpus (rendering cost is not measured).
-func benchDocs(b *testing.B, n int) [][]byte {
+func benchDocs(b testing.TB, n int) [][]byte {
 	b.Helper()
 	docs := make([][]byte, n)
 	for i := range docs {
@@ -91,7 +91,7 @@ func benchDocs(b *testing.B, n int) [][]byte {
 // single benchmark core would otherwise saturate; a small document
 // keeps the parse in the tens of microseconds so the measured scaling
 // is the storage layer's, not the parser's.
-func benchSmallDocs(b *testing.B, n int) [][]byte {
+func benchSmallDocs(b testing.TB, n int) [][]byte {
 	b.Helper()
 	docs := make([][]byte, n)
 	for i := range docs {
@@ -161,34 +161,57 @@ func BenchmarkClusterIngest(b *testing.B) {
 	}
 }
 
-// BenchmarkClusterAgg measures scatter-gather /agg latency at 1 and 4
-// shards over a 64-job corpus: per-member rollups are memoized, so the
-// measured cost is the wire round-trips plus the router-side merge —
-// the read-path price of sharding the writes.
+// BenchmarkClusterAgg measures routed /agg latency at 1 and 4 shards
+// over a 64-job corpus. Warm, every mirror is current: the measured cost
+// is one "unchanged" leg per peer and a memo hit. mix=read95 replaces
+// one job per 20 reads through the router that reads next, so one read
+// in twenty also pays a delta leg, the corpus rebuild and the recompute.
 func BenchmarkClusterAgg(b *testing.B) {
 	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			urls := benchCluster(b, shards)
-			docs := benchDocs(b, 64)
-			client := profstore.SharedClient(10 * time.Second)
-			for i, doc := range docs {
-				if err := benchPost(client, urls[i%len(urls)], doc); err != nil {
-					b.Fatal(err)
+		for _, mix := range []string{"", "/mix=read95"} {
+			b.Run(fmt.Sprintf("shards=%d%s", shards, mix), func(b *testing.B) {
+				urls := benchCluster(b, shards)
+				docs := benchDocs(b, 64)
+				client := profstore.SharedClient(10 * time.Second)
+				post := func(i int) {
+					// Explicit ids: the mixed run replaces, the corpus keeps its size.
+					resp, err := client.Post(fmt.Sprintf("%s/ingest?id=bench-%d", urls[i%len(urls)], i%len(docs)),
+						"application/xml", bytes.NewReader(docs[(i/len(docs)+i)%len(docs)]))
+					if err != nil {
+						b.Fatal(err)
+					}
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK {
+						b.Fatalf("ingest: %d", resp.StatusCode)
+					}
 				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				resp, err := client.Get(urls[i%len(urls)] + "/agg?top=5")
-				if err != nil {
-					b.Fatal(err)
+				for i := range docs {
+					post(i)
 				}
-				body, _ := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK || len(body) == 0 {
-					b.Fatalf("/agg: %d (%d bytes)", resp.StatusCode, len(body))
+				for _, url := range urls { // warm every router's mirror and memo
+					if resp, err := client.Get(url + "/agg?top=5"); err == nil {
+						io.Copy(io.Discard, resp.Body)
+						resp.Body.Close()
+					}
 				}
-			}
-		})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if mix != "" && i%20 == 19 {
+						post(len(docs) + i)
+					}
+					resp, err := client.Get(urls[i%len(urls)] + "/agg?top=5")
+					if err != nil {
+						b.Fatal(err)
+					}
+					body, _ := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK || len(body) == 0 {
+						b.Fatalf("/agg: %d (%d bytes)", resp.StatusCode, len(body))
+					}
+				}
+			})
+		}
 	}
 }

@@ -2,6 +2,7 @@ package storecluster
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -28,6 +29,10 @@ const (
 	MetricForwards    = "ipm_cluster_ingest_forwards_total"
 	MetricScatters    = "ipm_cluster_scatters_total"
 	MetricQuorumFails = "ipm_cluster_quorum_failures_total"
+
+	MetricMirrorRevalidations = "ipm_cluster_mirror_revalidations_total"
+	MetricMirrorDeltaJobs     = "ipm_cluster_mirror_delta_jobs_total"
+	MetricMirrorMemo          = "ipm_cluster_mirror_memo_lookups_total"
 )
 
 // maxIngestBytes mirrors the single-node ingest body cap: the router is
@@ -50,9 +55,11 @@ type Config struct {
 	Replicas int
 	// Store is this member's local profile store.
 	Store *profstore.Store
-	// Local is the single-node HTTP surface over Store
-	// (profstore.Server.Handler()); the cluster handler intercepts the
-	// routed endpoints and delegates everything else to it.
+	// Local is the single-node HTTP surface over Store: it must be what
+	// profstore.Server.Handler() returned (a *profstore.QuerySurface). The
+	// cluster handler intercepts the routed endpoints, serves /agg and
+	// /regress through Local's own handlers over the mirror, and delegates
+	// everything else to it.
 	Local http.Handler
 	// Registry receives the cluster metrics; also used by Local for
 	// /metrics.
@@ -73,8 +80,9 @@ type Config struct {
 	FanOut int
 }
 
-// Cluster is one member's router: it owns the ring, the peer clients
-// and the scatter-gather query surface.
+// Cluster is one member's router: it owns the ring, the peer clients,
+// the scatter-gather query surface and the mirror behind /agg and
+// /regress (mirror.go).
 type Cluster struct {
 	cfg     Config
 	ring    *Ring
@@ -83,12 +91,14 @@ type Cluster struct {
 	client  *http.Client
 	posters map[string]*profstore.Poster
 	start   time.Time
+	mirror  *mirror
+	queries http.Handler // Local's /agg and /regress handlers over mirror
 
-	peerLat *telemetry.HistogramVec
-	peerErr *telemetry.Vec
-	peerReq *telemetry.Vec
+	peerLat     *telemetry.HistogramVec
+	peerErr     *telemetry.Vec
+	peerReq     *telemetry.Vec
+	memoLookups *telemetry.Vec
 
-	forwards    atomic.Int64
 	scatters    atomic.Int64
 	quorumFails atomic.Int64
 }
@@ -110,6 +120,10 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	if cfg.Store == nil || cfg.Local == nil || cfg.Registry == nil {
 		return nil, fmt.Errorf("storecluster: Store, Local and Registry are required")
+	}
+	local, ok := cfg.Local.(*profstore.QuerySurface)
+	if !ok {
+		return nil, fmt.Errorf("storecluster: Local must be a profstore.Server's Handler(), not %T", cfg.Local)
 	}
 	if cfg.Replicas == 0 {
 		cfg.Replicas = 2
@@ -144,6 +158,8 @@ func New(cfg Config) (*Cluster, error) {
 			"Peer requests that failed after retries, by peer base URL.", "peer"),
 		peerReq: cfg.Registry.CounterVec(MetricPeerReqs,
 			"Peer requests issued (before retries), by peer base URL.", "peer"),
+		memoLookups: cfg.Registry.CounterVec(MetricMirrorMemo,
+			"Routed /agg and /regress memo lookups, by result (hit, miss).", "result"),
 	}
 	for _, m := range ring.Members() {
 		if m == cfg.Self {
@@ -158,6 +174,13 @@ func New(cfg Config) (*Cluster, error) {
 			Policy: cfg.Retry,
 			Client: c.client,
 		}
+	}
+	c.mirror = &mirror{c: c, peers: make([]profstore.RollupMirror, len(c.peers))}
+	c.queries = local.QueryHandler(c.mirror)
+	revalidations := cfg.Registry.CounterVec(MetricMirrorRevalidations,
+		"Conditional /shard/rollups?since= legs applied to the mirror, by reply kind (unchanged, delta, full).", "result")
+	for k := range c.mirror.revalidations {
+		c.mirror.revalidations[k] = revalidations.With(profstore.RollupKind(k).String())
 	}
 	return c, nil
 }
@@ -183,8 +206,10 @@ func (c *Cluster) span(track, name string, start time.Time, bytes int64) {
 func (c *Cluster) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /ingest", c.handleIngest)
-	mux.HandleFunc("GET /agg", c.handleAgg)
-	mux.HandleFunc("GET /regress", c.handleRegress)
+	// /agg and /regress are the single-node handlers (same parsing, same
+	// counters, same renderer) over the mirror instead of the local store.
+	mux.Handle("GET /agg", c.queries)
+	mux.Handle("GET /regress", c.queries)
 	mux.HandleFunc("GET /jobs", c.handleJobs)
 	mux.HandleFunc("GET /job/{id}", c.handleJob)
 	// The local-only shard surface. /shard/ingest and /shard/job/{id}
@@ -217,6 +242,9 @@ func (c *Cluster) rewriteLocal(path string) http.HandlerFunc {
 // publish pushes the cluster counters into the registry (the Vec and
 // HistogramVec families render themselves).
 func (c *Cluster) publish() {
+	hits, misses := c.mirror.memo.Stats()
+	c.memoLookups.With("hit").Set(float64(hits))
+	c.memoLookups.With("miss").Set(float64(misses))
 	var posts, retries, failures int64
 	for _, p := range c.posters {
 		st := p.Stats()
@@ -230,6 +258,7 @@ func (c *Cluster) publish() {
 		{Name: MetricForwards, Help: "Ingest documents forwarded to peer owners.", Type: "counter", Value: float64(posts)},
 		{Name: MetricScatters, Help: "Scatter-gather query fan-outs issued.", Type: "counter", Value: float64(c.scatters.Load())},
 		{Name: MetricQuorumFails, Help: "Routed ingests that missed the write quorum.", Type: "counter", Value: float64(c.quorumFails.Load())},
+		{Name: MetricMirrorDeltaJobs, Help: "Jobs received in delta replies to mirror revalidations.", Type: "counter", Value: float64(c.mirror.deltaJobs.Load())},
 		{Name: profstore.MetricIngestRetries, Help: "Ingest attempts beyond the first.", Type: "counter", Value: float64(retries)},
 		{Name: profstore.MetricIngestFailures, Help: "Profiles that exhausted every ingest attempt.", Type: "counter", Value: float64(failures)},
 		{Name: profstore.MetricIngestConnReuse, Help: "Requests on the shared transport served over a reused keep-alive connection.", Type: "counter", Value: float64(profstore.ConnReuseTotal())},
@@ -354,7 +383,6 @@ func (c *Cluster) ingestOne(owner string, body []byte, id string, tags []string)
 	}
 	start := time.Now()
 	c.peerReq.With(owner).Add(1)
-	c.forwards.Add(1)
 	_, respBody, err := c.posters[owner].PostXMLResult(body, id, tags)
 	c.peerLat.With(owner).Observe(float64(time.Since(start).Nanoseconds()))
 	if err != nil {
@@ -376,9 +404,17 @@ func isRetryable(err error) bool {
 
 // ---- scatter-gather queries ----
 
+// peerStatus is a peer's non-2xx answer.
+type peerStatus struct {
+	code int
+	body string
+}
+
+func (e *peerStatus) Error() string { return fmt.Sprintf("peer returned %d: %s", e.code, e.body) }
+
 // peerGet fetches one peer-local URL with the retry schedule, recording
 // latency and error metrics.
-func (c *Cluster) peerGet(peer, path string) ([]byte, error) {
+func (c *Cluster) peerGet(peer, path string) ([]byte, http.Header, error) {
 	var lastErr error
 	attempts := c.cfg.Retry.Attempts()
 	if c.cfg.Retry.Disable {
@@ -404,78 +440,53 @@ func (c *Cluster) peerGet(peer, path string) ([]byte, error) {
 			continue
 		}
 		if resp.StatusCode/100 != 2 {
-			lastErr = fmt.Errorf("peer returned %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
+			lastErr = &peerStatus{resp.StatusCode, strings.TrimSpace(string(body))}
 			if resp.StatusCode < 500 {
 				break // permanent
 			}
 			continue
 		}
-		return body, nil
+		return body, resp.Header, nil
 	}
 	c.peerErr.With(peer).Add(1)
-	return nil, fmt.Errorf("storecluster: %s%s: %w", peer, path, lastErr)
+	return nil, nil, fmt.Errorf("storecluster: %s%s: %w", peer, path, lastErr)
 }
 
-// scatter fetches path from every peer concurrently (bounded by FanOut)
-// and returns the bodies keyed by peer. Reads are strict: any peer
-// failure fails the scatter, because a partial merge could silently
-// drop that peer's exclusive jobs.
-func (c *Cluster) scatter(op, path string) (map[string][]byte, error) {
+// fanOut runs leg for every peer concurrently (bounded by FanOut) and
+// returns the first failure. Reads are strict: any peer failure fails
+// the query, because an answer without that peer could silently drop
+// its exclusive jobs.
+func (c *Cluster) fanOut(leg func(i int, peer string) error) error {
 	c.scatters.Add(1)
-	type reply struct {
-		peer string
-		body []byte
-		err  error
-	}
 	sem := make(chan struct{}, c.cfg.FanOut)
-	replies := make(chan reply, len(c.peers))
-	for _, peer := range c.peers {
-		go func(peer string) {
+	errs := make(chan error, len(c.peers))
+	for i, peer := range c.peers {
+		go func(i int, peer string) {
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			start := time.Now()
-			body, err := c.peerGet(peer, path)
-			c.span("cluster/"+op, peer, start, int64(len(body)))
-			replies <- reply{peer, body, err}
-		}(peer)
+			errs <- leg(i, peer)
+		}(i, peer)
 	}
-	out := make(map[string][]byte, len(c.peers))
 	var firstErr error
 	for range c.peers {
-		rep := <-replies
-		if rep.err != nil && firstErr == nil {
-			firstErr = rep.err
+		if err := <-errs; err != nil && firstErr == nil {
+			firstErr = err
 		}
-		out[rep.peer] = rep.body
 	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
+	return firstErr
 }
 
-// localRollups is the member-side payload of /shard/rollups: the wire
-// image of the local selection.
-func (c *Cluster) localRollups(sel string) []profstore.WireJob {
-	if sel == "" {
-		return c.cfg.Store.WireJobs()
-	}
-	jobs := c.cfg.Store.Select(sel)
-	out := make([]profstore.WireJob, len(jobs))
-	for i, j := range jobs {
-		out[i] = j.Wire()
-	}
-	return out
-}
-
-func (c *Cluster) handleShardRollups(w http.ResponseWriter, r *http.Request) {
-	body, err := profstore.EncodeWireJobs(c.localRollups(r.URL.Query().Get("sel")))
-	if err != nil {
-		fail(w, http.StatusInternalServerError, "encoding rollups: %v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body)
+// scatter fetches path from every peer and returns the bodies in c.peers
+// order.
+func (c *Cluster) scatter(op, path string) ([][]byte, error) {
+	bodies := make([][]byte, len(c.peers))
+	err := c.fanOut(func(i int, peer string) (err error) {
+		start := time.Now()
+		bodies[i], _, err = c.peerGet(peer, path)
+		c.span("cluster/"+op, peer, start, int64(len(bodies[i])))
+		return err
+	})
+	return bodies, err
 }
 
 func (c *Cluster) handleShardJobs(w http.ResponseWriter, r *http.Request) {
@@ -488,98 +499,11 @@ func (c *Cluster) handleShardJobs(w http.ResponseWriter, r *http.Request) {
 	w.Write(body)
 }
 
-// gatherJobs merges the cluster-wide selection into reconstructed jobs:
-// the router-side twin of Store.Select over the union corpus.
-func (c *Cluster) gatherJobs(op, sel string) ([]*profstore.Job, error) {
-	local := c.localRollups(sel)
-	if len(c.peers) == 0 {
-		return profstore.MergeWireJobs(local), nil
-	}
-	bodies, err := c.scatter(op, "/shard/rollups?sel="+queryEscape(sel))
-	if err != nil {
-		return nil, err
-	}
-	shards := make([][]profstore.WireJob, 0, len(bodies)+1)
-	shards = append(shards, local)
-	// Deterministic peer order (map iteration must not influence merge
-	// input order; dedup makes it invariant anyway, belt and braces).
-	for _, peer := range c.peers {
-		wj, err := profstore.DecodeWireJobs(bodies[peer])
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", peer, err)
-		}
-		shards = append(shards, wj)
-	}
-	return profstore.MergeWireJobs(shards...), nil
-}
-
-func (c *Cluster) handleAgg(w http.ResponseWriter, r *http.Request) {
-	topN := 0
-	if t := r.URL.Query().Get("top"); t != "" {
-		n, err := strconv.Atoi(t)
-		if err != nil || n <= 0 {
-			fail(w, http.StatusBadRequest, "bad top=%q", t)
-			return
-		}
-		topN = n
-	}
-	sel := r.URL.Query().Get("sel")
-	jobs, err := c.gatherJobs("agg", sel)
-	if err != nil {
-		failUnavailable(w, "scatter failed: %v", err)
-		return
-	}
-	rep := profstore.AggregateJobs(jobs, profstore.AggOptions{Sel: sel, TopN: topN})
-	if r.URL.Query().Get("format") == "html" {
-		profstore.WriteAggHTML(w, rep)
-		return
-	}
-	writeJSON(w, rep)
-}
-
-func (c *Cluster) handleRegress(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	base, head := q.Get("base"), q.Get("head")
-	if base == "" || head == "" {
-		fail(w, http.StatusBadRequest, "base= and head= are required (job id, tag:T or cmd:C)")
-		return
-	}
-	opts := profstore.RegressOptions{Base: base, Head: head}
-	if t := q.Get("threshold"); t != "" {
-		v, err := strconv.ParseFloat(t, 64)
-		if err != nil || v <= 0 {
-			fail(w, http.StatusBadRequest, "bad threshold=%q", t)
-			return
-		}
-		opts.Threshold = v
-	}
-	baseJobs, err := c.gatherJobs("regress", base)
-	if err != nil {
-		failUnavailable(w, "scatter failed: %v", err)
-		return
-	}
-	headJobs, err := c.gatherJobs("regress", head)
-	if err != nil {
-		failUnavailable(w, "scatter failed: %v", err)
-		return
-	}
-	rep := profstore.RegressJobs(baseJobs, headJobs, opts)
-	if rep.BaseJobs == 0 || rep.HeadJobs == 0 {
-		fail(w, http.StatusNotFound, "base matched %d job(s), head %d", rep.BaseJobs, rep.HeadJobs)
-		return
-	}
-	if q.Get("format") == "html" {
-		profstore.WriteRegressHTML(w, rep)
-		return
-	}
-	writeJSON(w, rep)
-}
-
 func (c *Cluster) handleJobs(w http.ResponseWriter, r *http.Request) {
 	sel := r.URL.Query().Get("sel")
 	metas := c.cfg.Store.JobMetas(sel)
 	if len(c.peers) > 0 {
-		bodies, err := c.scatter("jobs", "/shard/jobs?sel="+queryEscape(sel))
+		bodies, err := c.scatter("jobs", "/shard/jobs?sel="+url.QueryEscape(sel))
 		if err != nil {
 			failUnavailable(w, "scatter failed: %v", err)
 			return
@@ -588,9 +512,9 @@ func (c *Cluster) handleJobs(w http.ResponseWriter, r *http.Request) {
 		for _, m := range metas {
 			seen[m.ID] = true
 		}
-		for _, peer := range c.peers {
+		for i, peer := range c.peers {
 			var peerMetas []profstore.JobMeta
-			if err := json.Unmarshal(bodies[peer], &peerMetas); err != nil {
+			if err := json.Unmarshal(bodies[i], &peerMetas); err != nil {
 				failUnavailable(w, "scatter failed: %s: %v", peer, err)
 				return
 			}
@@ -623,7 +547,7 @@ func (c *Cluster) handleJob(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		start := time.Now()
-		body, err := c.peerGet(owner, "/shard/job/"+id)
+		body, _, err := c.peerGet(owner, "/shard/job/"+id)
 		c.span("cluster/job", owner, start, int64(len(body)))
 		if err == nil {
 			w.Header().Set("Content-Type", "application/json")
@@ -632,11 +556,10 @@ func (c *Cluster) handleJob(w http.ResponseWriter, r *http.Request) {
 		}
 		lastErr = err
 	}
-	if lastErr != nil && !strings.Contains(lastErr.Error(), "peer returned 404") {
+	var status *peerStatus
+	if lastErr != nil && !(errors.As(lastErr, &status) && status.code == http.StatusNotFound) {
 		failUnavailable(w, "forward failed: %v", lastErr)
 		return
 	}
 	fail(w, http.StatusNotFound, "no job %q", id)
 }
-
-func queryEscape(s string) string { return url.QueryEscape(s) }

@@ -1,0 +1,248 @@
+package storecluster
+
+import (
+	"fmt"
+	"net/http"
+	"net/url"
+	"strconv"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"ipmgo/internal/profstore"
+	"ipmgo/internal/telemetry"
+)
+
+// The router's warm read path. Each router mirrors every peer's per-job
+// rollups and, inside every /agg or /regress, revalidates the mirror
+// with one conditional leg per peer: /shard/rollups?since=<epoch>
+// answers "unchanged", "the jobs ingested since" or the full corpus
+// (profstore.Store.RollupsSince). The mirror is never served without
+// this query's successful revalidation of every peer, so reads stay as
+// strict and as fresh as the full scatter they replace; what a quiet
+// cluster no longer pays is the re-fetch, re-decode and re-merge of
+// every member's rollups per query. Reports are memoised under the
+// mirror's version by the same profstore.Memo protocol a single node
+// uses under its epoch.
+
+// The /shard/rollups?since= reply carries its epoch and kind in headers,
+// so "unchanged" is an empty body.
+const (
+	hdrRollupEpoch = "X-Ipm-Rollup-Epoch"
+	hdrRollupKind  = "X-Ipm-Rollup-Kind"
+)
+
+// mirror is this router's copy of the cluster's rollups: the profstore
+// JobSource the routed /agg and /regress are served from, and the Corpus
+// its memo runs over.
+type mirror struct {
+	c    *Cluster
+	memo profstore.Memo
+
+	mu      sync.Mutex
+	peers   []profstore.RollupMirror // index-aligned with c.peers
+	localEp uint64                   // local store epoch last folded into gen
+	// gen is the version token: it moves whenever any epoch in the vector
+	// (local, peer₁…peerₙ) did. merged is the id-sorted union corpus,
+	// rebuilt lazily when gen has left mergedGen behind.
+	gen, mergedGen uint64
+	merged         []*profstore.Job
+
+	revalidations [3]*telemetry.VecCell // by profstore.RollupKind
+	deltaJobs     atomic.Int64
+}
+
+// Epoch implements profstore.Corpus: the mirror's version, with the
+// local store's current epoch folded in.
+func (m *mirror) Epoch() uint64 {
+	ep := m.c.cfg.Store.Epoch()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if ep != m.localEp {
+		m.localEp = ep
+		m.gen++
+	}
+	return m.gen
+}
+
+// Select implements profstore.Corpus over the union corpus: local jobs
+// first, then the peers in canonical order, so every replica set
+// resolves to the same copy the full scatter picked.
+//
+// A rebuild snapshots the peer sets under the lock and merges outside it,
+// so the revalidations of concurrent queries do not queue behind a sort of
+// the whole corpus; the result is kept only if gen is still the one it
+// was built for.
+func (m *mirror) Select(sel string) []*profstore.Job {
+	m.mu.Lock()
+	merged, gen := m.merged, m.gen
+	var sets [][]*profstore.Job
+	if merged == nil || m.mergedGen != gen {
+		merged = nil
+		sets = make([][]*profstore.Job, len(m.peers)+1)
+		for i := range m.peers {
+			sets[i+1] = m.peers[i].Jobs()
+		}
+	}
+	m.mu.Unlock()
+	if merged == nil {
+		sets[0] = m.c.cfg.Store.Select("")
+		merged = profstore.MergeJobs(sets...)
+		m.mu.Lock()
+		if m.gen == gen {
+			m.merged, m.mergedGen = merged, gen
+		}
+		m.mu.Unlock()
+	}
+	return profstore.FilterJobs(merged, sel)
+}
+
+// apply folds peer i's reply to since=<since> into the mirror. It
+// reports false when a concurrent query's reply moved that peer's
+// mirror while this one was in flight: the two replies are unordered, so
+// the caller asks again from the new epoch. An "unchanged" reply needs
+// no such care — the member was still at since after this query began,
+// so whatever the mirror moved to is newer still.
+func (m *mirror) apply(i int, since uint64, r profstore.Rollups) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if r.Kind != profstore.RollupUnchanged {
+		if m.peers[i].Epoch != since {
+			return false
+		}
+		m.peers[i].Apply(r)
+		m.gen++
+		if r.Kind == profstore.RollupDelta {
+			m.deltaJobs.Add(int64(len(r.Jobs)))
+		}
+	}
+	m.revalidations[r.Kind].Add(1)
+	return true
+}
+
+// revalidatePeer brings the mirror of peer i up to the peer's present
+// with one conditional leg.
+func (m *mirror) revalidatePeer(op string, i int, peer string) error {
+	for {
+		m.mu.Lock()
+		since := m.peers[i].Epoch
+		m.mu.Unlock()
+		start := time.Now()
+		body, hdr, err := m.c.peerGet(peer, "/shard/rollups?since="+strconv.FormatUint(since, 10))
+		m.c.span("cluster/"+op, peer, start, int64(len(body)))
+		if err != nil {
+			return err
+		}
+		r, err := decodeRollups(hdr, body)
+		if err != nil {
+			return fmt.Errorf("%s: %w", peer, err)
+		}
+		if m.apply(i, since, r) {
+			if r.Kind == profstore.RollupFull {
+				m.c.span("cluster/resync", peer, start, int64(len(body)))
+			}
+			return nil
+		}
+	}
+}
+
+// revalidate is the freshness step of every mirror-served query: every
+// peer must answer, or the query fails (reads are strict — a mirror
+// nobody vouched for could silently miss that peer's newest jobs).
+func (m *mirror) revalidate(op string) error {
+	return m.c.fanOut(func(i int, peer string) error { return m.revalidatePeer(op, i, peer) })
+}
+
+// handleShardRollups is the member side of the router's read path: the
+// conditional whole-corpus form the mirror revalidates with (since=), or
+// the wire image of one selection (sel=).
+func (c *Cluster) handleShardRollups(w http.ResponseWriter, r *http.Request) {
+	q := r.URL.Query()
+	var jobs []profstore.WireJob
+	if q.Has("since") {
+		since, err := strconv.ParseUint(q.Get("since"), 10, 64)
+		if err != nil {
+			fail(w, http.StatusBadRequest, "bad since=%q", q.Get("since"))
+			return
+		}
+		reply := c.cfg.Store.RollupsSince(since)
+		w.Header().Set(hdrRollupEpoch, strconv.FormatUint(reply.Epoch, 10))
+		w.Header().Set(hdrRollupKind, reply.Kind.String())
+		if reply.Kind == profstore.RollupUnchanged {
+			return
+		}
+		jobs = reply.Jobs
+	} else {
+		sel := c.cfg.Store.Select(q.Get("sel"))
+		jobs = make([]profstore.WireJob, len(sel))
+		for i, j := range sel {
+			jobs[i] = j.Wire()
+		}
+	}
+	body, err := profstore.EncodeWireJobs(jobs)
+	if err != nil {
+		fail(w, http.StatusInternalServerError, "encoding rollups: %v", err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(body)
+}
+
+func decodeRollups(hdr http.Header, body []byte) (r profstore.Rollups, err error) {
+	if r.Epoch, err = strconv.ParseUint(hdr.Get(hdrRollupEpoch), 10, 64); err != nil {
+		return r, fmt.Errorf("bad %s: %w", hdrRollupEpoch, err)
+	}
+	if r.Kind, err = profstore.ParseRollupKind(hdr.Get(hdrRollupKind)); err != nil {
+		return r, err
+	}
+	if r.Kind != profstore.RollupUnchanged {
+		r.Jobs, err = profstore.DecodeWireJobs(body)
+	}
+	return r, err
+}
+
+// pointRead resolves /agg?sel=<id> with one /shard/rollups?sel= leg per
+// peer and no mirror: dragging the deltas of unrelated jobs through
+// decode to answer for one job cost the publish probe more than the
+// mirror saved it.
+func (m *mirror) pointRead(id string) ([]*profstore.Job, error) {
+	sets := [][]*profstore.Job{m.c.cfg.Store.Select(id)}
+	if len(m.c.peers) > 0 {
+		bodies, err := m.c.scatter("agg", "/shard/rollups?sel="+url.QueryEscape(id))
+		if err != nil {
+			return nil, err
+		}
+		for i, peer := range m.c.peers {
+			wire, err := profstore.DecodeWireJobs(bodies[i])
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", peer, err)
+			}
+			sets = append(sets, profstore.JobsOf(wire))
+		}
+	}
+	return profstore.MergeJobs(sets...), nil
+}
+
+// Aggregate implements profstore.JobSource.
+func (m *mirror) Aggregate(opts profstore.AggOptions) (*profstore.AggReport, error) {
+	if profstore.IsIDSelector(opts.Sel) {
+		jobs, err := m.pointRead(opts.Sel)
+		if err != nil {
+			return nil, err
+		}
+		return profstore.AggregateJobs(jobs, opts), nil
+	}
+	if err := m.revalidate("agg"); err != nil {
+		return nil, err
+	}
+	return m.memo.Aggregate(m, opts), nil
+}
+
+// Regress implements profstore.JobSource: both sides, whatever their
+// selectors, come out of one revalidation.
+func (m *mirror) Regress(opts profstore.RegressOptions) (*profstore.RegressReport, error) {
+	if err := m.revalidate("regress"); err != nil {
+		return nil, err
+	}
+	return m.memo.Regress(m, opts), nil
+}

@@ -1,0 +1,551 @@
+package storecluster
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"path/filepath"
+	"strings"
+	"sync"
+	"syscall"
+	"testing"
+
+	"ipmgo/internal/faultsim"
+	"ipmgo/internal/profstore"
+	"ipmgo/internal/telemetry"
+)
+
+// The mirror tests run whole clusters in one process over an in-memory
+// transport: peer legs are served by the target member's handler
+// directly, so a test can restart a member on its WAL, count legs on
+// /metrics and race routers against writers without a socket.
+
+// memNet is the Config.Transport of an in-process cluster: requests are
+// handed to the handler registered for their host.
+type memNet struct {
+	mu       sync.RWMutex
+	handlers map[string]http.Handler
+}
+
+func (n *memNet) RoundTrip(req *http.Request) (*http.Response, error) {
+	n.mu.RLock()
+	h := n.handlers[req.URL.Host]
+	n.mu.RUnlock()
+	if h == nil {
+		return nil, fmt.Errorf("memnet: %s: %w", req.URL.Host, syscall.ECONNREFUSED)
+	}
+	var body io.Reader
+	if req.Body != nil {
+		defer req.Body.Close()
+		body = req.Body
+	}
+	in := httptest.NewRequest(req.Method, req.URL.String(), body)
+	in.Header = req.Header.Clone()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, in)
+	return rec.Result(), nil
+}
+
+type memMember struct {
+	url     string
+	walPath string // "" = in-memory store
+	store   *profstore.Store
+	rec     *telemetry.Recorder
+	h       http.Handler
+}
+
+type memCluster struct {
+	t        *testing.T
+	net      *memNet
+	replicas int
+	urls     []string
+	members  []*memMember
+}
+
+// startMemCluster brings up n members with replication r; wal backs
+// every store with a WAL under t.TempDir(), so members can restart.
+// wrap, when non-nil, wraps member i's view of the network.
+func startMemCluster(t *testing.T, n, r int, wal bool, wrap func(i int, net http.RoundTripper) http.RoundTripper) *memCluster {
+	t.Helper()
+	mc := &memCluster{t: t, net: &memNet{handlers: map[string]http.Handler{}}, replicas: r}
+	dir := t.TempDir()
+	for i := 0; i < n; i++ {
+		m := &memMember{url: fmt.Sprintf("http://member%d", i)}
+		if wal {
+			m.walPath = filepath.Join(dir, fmt.Sprintf("member%d.wal", i))
+		}
+		mc.urls = append(mc.urls, m.url)
+		mc.members = append(mc.members, m)
+	}
+	for i := range mc.members {
+		mc.boot(i, wrap)
+	}
+	t.Cleanup(func() {
+		for _, m := range mc.members {
+			m.store.Close()
+		}
+	})
+	return mc
+}
+
+// boot opens member i's store and puts a new router over it on the net.
+func (mc *memCluster) boot(i int, wrap func(i int, net http.RoundTripper) http.RoundTripper) {
+	mc.t.Helper()
+	m := mc.members[i]
+	m.store = profstore.New()
+	if m.walPath != "" {
+		var err error
+		if m.store, _, err = profstore.OpenStore(m.walPath, profstore.StoreOptions{}); err != nil {
+			mc.t.Fatal(err)
+		}
+	}
+	var transport http.RoundTripper = mc.net
+	if wrap != nil {
+		transport = wrap(i, transport)
+	}
+	reg := telemetry.NewRegistry()
+	m.rec = telemetry.NewRecorder(4096)
+	cl, err := New(Config{
+		Self: m.url, Members: mc.urls, Replicas: mc.replicas,
+		Store: m.store, Local: profstore.NewServer(m.store, reg).Handler(),
+		Registry: reg, Recorder: m.rec, Transport: transport,
+		Retry: faultsim.RetryPolicy{Disable: true},
+	})
+	if err != nil {
+		mc.t.Fatal(err)
+	}
+	m.h = cl.Handler()
+	mc.net.mu.Lock()
+	mc.net.handlers[strings.TrimPrefix(m.url, "http://")] = m.h
+	mc.net.mu.Unlock()
+}
+
+// restart closes member i and reopens it on the same WAL (or, without
+// one, empty): a new store generation behind the same URL. The other
+// routers keep their mirrors.
+func (mc *memCluster) restart(i int) {
+	mc.t.Helper()
+	if err := mc.members[i].store.Close(); err != nil {
+		mc.t.Fatal(err)
+	}
+	mc.boot(i, nil)
+}
+
+func (mc *memCluster) do(i int, method, path string, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	mc.members[i].h.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+	return rec
+}
+
+func (mc *memCluster) mustGet(i int, path string) string {
+	mc.t.Helper()
+	rec := mc.do(i, "GET", path, nil)
+	if rec.Code != 200 {
+		mc.t.Fatalf("GET %s via member %d: %d: %s", path, i, rec.Code, rec.Body)
+	}
+	return rec.Body.String()
+}
+
+// post ingests doc through router i; it reports instead of failing the
+// test so writers on other goroutines can use it.
+func (mc *memCluster) post(i int, doc []byte, query string) error {
+	if rec := mc.do(i, "POST", "/ingest?"+query, doc); rec.Code != 200 {
+		return fmt.Errorf("ingest via member %d: %d: %s", i, rec.Code, rec.Body)
+	}
+	return nil
+}
+
+// metric reads one sample off member i's /metrics, 0 if absent.
+func (mc *memCluster) metric(i int, sample string) float64 {
+	mc.t.Helper()
+	for _, line := range strings.Split(mc.mustGet(i, "/metrics"), "\n") {
+		if rest, ok := strings.CutPrefix(line, sample+" "); ok {
+			var v float64
+			if _, err := fmt.Sscan(rest, &v); err != nil {
+				mc.t.Fatalf("metric line %q: %v", line, err)
+			}
+			return v
+		}
+	}
+	return 0
+}
+
+func revalidations(kind string) string {
+	return fmt.Sprintf(`%s{result="%s"}`, MetricMirrorRevalidations, kind)
+}
+
+var mirrorQueries = []string{
+	"/agg",
+	"/agg?sel=tag:batch:0&top=3",
+	"/regress?base=tag:batch:0&head=tag:batch:1&threshold=5",
+}
+
+// reference answers queries from one plain store holding writes, an
+// id-keyed last-write-wins corpus.
+type refWrite struct {
+	doc  []byte
+	tags string
+}
+
+func reference(t *testing.T, writes map[string]refWrite, queries []string) map[string]string {
+	t.Helper()
+	ref := profstore.New()
+	for id, w := range writes {
+		if _, err := ref.Ingest(w.doc, id, strings.Split(w.tags, ",")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := profstore.NewServer(ref, telemetry.NewRegistry()).Handler()
+	out := map[string]string{}
+	for _, q := range queries {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", q, nil))
+		if rec.Code != 200 {
+			t.Fatalf("reference %s: %d: %s", q, rec.Code, rec.Body)
+		}
+		out[q] = rec.Body.String()
+	}
+	return out
+}
+
+// checkAllRouters compares every router's answers with the reference.
+func (mc *memCluster) checkAllRouters(writes map[string]refWrite, queries []string) {
+	mc.t.Helper()
+	want := reference(mc.t, writes, queries)
+	for i := range mc.members {
+		for _, q := range queries {
+			if got := mc.mustGet(i, q); got != want[q] {
+				mc.t.Errorf("%s via router %d differs from the single-node reference\ngot:  %.300s\nwant: %.300s", q, i, got, want[q])
+			}
+		}
+	}
+}
+
+// load ingests the corpus under explicit ids through rotating routers.
+func (mc *memCluster) load(docs [][]byte, tags []string) map[string]refWrite {
+	mc.t.Helper()
+	writes := map[string]refWrite{}
+	for k, doc := range docs {
+		id := fmt.Sprintf("job-%02d", k)
+		if err := mc.post(k%len(mc.members), doc, "id="+id+"&tags="+tags[k]); err != nil {
+			mc.t.Fatal(err)
+		}
+		writes[id] = refWrite{doc, tags[k]}
+	}
+	return writes
+}
+
+// TestMirrorWarmDeltaFull walks one router through the three reply
+// kinds: the first query resyncs every peer in full, a quiet cluster
+// revalidates "unchanged", one write comes back as a one-job delta —
+// and the routed queries land in the same profstore counters a
+// single-node query does.
+func TestMirrorWarmDeltaFull(t *testing.T) {
+	docs, tags := corpusDocs(12)
+	mc := startMemCluster(t, 3, 2, false, nil)
+	writes := mc.load(docs, tags)
+
+	// An empty mirror is at epoch 0, which no store generation ever was.
+	mc.mustGet(0, "/agg")
+	if got := mc.metric(0, revalidations("full")); got != 2 {
+		t.Errorf("first query applied %v full replies, want 2 (one per peer)", got)
+	}
+
+	mc.mustGet(0, "/agg")
+	mc.mustGet(0, "/regress?base=tag:batch:0&head=tag:batch:1")
+	if got := mc.metric(0, revalidations("unchanged")); got != 4 {
+		t.Errorf("two warm queries revalidated %v legs unchanged, want 4 (/regress is one revalidation, not two scatters)", got)
+	}
+	if hit := mc.metric(0, MetricMirrorMemo+`{result="hit"}`); hit != 1 {
+		t.Errorf("warm /agg: %v memo hits, want 1", hit)
+	}
+	if miss := mc.metric(0, MetricMirrorMemo+`{result="miss"}`); miss != 2 {
+		t.Errorf("%v memo misses, want 2 (first /agg, first /regress)", miss)
+	}
+
+	// One replacing write somewhere else in the cluster: R=2 owners, so at
+	// most two of router 0's peers report it, one job each.
+	if err := mc.post(1, docs[3], "id=job-07&tags="+tags[7]); err != nil {
+		t.Fatal(err)
+	}
+	writes["job-07"] = refWrite{docs[3], tags[7]}
+	mc.checkAllRouters(writes, mirrorQueries)
+	if got := mc.metric(0, MetricMirrorDeltaJobs); got < 1 || got > 2 {
+		t.Errorf("one write came back as %v delta jobs, want 1 or 2", got)
+	}
+	if got := mc.metric(0, revalidations("full")); got != 2 {
+		t.Errorf("%v full resyncs, want only the first contact's 2 on a cluster that never restarted", got)
+	}
+
+	// Bugfix pin: a routed /agg is a profstore query like any other.
+	before := mc.metric(0, profstore.MetricQueries+`{endpoint="agg"}`)
+	lat := mc.metric(0, profstore.MetricQuerySecs+"_count")
+	mc.mustGet(0, "/agg")
+	if got := mc.metric(0, profstore.MetricQueries+`{endpoint="agg"}`); got != before+1 {
+		t.Errorf("routed /agg moved %s{endpoint=agg} %v -> %v, want +1", profstore.MetricQueries, before, got)
+	}
+	if got := mc.metric(0, profstore.MetricQuerySecs+"_count"); got != lat+1 {
+		t.Errorf("routed /agg moved %s_count %v -> %v, want +1", profstore.MetricQuerySecs, lat, got)
+	}
+}
+
+// TestMirrorFullResyncAfterRestart: "the memo never serves a pre-restart
+// epoch". A member closed and reopened on the same WAL is a new store
+// generation; every router's next query resyncs it in full (recording a
+// cluster/resync span) and answers exactly what a single node would.
+func TestMirrorFullResyncAfterRestart(t *testing.T) {
+	docs, tags := corpusDocs(12)
+	mc := startMemCluster(t, 3, 2, true, nil)
+	writes := mc.load(docs, tags)
+	mc.checkAllRouters(writes, mirrorQueries) // every mirror and memo warm
+
+	mc.restart(1)
+	for _, router := range []int{0, 2} {
+		full := mc.metric(router, revalidations("full"))
+		resyncs := countSpans(mc.members[router].rec, "cluster/resync")
+		mc.mustGet(router, "/agg")
+		if got := mc.metric(router, revalidations("full")); got != full+1 {
+			t.Errorf("router %d: %v -> %v full resyncs across member 1's restart, want +1", router, full, got)
+		}
+		if got := countSpans(mc.members[router].rec, "cluster/resync"); got != resyncs+1 {
+			t.Errorf("router %d: %d -> %d cluster/resync spans, want +1", router, resyncs, got)
+		}
+	}
+	mc.checkAllRouters(writes, mirrorQueries)
+
+	// A write the restarted member took while a router was not looking is
+	// still there after the resync.
+	if err := mc.post(1, docs[0], "id=job-05&tags="+tags[5]); err != nil {
+		t.Fatal(err)
+	}
+	writes["job-05"] = refWrite{docs[0], tags[5]}
+	mc.restart(2)
+	mc.checkAllRouters(writes, mirrorQueries)
+}
+
+// TestMirrorFullResyncAfterMemoryRestart: a member run without a WAL
+// comes back empty, and its new store counts epochs from its own boot
+// stamp. Were they plain ingest counts, the store below — which takes
+// exactly as many writes as the one it replaces had — would arrive at the
+// epoch the routers hold and be told "unchanged" over jobs it no longer
+// has in that form.
+func TestMirrorFullResyncAfterMemoryRestart(t *testing.T) {
+	docs, tags := corpusDocs(12)
+	mc := startMemCluster(t, 3, 1, false, nil) // R=1: what member 1 forgets is gone
+	writes := mc.load(docs, tags)
+	mc.checkAllRouters(writes, mirrorQueries) // every mirror and memo warm
+
+	ring, err := NewRing(mc.urls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lost []string
+	for k := range docs {
+		if id := fmt.Sprintf("job-%02d", k); ring.Owners(id, 1)[0] == mc.urls[1] {
+			lost = append(lost, id)
+		}
+	}
+	if len(lost) == 0 {
+		t.Fatal("member 1 owns none of the corpus; pick other ids")
+	}
+	full := mc.metric(0, revalidations("full"))
+	mc.restart(1)
+	for k, id := range lost { // same ids, same count, other documents
+		w := refWrite{docs[(k+len(docs)/2)%len(docs)], "clu,batch:" + fmt.Sprint(k%2)}
+		if err := mc.post(1, w.doc, "id="+id+"&tags="+w.tags); err != nil {
+			t.Fatal(err)
+		}
+		writes[id] = w
+	}
+	mc.checkAllRouters(writes, mirrorQueries)
+	if got := mc.metric(0, revalidations("full")); got != full+1 {
+		t.Errorf("router 0: %v -> %v full resyncs across member 1's restart, want +1", full, got)
+	}
+}
+
+func countSpans(rec *telemetry.Recorder, track string) int {
+	n := 0
+	for _, sp := range rec.Snapshot() {
+		if sp.Track == track {
+			n++
+		}
+	}
+	return n
+}
+
+// TestMirrorChangeLogOverflow: more writes between two queries than the
+// members' change logs hold fall back to a full resync, same bytes.
+func TestMirrorChangeLogOverflow(t *testing.T) {
+	docs := benchSmallDocs(t, 8)
+	mc := startMemCluster(t, 2, 2, false, nil)
+	writes := map[string]refWrite{}
+	write := func(k int) {
+		id := fmt.Sprintf("small-%d", k%5)
+		w := refWrite{docs[k%len(docs)], fmt.Sprintf("batch:%d", k%2)}
+		if err := mc.post(k%2, w.doc, "id="+id+"&tags="+w.tags); err != nil {
+			t.Fatal(err)
+		}
+		writes[id] = w
+	}
+	for k := 0; k < 10; k++ {
+		write(k)
+	}
+	mc.checkAllRouters(writes, mirrorQueries)
+	full := mc.metric(0, revalidations("full")) // the first contact
+	write(10)
+	mc.checkAllRouters(writes, mirrorQueries)
+	if got := mc.metric(0, revalidations("full")); got != full {
+		t.Fatalf("%v -> %v full resyncs before the overflow", full, got)
+	}
+	for k := 11; k < 11+300; k++ { // the change log holds 256
+		write(k)
+	}
+	mc.checkAllRouters(writes, mirrorQueries)
+	if got := mc.metric(0, revalidations("full")); got != full+1 {
+		t.Errorf("%v -> %v full resyncs after 300 writes between two queries, want +1", full, got)
+	}
+}
+
+// TestMirrorConcurrentIngestAndQueries races writers through every
+// router against readers on every router (under -race in `make race`);
+// at quiescence every router must answer byte-identically to the
+// reference, whatever interleaving of deltas its mirror saw.
+func TestMirrorConcurrentIngestAndQueries(t *testing.T) {
+	docs, tags := corpusDocs(12)
+	mc := startMemCluster(t, 4, 2, false, nil)
+	writes := mc.load(docs, tags)
+
+	const rounds = 20
+	var wg sync.WaitGroup
+	for w := range mc.members {
+		wg.Add(1)
+		go func(w int) { // writer w replaces only its own ids: the last write is unambiguous
+			defer wg.Done()
+			for k := 0; k < rounds; k++ {
+				id := fmt.Sprintf("job-%02d", w+4*(k%3))
+				if err := mc.post((w+k)%len(mc.members), docs[(w+k)%len(docs)], "id="+id+"&tags="+tags[w]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+		for range 2 { // two readers per router: concurrent revalidations of one mirror
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				for k := 0; k < rounds; k++ {
+					if rec := mc.do(r, "GET", mirrorQueries[k%len(mirrorQueries)], nil); rec.Code != 200 {
+						t.Errorf("%s via router %d: %d: %s", mirrorQueries[k%len(mirrorQueries)], r, rec.Code, rec.Body)
+						return
+					}
+				}
+			}(w)
+		}
+	}
+	wg.Wait()
+	for w := range mc.members {
+		for k := rounds - 3; k < rounds; k++ {
+			writes[fmt.Sprintf("job-%02d", w+4*(k%3))] = refWrite{docs[(w+k)%len(docs)], tags[w]}
+		}
+	}
+	mc.checkAllRouters(writes, mirrorQueries)
+}
+
+// TestMirrorReadYourWrites: a replacing write with an explicit id,
+// acknowledged by one router, is in every other router's very next
+// answer — mirror-served (an id side of /regress included) and point-read
+// alike.
+func TestMirrorReadYourWrites(t *testing.T) {
+	docs, tags := corpusDocs(12)
+	mc := startMemCluster(t, 4, 2, false, nil)
+	writes := mc.load(docs, tags)
+	queries := append([]string{
+		"/agg?sel=job-04",
+		"/regress?base=job-04&head=tag:batch:1",
+		"/regress?base=job-03&head=job-04",
+	}, mirrorQueries...)
+	mc.checkAllRouters(writes, queries) // warm
+
+	for k := 0; k < 6; k++ {
+		router := k % len(mc.members)
+		if err := mc.post(router, docs[(k+5)%len(docs)], "id=job-04&tags="+tags[4]); err != nil {
+			t.Fatal(err)
+		}
+		writes["job-04"] = refWrite{docs[(k+5)%len(docs)], tags[4]}
+		want := reference(t, writes, queries)
+		for i := range mc.members {
+			if i == router {
+				continue
+			}
+			q := queries[(k+i)%len(queries)]
+			if got := mc.mustGet(i, q); got != want[q] {
+				t.Errorf("write %d via router %d: router %d's next %s does not reflect it", k, router, i, q)
+			}
+		}
+	}
+}
+
+// TestMirrorStrictWhenPeerRefused: a warm mirror is no licence to answer
+// without a peer. Once the plan refuses member 1, router 0 answers 503 +
+// Retry-After — never the 200 its mirror and memo could still render.
+func TestMirrorStrictWhenPeerRefused(t *testing.T) {
+	docs, tags := corpusDocs(12)
+	// Router 0 sends member 1 two legs while warming up (the first-contact
+	// full, then an "unchanged"); the outage starts at the third.
+	plan, err := faultsim.ParsePeerPlan([]byte(
+		`{"faults":[{"host":"member1","at":3,"kind":"unreachable","count":-1}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc := startMemCluster(t, 3, 1, false, func(i int, net http.RoundTripper) http.RoundTripper {
+		if i == 0 {
+			return plan.Wrap(net)
+		}
+		return net
+	})
+	for k, doc := range docs { // through routers 1 and 2: router 0's request count stays the test's
+		if err := mc.post(1+k%2, doc, "tags="+tags[k]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	warm := mc.mustGet(0, "/agg")
+	if again := mc.mustGet(0, "/agg"); again != warm {
+		t.Fatal("warm /agg changed on a quiet cluster")
+	}
+	for _, q := range mirrorQueries {
+		rec := mc.do(0, "GET", q, nil)
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Errorf("%s with member 1 refused: %d, want 503 (stale body: %v)", q, rec.Code, rec.Body.String() == warm)
+		}
+		if rec.Header().Get("Retry-After") == "" {
+			t.Errorf("%s: 503 without Retry-After", q)
+		}
+	}
+	if got := mc.mustGet(2, "/agg"); got != warm {
+		t.Error("a router that reaches every member answers differently")
+	}
+}
+
+// TestJobNotFoundVsUnreachable: /job/{id} is 404 only when every owner
+// said so; an owner that cannot be asked is 503.
+func TestJobNotFoundVsUnreachable(t *testing.T) {
+	plan, err := faultsim.ParsePeerPlan([]byte(
+		`{"faults":[{"host":"member1","at":2,"kind":"unreachable","count":-1}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc := startMemCluster(t, 2, 2, false, func(i int, net http.RoundTripper) http.RoundTripper {
+		if i == 0 {
+			return plan.Wrap(net)
+		}
+		return net
+	})
+	if rec := mc.do(0, "GET", "/job/nope", nil); rec.Code != http.StatusNotFound {
+		t.Errorf("unknown job, owners reachable: %d, want 404", rec.Code)
+	}
+	if rec := mc.do(0, "GET", "/job/nope", nil); rec.Code != http.StatusServiceUnavailable {
+		t.Errorf("unknown job, owner refused: %d, want 503", rec.Code)
+	}
+}
