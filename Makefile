@@ -6,9 +6,9 @@
 # allocation counts) into a JSON snapshot for cross-PR comparison.
 
 GO ?= go
-BENCH_OUT ?= BENCH_pr15.json
-BENCH_BASE ?= BENCH_pr10.json
-BENCH_PATTERN ?= BenchmarkObserveHot|BenchmarkTableUpdate|BenchmarkMapUpdateManyKeys|BenchmarkAblationHashTable|BenchmarkEnsembleParallel|BenchmarkObserveTelemetry|BenchmarkProfstoreIngest|BenchmarkProfstoreAgg|BenchmarkDESScheduleRun|BenchmarkSpanRecord|BenchmarkQueueSubmit|BenchmarkClusterIngest|BenchmarkClusterAgg
+BENCH_OUT ?= BENCH_pr16.json
+BENCH_BASE ?= BENCH_pr15.json
+BENCH_PATTERN ?= BenchmarkObserveHot|BenchmarkTableUpdate|BenchmarkMapUpdateManyKeys|BenchmarkAblationHashTable|BenchmarkEnsembleParallel|BenchmarkObserveTelemetry|BenchmarkProfstoreIngest|BenchmarkProfstoreAgg|BenchmarkDESScheduleRun|BenchmarkProcContextSwitch|BenchmarkProcHandoff|BenchmarkProcSleepPastCallback|BenchmarkSpanRecord|BenchmarkQueueSubmit|BenchmarkClusterIngest|BenchmarkClusterAgg
 
 .PHONY: build vet test race race-faults serve serve-load serve-e2e soak soak-short soak-cluster soak-cluster-short fuzz verify bench bench-check bench-smoke bench-e2e profile experiments trace faults clean
 
@@ -100,13 +100,18 @@ bench:
 	$(GO) test -p 1 -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -count $(BENCH_COUNT) ./... | $(GO) run ./cmd/benchjson -o $(BENCH_OUT) -compare $(BENCH_BASE)
 
 # Like bench, but a CI gate: fail (exit 3) if any benchmark regressed
-# more than BENCH_THRESHOLD percent in ns/op or allocs/op against the
-# committed PR-15 snapshot. Writes its measurements to results/ so it
-# never clobbers the committed baseline. The threshold is forgiving
-# because shared CI boxes jitter; the min-of-BENCH_COUNT noise floor
-# (see cmd/benchjson) absorbs most of it.
+# more than BENCH_THRESHOLD percent in allocs/op or B/op — or started
+# allocating at all — against the committed PR-16 snapshot. Those counts
+# are a property of the code; the ns/op delta is printed beside them for
+# information only, because against a committed snapshot it measures the
+# box (timing claims are settled by paired parent/change runs of
+# bench/run.sh). A benchmark whose own repetitions disagree on the
+# counts (BenchmarkProfstoreAggUnderIngest races a writer: 1-8 allocs/op)
+# is marked and not gated.
+# Writes its measurements to results/ so it never clobbers the committed
+# baseline.
 BENCH_THRESHOLD ?= 30
-BENCH_CHECK_BASE ?= BENCH_pr15.json
+BENCH_CHECK_BASE ?= BENCH_pr16.json
 bench-check:
 	mkdir -p results
 	$(GO) test -p 1 -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -count $(BENCH_COUNT) ./... | $(GO) run ./cmd/benchjson -o results/bench_check.json -compare $(BENCH_CHECK_BASE) -threshold $(BENCH_THRESHOLD)
@@ -122,10 +127,12 @@ bench-smoke:
 bench-e2e: bench-smoke
 	bash bench/run.sh --workload cluster_read --seed 1 --seconds 12 --trace 0
 
-# Capture CPU + allocation profiles of the heaviest bundled workload
-# (an HPL run) for pprof analysis; see EXPERIMENTS.md "Profiling the
-# simulator" for the reading recipe.
-PROFILE_WORKLOAD ?= hpl
+# Capture CPU + allocation profiles of the call-dense bundled workload
+# (a monitored Amber run: ~10^5 wrapped CUDA/MPI calls per rank, the job
+# the benchmark's sim_calldense workload times) for pprof analysis; see
+# EXPERIMENTS.md "Profiling the simulator" for the reading recipe.
+# PROFILE_WORKLOAD=hpl profiles the communication-bound one instead.
+PROFILE_WORKLOAD ?= amber
 profile:
 	mkdir -p results
 	$(GO) run ./cmd/ipmrun -cpuprofile results/cpu.pprof -memprofile results/allocs.pprof \

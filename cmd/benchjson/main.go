@@ -24,17 +24,23 @@
 // frequency jitter only ever add time, so the fastest repetition is the
 // closest to the code's true cost.
 //
-// With -compare OLD.json the command additionally prints a ns/op delta
-// table for every benchmark present in both the old snapshot and the
-// current run, so successive PR snapshots (BENCH_pr1.json,
-// BENCH_pr2.json, ...) can be diffed in CI:
+// With -compare OLD.json the command additionally prints a delta table
+// (ns/op, allocs/op, B/op) for every benchmark present in both the old
+// snapshot and the current run, so successive PR snapshots
+// (BENCH_pr1.json, BENCH_pr2.json, ...) can be diffed in CI:
 //
 //	go test -bench . -benchmem ./... | go run ./cmd/benchjson -o BENCH_pr2.json -compare BENCH_pr1.json
 //
 // With -threshold PCT (alongside -compare) the command becomes a CI
-// gate: any benchmark whose ns/op — or, when both snapshots carry
-// -benchmem metrics, allocs/op — regressed by more than PCT percent is
-// listed and the command exits non-zero (see `make bench-check`).
+// gate on what repeats from box to box: any benchmark whose allocs/op or
+// B/op regressed by more than PCT percent — or whose allocs/op left zero
+// — is listed and the command exits non-zero (see `make bench-check`).
+// A benchmark whose own -count repetitions disagree on those counts by
+// more than PCT percent (one that races a concurrent writer, say) is
+// marked and not gated: its counts measure the run, not the code.
+// The ns/op delta is printed for information and never gates: against a
+// committed snapshot it measures the box as much as the code. Timing
+// claims are settled by paired parent/change runs of bench/run.sh.
 package main
 
 import (
@@ -68,13 +74,14 @@ type Result struct {
 func main() {
 	out := flag.String("o", "", "output JSON file (required)")
 	compare := flag.String("compare", "", "previous snapshot to print ns/op deltas against")
-	threshold := flag.Float64("threshold", 0, "with -compare: exit non-zero when any ns/op regression exceeds this percentage")
+	threshold := flag.Float64("threshold", 0, "with -compare: exit non-zero when any allocs/op or B/op regression exceeds this percentage")
 	flag.Parse()
 	if *out == "" {
 		fmt.Fprintln(os.Stderr, "benchjson: -o FILE is required")
 		os.Exit(2)
 	}
 	results := make(map[string]Result)
+	spans := make(map[string]memSpan)
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -84,6 +91,11 @@ func main() {
 			if prev, seen := results[name]; !seen || r.NsPerOp < prev.NsPerOp {
 				results[name] = r
 			}
+			span, seen := spans[name]
+			if !seen {
+				span = spanOf(r)
+			}
+			spans[name] = span.widen(r)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -96,7 +108,7 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "benchjson: wrote %d benchmark(s) to %s\n", len(results), *out)
 	if *compare != "" {
-		regressed, err := printComparison(os.Stderr, *compare, results, *threshold)
+		regressed, err := printComparison(os.Stderr, *compare, results, spans, *threshold)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchjson: compare:", err)
 			os.Exit(1)
@@ -111,11 +123,34 @@ func main() {
 	}
 }
 
-// printComparison renders a ns/op delta table between a previous snapshot
-// and the current results, for the benchmarks present in both, and
-// returns the names whose regression exceeds threshold percent (empty
-// when threshold is zero).
-func printComparison(w io.Writer, oldPath string, cur map[string]Result, threshold float64) ([]string, error) {
+// memSpan is the range of -benchmem counts a benchmark showed across its
+// -count repetitions.
+type memSpan struct{ loAllocs, hiAllocs, loBytes, hiBytes int64 }
+
+func spanOf(r Result) memSpan {
+	return memSpan{r.AllocsPerOp, r.AllocsPerOp, r.BytesPerOp, r.BytesPerOp}
+}
+
+func (s memSpan) widen(r Result) memSpan {
+	return memSpan{
+		min(s.loAllocs, r.AllocsPerOp), max(s.hiAllocs, r.AllocsPerOp),
+		min(s.loBytes, r.BytesPerOp), max(s.hiBytes, r.BytesPerOp),
+	}
+}
+
+// repeats reports whether the repetitions agree within pct percent, i.e.
+// whether the counts are a property of the code rather than of the run.
+func (s memSpan) repeats(pct float64) bool {
+	within := func(lo, hi int64) bool { return float64(hi) <= float64(lo)*(1+pct/100) }
+	return within(s.loAllocs, s.hiAllocs) && within(s.loBytes, s.hiBytes)
+}
+
+// printComparison renders a delta table between a previous snapshot and
+// the current results, for the benchmarks present in both, and returns
+// the names whose allocs/op or B/op regression exceeds threshold percent
+// (empty when threshold is zero). spans holds each benchmark's range over
+// the run's repetitions; one that does not repeat is not gated.
+func printComparison(w io.Writer, oldPath string, cur map[string]Result, spans map[string]memSpan, threshold float64) ([]string, error) {
 	data, err := os.ReadFile(oldPath)
 	if err != nil {
 		return nil, err
@@ -136,31 +171,32 @@ func printComparison(w io.Writer, oldPath string, cur map[string]Result, thresho
 	}
 	sort.Strings(names)
 	var regressed []string
-	fmt.Fprintf(w, "benchjson: ns/op and allocs/op vs %s\n", oldPath)
-	fmt.Fprintf(w, "%-50s %12s %12s %10s %12s %10s\n", "benchmark", "old ns/op", "new ns/op", "ns delta", "allocs delta", "MB/s")
+	fmt.Fprintf(w, "benchjson: ns/op (informational), allocs/op and B/op vs %s\n", oldPath)
+	fmt.Fprintf(w, "%-50s %12s %12s %10s %12s %10s %10s\n", "benchmark", "old ns/op", "new ns/op", "ns delta", "allocs delta", "B delta", "MB/s")
 	for _, n := range names {
 		o, c := old[n], cur[n]
-		bad := false
 		delta := "n/a"
 		if o.NsPerOp > 0 {
-			pct := 100 * (c.NsPerOp - o.NsPerOp) / o.NsPerOp
-			delta = fmt.Sprintf("%+.1f%%", pct)
-			if threshold > 0 && pct > threshold {
-				bad = true
-			}
+			delta = fmt.Sprintf("%+.1f%%", 100*(c.NsPerOp-o.NsPerOp)/o.NsPerOp)
 		}
-		// Gate allocation counts too: allocs/op is near-deterministic, so a
-		// regression there is a code change, not scheduler noise.
-		allocDelta := "n/a"
-		if o.HasMem && c.HasMem && o.AllocsPerOp > 0 {
-			pct := 100 * float64(c.AllocsPerOp-o.AllocsPerOp) / float64(o.AllocsPerOp)
-			allocDelta = fmt.Sprintf("%+.1f%%", pct)
-			if threshold > 0 && pct > threshold {
-				bad = true
-			}
+		// The gate is on allocation counts and bytes: they are a property
+		// of the code, so a regression there is a code change, not
+		// scheduler noise.
+		allocDelta, bytesDelta, bad := "n/a", "n/a", false
+		if o.HasMem && c.HasMem {
+			var badAllocs, badBytes bool
+			allocDelta, badAllocs = memDelta(o.AllocsPerOp, c.AllocsPerOp, threshold)
+			bytesDelta, badBytes = memDelta(o.BytesPerOp, c.BytesPerOp, threshold)
+			// An allocation-free benchmark that starts allocating has no
+			// percentage, and is the regression the 0 allocs/op pins exist
+			// for. (B/op is a truncated mean, which one stray runtime
+			// allocation can lift off zero: that alone does not gate.)
+			leftZero := threshold > 0 && o.AllocsPerOp == 0 && c.AllocsPerOp > 0
+			bad = badAllocs || badBytes || leftZero
 		}
-		// Throughput is informational (it moves inversely with ns/op,
-		// which is already gated): shown when either snapshot carries it.
+		varies := threshold > 0 && !spans[n].repeats(threshold)
+		// Throughput is informational, like the ns/op it moves inversely
+		// with: shown when either snapshot carries it.
 		mbs := "n/a"
 		switch {
 		case o.MBPerSec > 0 && c.MBPerSec > 0:
@@ -168,14 +204,30 @@ func printComparison(w io.Writer, oldPath string, cur map[string]Result, thresho
 		case c.MBPerSec > 0:
 			mbs = fmt.Sprintf("%.0f", c.MBPerSec)
 		}
-		line := fmt.Sprintf("%-50s %12.2f %12.2f %10s %12s %10s", n, o.NsPerOp, c.NsPerOp, delta, allocDelta, mbs)
-		if bad {
+		line := fmt.Sprintf("%-50s %12.2f %12.2f %10s %12s %10s %10s", n, o.NsPerOp, c.NsPerOp, delta, allocDelta, bytesDelta, mbs)
+		switch {
+		case varies:
+			line += " (counts vary across repetitions: not gated)"
+		case bad:
 			line += " <-- REGRESSION"
 			regressed = append(regressed, n)
 		}
 		fmt.Fprintln(w, line)
 	}
 	return regressed, nil
+}
+
+// memDelta renders the change of a -benchmem count and reports whether it
+// regressed beyond threshold percent.
+func memDelta(old, cur int64, threshold float64) (string, bool) {
+	switch {
+	case old == cur:
+		return "+0.0%", false
+	case old == 0:
+		return fmt.Sprintf("0->%d", cur), false // no percentage off zero
+	}
+	pct := 100 * float64(cur-old) / float64(old)
+	return fmt.Sprintf("%+.1f%%", pct), threshold > 0 && pct > threshold
 }
 
 // parseLine extracts a benchmark result from one output line. Returns

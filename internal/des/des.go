@@ -3,10 +3,30 @@
 //
 // The engine owns a monotone virtual clock and a priority queue of events.
 // Simulated actors (MPI ranks, host threads) run as processes: goroutines
-// that the engine schedules cooperatively so that exactly one process
-// executes at any moment. This gives race-free, fully deterministic
+// scheduled cooperatively so that exactly one of them — or the caller of
+// Run — executes at any moment. This gives race-free, fully deterministic
 // simulations whose outcome depends only on the event timestamps (with
 // FIFO sequence numbers breaking ties), never on wall-clock timing.
+//
+// There is no engine goroutine. Control is a baton: whoever holds it is
+// the only goroutine touching the engine. Run holds it first and runs the
+// event loop on the caller's goroutine until the first process resume,
+// hands the baton to that process and waits for the loop to end. A process
+// that blocks (Sleep, Wait) or finishes runs the event loop itself, on its
+// own goroutine: it pops (at, seq)-ordered entries and runs plain
+// callbacks (Schedule, ScheduleRunner, FireAt, OnFire) inline until the
+// next process resume. If that resume is its own it simply returns — no
+// goroutine switch; otherwise it wakes the target and parks — one switch.
+// Whoever finds the loop over (queue drained, horizon reached, a process
+// panicked) wakes Run, which reports. Because pop order is a pure function
+// of (at, seq) and not of which goroutine pops, virtual-time behaviour is
+// exactly that of a single dispatcher loop.
+//
+// Consequently event callbacks run on whichever goroutine holds the baton
+// — the caller of Run or any process goroutine, including one whose
+// function has already returned. They must not depend on goroutine
+// identity: no t.FailNow/t.Fatal, no runtime.Goexit. A callback that
+// panics is re-raised from Run on the caller's goroutine.
 //
 // All timestamps are time.Duration offsets from the start of the run.
 //
@@ -16,8 +36,7 @@
 // entries, and cancelled events are dropped lazily when they surface at
 // the root. Because every entry carries a unique sequence number, the
 // (at, seq) order is total and the pop order is independent of the heap's
-// internal layout — the rewrite is byte-for-byte compatible with the
-// container/heap engine it replaced.
+// internal layout.
 package des
 
 import (
@@ -30,8 +49,8 @@ import (
 // usable; create engines with NewEngine.
 //
 // An Engine is not safe for concurrent use from multiple goroutines.
-// Processes spawned on the engine may freely use the engine because the
-// engine guarantees only one of them runs at a time.
+// Processes spawned on the engine, and the callbacks scheduled on it, may
+// freely use the engine because only the goroutine holding the baton runs.
 type Engine struct {
 	now     time.Duration
 	seq     uint64
@@ -39,17 +58,23 @@ type Engine struct {
 	slots   []slot
 	free    []int32 // free slot indexes, LIFO
 	pending int     // live (scheduled, uncancelled, unfired) events
-	yield   chan struct{}
-	live    int // processes that have been spawned and not yet finished
+	live    int     // processes that have been spawned and not yet finished
 	nextID  int
 	err     error // first process panic, sticky
+
+	// Set by run for the duration of one Run/RunFor, read by whichever
+	// goroutine holds the baton.
+	horizon time.Duration // < 0: none
+	ended   chan struct{} // a process goroutine found the loop over
+	endErr  error         // why: nil, *HorizonError, *DeadlockError or err
+	cbPanic any           // callback panic caught on a process goroutine
 
 	procs []*Proc // every spawned process, for deadlock reports
 }
 
 // NewEngine returns an empty engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{yield: make(chan struct{})}
+	return &Engine{ended: make(chan struct{})}
 }
 
 // Now returns the current virtual time.
@@ -124,8 +149,8 @@ func (ev Event) Cancel() {
 	}
 	e.freeSlot(ev.slot)
 	e.pending--
-	// The heap entry stays put; run drops it lazily when it reaches the
-	// root and its generation no longer matches.
+	// The heap entry stays put; the event loop drops it lazily when it
+	// reaches the root and its generation no longer matches.
 }
 
 // allocSlot returns a free slot index, growing the pool only when the free
@@ -244,14 +269,38 @@ func (h *HorizonError) Error() string {
 // Run executes events until the queue is empty and all processes have
 // finished. It returns a *DeadlockError if processes remain blocked with no
 // pending events, or the panic value of the first process that panicked.
+// A panic in an event callback panics out of Run, on the caller's
+// goroutine, whichever goroutine the callback ran on.
 func (e *Engine) Run() error { return e.run(-1) }
 
 // RunFor executes events like Run but stops with a *HorizonError once the
-// clock would exceed horizon. It is a safety net for workloads under test.
+// clock would exceed horizon, leaving the queue and every blocked process
+// as they were: a later Run or RunFor picks up where this one stopped. It
+// is a safety net for workloads under test.
 func (e *Engine) RunFor(horizon time.Duration) error { return e.run(horizon) }
 
+// run holds the baton until the first process resume, passes it on and
+// waits for whichever goroutine ends the loop.
 func (e *Engine) run(horizon time.Duration) error {
-	for len(e.heap) > 0 {
+	e.horizon = horizon
+	if p := e.dispatch(); p != nil {
+		p.resume <- struct{}{}
+		<-e.ended
+		if r := e.cbPanic; r != nil {
+			e.cbPanic = nil
+			panic(r)
+		}
+	}
+	return e.endErr
+}
+
+// dispatch is the event loop. It runs on the goroutine holding the baton:
+// callbacks run inline, and the first resume of a live process ends it —
+// dispatch returns that process, marked runnable, and the caller passes
+// the baton on (or keeps it, if the process is itself). A nil return means
+// the loop is over and e.endErr says why.
+func (e *Engine) dispatch() *Proc {
+	for e.err == nil && len(e.heap) > 0 {
 		root := e.heap[0]
 		s := &e.slots[root.slot]
 		if s.gen != root.gen {
@@ -259,10 +308,11 @@ func (e *Engine) run(horizon time.Duration) error {
 			e.popRoot()
 			continue
 		}
-		if horizon >= 0 && root.at > horizon {
+		if e.horizon >= 0 && root.at > e.horizon {
 			// Next event is beyond the horizon. Report without popping:
 			// the queue is left exactly as it was for inspection.
-			return &HorizonError{Horizon: horizon, Pending: e.pending}
+			e.endErr = &HorizonError{Horizon: e.horizon, Pending: e.pending}
+			return nil
 		}
 		e.popRoot()
 		e.now = root.at
@@ -273,17 +323,22 @@ func (e *Engine) run(horizon time.Duration) error {
 		case slotFn:
 			fn()
 		case slotStep:
-			e.step(proc)
+			if proc.done {
+				continue // stale wake-up of a finished process
+			}
+			proc.blockKind = blockNone
+			proc.blockSig = nil
+			return proc
 		case slotFire:
 			sig.Fire()
 		case slotRun:
 			run.Run()
 		}
-		if e.err != nil {
-			return e.err
-		}
 	}
-	if e.live > 0 {
+	switch {
+	case e.err != nil:
+		e.endErr = e.err
+	case e.live > 0:
 		var blocked []string
 		for _, p := range e.procs {
 			if !p.done && p.blockKind != blockNone {
@@ -291,9 +346,29 @@ func (e *Engine) run(horizon time.Duration) error {
 			}
 		}
 		sort.Strings(blocked)
-		return &DeadlockError{Now: e.now, Blocked: blocked}
+		e.endErr = &DeadlockError{Now: e.now, Blocked: blocked}
+	default:
+		e.endErr = nil
 	}
 	return nil
+}
+
+// quietUntil reports whether no live event is due at or before at and at
+// is within the horizon — the condition under which a resume pushed at at
+// would be the very next entry popped. Cancelled entries at the root are
+// dropped first, as the loop would have dropped them on the way.
+func (e *Engine) quietUntil(at time.Duration) bool {
+	if e.horizon >= 0 && at > e.horizon {
+		return false
+	}
+	for len(e.heap) > 0 {
+		root := e.heap[0]
+		if e.slots[root.slot].gen == root.gen {
+			return root.at > at
+		}
+		e.popRoot()
+	}
+	return true
 }
 
 // Pending reports the number of queued (uncancelled) events in O(1).

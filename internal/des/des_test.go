@@ -519,6 +519,9 @@ func BenchmarkScheduleRun(b *testing.B) {
 	}
 }
 
+// BenchmarkProcContextSwitch is the self-resume cost: a Sleep with nothing
+// else due, so the sleeper is next in line (87 % of the resumes of a
+// monitored Amber job).
 func BenchmarkProcContextSwitch(b *testing.B) {
 	e := NewEngine()
 	e.Spawn("p", func(p *Proc) {
@@ -526,8 +529,278 @@ func BenchmarkProcContextSwitch(b *testing.B) {
 			p.Sleep(time.Nanosecond)
 		}
 	})
+	b.ReportAllocs()
 	b.ResetTimer()
 	if err := e.Run(); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// spawnEcho spawns the passive half of a signal ping-pong — a process that
+// waits for ping, re-arms it and fires pong, rounds times — and returns the
+// active half's round trip, to be called from the caller's own process.
+// One round trip is two cross-process resumes.
+func spawnEcho(e *Engine, rounds int) (roundTrip func(p *Proc)) {
+	ping, pong := new(Signal), new(Signal)
+	e.InitSignal(ping, "ping")
+	e.InitSignal(pong, "pong")
+	e.Spawn("echo", func(p *Proc) {
+		for i := 0; i < rounds; i++ {
+			p.Wait(ping)
+			e.InitSignal(ping, "ping")
+			pong.Fire()
+		}
+	})
+	return func(p *Proc) {
+		ping.Fire()
+		p.Wait(pong)
+		e.InitSignal(pong, "pong")
+	}
+}
+
+// BenchmarkProcHandoff is the cross-process resume cost, one hand-off per
+// op: two processes alternating through signals, the shape HPL ranks live
+// on (45 603 resumes per quick Fig8, only 1 978 of them self-resumes).
+func BenchmarkProcHandoff(b *testing.B) {
+	e := NewEngine()
+	rounds := (b.N + 1) / 2
+	roundTrip := spawnEcho(e, rounds)
+	e.Spawn("p", func(p *Proc) {
+		for i := 0; i < rounds; i++ {
+			roundTrip(p)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+type nopRunner struct{}
+
+func (nopRunner) Run() {}
+
+// BenchmarkProcSleepPastCallback is a Sleep with a Runner due before the
+// wake-up (an async completion landing while the host computes): the
+// sleeper goes through the queue and runs the callback inline.
+func BenchmarkProcSleepPastCallback(b *testing.B) {
+	e := NewEngine()
+	e.Spawn("p", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			e.ScheduleRunner(e.Now()+time.Nanosecond, nopRunner{})
+			p.Sleep(2 * time.Nanosecond)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// The tests below pin the control-transfer semantics: what must hold no
+// matter which goroutine runs the event loop.
+
+// A Sleep that is next in line still stops at the horizon: the clock never
+// passes it, the wake-up stays queued, and a later RunFor resumes.
+func TestSleepNextInLineRespectsHorizon(t *testing.T) {
+	e := NewEngine()
+	var marks []time.Duration
+	e.Spawn("p", func(p *Proc) {
+		for i := 0; i < 5; i++ {
+			p.Sleep(time.Second) // nothing else queued: always next in line
+			marks = append(marks, p.Now())
+		}
+	})
+	horizon := 2500 * time.Millisecond
+	var h *HorizonError
+	if err := e.RunFor(horizon); !errors.As(err, &h) {
+		t.Fatalf("err = %v, want HorizonError", err)
+	}
+	if e.Now() > horizon || e.Now() != 2*time.Second {
+		t.Errorf("Now after horizon = %v, want 2s", e.Now())
+	}
+	if h.Pending != 1 || e.Pending() != 1 {
+		t.Errorf("pending = %d (error says %d), want the one queued wake-up", e.Pending(), h.Pending)
+	}
+	if len(marks) != 2 {
+		t.Errorf("marks before horizon = %v, want [1s 2s]", marks)
+	}
+	if err := e.RunFor(time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if len(marks) != 5 || marks[4] != 5*time.Second || e.Now() != 5*time.Second {
+		t.Errorf("marks = %v, Now = %v; want 1s..5s", marks, e.Now())
+	}
+}
+
+// runKilled runs fn as a process body and returns the time a Killed panic
+// surfaced in it, or -1.
+func runKilled(p *Proc, fn func()) (at time.Duration) {
+	at = -1
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(Killed); !ok {
+				panic(r)
+			}
+			at = p.Now()
+		}
+	}()
+	fn()
+	return
+}
+
+func TestKillLandsAtNextSchedulingPoint(t *testing.T) {
+	t.Run("self", func(t *testing.T) {
+		e := NewEngine()
+		var first, stale, own time.Duration
+		e.Spawn("p", func(p *Proc) {
+			p.Sleep(time.Millisecond)
+			p.Kill("self")
+			first = runKilled(p, func() { p.Sleep(time.Second) })
+			// A recovered kill stays set, so every later Sleep dies at the
+			// process's next resume: here the first Sleep's wake-up, still
+			// queued ...
+			stale = runKilled(p, func() { p.Sleep(time.Hour) })
+			// ... and here, with only the 1h wake-up left in the queue, its
+			// own: next in line, but a killed process takes no shortcut.
+			own = runKilled(p, func() { p.Sleep(time.Millisecond) })
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if first != time.Millisecond {
+			t.Errorf("self-kill surfaced at %v, want 1ms (the Sleep's entry, not its wake-up)", first)
+		}
+		if stale != 1001*time.Millisecond || own != 1002*time.Millisecond {
+			t.Errorf("later Sleeps of a killed process died at %v and %v, want 1.001s and 1.002s", stale, own)
+		}
+	})
+	t.Run("sleeping peer", func(t *testing.T) {
+		e := NewEngine()
+		died := time.Duration(-1)
+		victim := e.Spawn("victim", func(p *Proc) {
+			died = runKilled(p, func() { p.Sleep(time.Hour) })
+		})
+		e.Spawn("killer", func(p *Proc) {
+			p.Sleep(time.Second)
+			victim.Kill("peer")
+		})
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if died != time.Second {
+			t.Errorf("victim died at %v, want 1s", died)
+		}
+		// The victim's own wake-up is now stale: skipped, clock advanced.
+		if e.Now() != time.Hour || e.Pending() != 0 {
+			t.Errorf("Now = %v, Pending = %d; want 1h, 0", e.Now(), e.Pending())
+		}
+	})
+}
+
+type panicRunner struct{ v any }
+
+func (r panicRunner) Run() { panic(r.v) }
+
+// A callback that panics while a process goroutine holds the baton — in a
+// blocked process's Sleep, or in the epilogue of one that has returned —
+// panics out of Run on the calling goroutine, not into the process.
+func TestCallbackPanicReraisedFromRun(t *testing.T) {
+	const at = 5 * time.Millisecond
+	kinds := map[string]func(e *Engine, v any){
+		"Schedule": func(e *Engine, v any) { e.Schedule(at, func() { panic(v) }) },
+		"Runner":   func(e *Engine, v any) { e.ScheduleRunner(at, panicRunner{v}) },
+		"OnFire": func(e *Engine, v any) {
+			s := e.NewSignal("s")
+			s.OnFire(func() { panic(v) })
+			s.FireAt(at)
+		},
+	}
+	holders := map[string]func(p *Proc){
+		"blocked": func(p *Proc) { p.Sleep(time.Second) },
+		"exiting": func(p *Proc) {},
+	}
+	for kind, arm := range kinds {
+		for holder, body := range holders {
+			t.Run(kind+"/"+holder, func(t *testing.T) {
+				e := NewEngine()
+				want := kind + " in " + holder
+				arm(e, want)
+				var inProc any
+				e.Spawn("p", func(p *Proc) {
+					defer func() {
+						if inProc = recover(); inProc != nil {
+							panic(inProc)
+						}
+					}()
+					body(p)
+				})
+				got := func() (r any) {
+					defer func() { r = recover() }()
+					return fmt.Sprintf("Run returned %v", e.Run())
+				}()
+				if got != want {
+					t.Errorf("Run on the caller's goroutine: %v, want panic %q", got, want)
+				}
+				if inProc != nil {
+					t.Errorf("panic %v unwound into the process", inProc)
+				}
+			})
+		}
+	}
+}
+
+// A deadlock is found by whoever holds the baton when the queue drains —
+// the last process to block, or one that has just returned — and Run
+// reports it with every blocked process named.
+func TestDeadlockFoundByProcessGoroutine(t *testing.T) {
+	for _, finder := range []string{"blocking", "exiting"} {
+		t.Run(finder, func(t *testing.T) {
+			e := NewEngine()
+			for _, name := range []string{"b", "a"} {
+				s := e.NewSignal("never-" + name)
+				e.Spawn(name, func(p *Proc) { p.Wait(s) })
+			}
+			s := e.NewSignal("never-c")
+			e.Spawn("c", func(p *Proc) { p.Sleep(time.Millisecond); p.Wait(s) })
+			at := time.Millisecond
+			if finder == "exiting" {
+				at = 2 * time.Millisecond
+				e.Spawn("last", func(p *Proc) { p.Sleep(at) })
+			}
+			var dl *DeadlockError
+			if err := e.Run(); !errors.As(err, &dl) {
+				t.Fatalf("err = %v, want DeadlockError", err)
+			}
+			want := "[a: waiting on never-a b: waiting on never-b c: waiting on never-c]"
+			if got := fmt.Sprint(dl.Blocked); got != want || dl.Now != at {
+				t.Errorf("deadlock at %v, blocked %v; want %v, %v", dl.Now, got, at, want)
+			}
+		})
+	}
+}
+
+// Control transfer allocates nothing: neither a Sleep (next in line or
+// through the queue) nor a cross-process signal round trip.
+func TestControlTransferZeroAlloc(t *testing.T) {
+	const runs = 200
+	e := NewEngine()
+	roundTrip := spawnEcho(e, 1+runs)
+	var sleep, queued, handoff float64
+	e.Spawn("p", func(p *Proc) {
+		sleep = testing.AllocsPerRun(runs, func() { p.Sleep(time.Nanosecond) })
+		queued = testing.AllocsPerRun(runs, func() {
+			e.ScheduleRunner(e.Now()+time.Nanosecond, nopRunner{})
+			p.Sleep(2 * time.Nanosecond)
+		})
+		handoff = testing.AllocsPerRun(runs, func() { roundTrip(p) })
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if sleep != 0 || queued != 0 || handoff != 0 {
+		t.Errorf("allocs/op: Sleep %v, Sleep past a callback %v, signal round trip %v; want 0", sleep, queued, handoff)
 	}
 }

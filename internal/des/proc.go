@@ -5,9 +5,9 @@ import (
 	"time"
 )
 
-// Proc is a simulated process: a goroutine scheduled cooperatively by the
-// engine. At most one process runs at any moment, and it runs only while
-// the engine is blocked waiting for it to yield, so processes may use the
+// Proc is a simulated process: a goroutine that runs only while it holds
+// the engine's baton. At most one process runs at any moment, and Run's
+// caller is parked for as long as any does, so processes may use the
 // engine and each other's data without locking.
 type Proc struct {
 	e      *Engine
@@ -83,16 +83,7 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	e.live++
 	e.procs = append(e.procs, p)
 	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if p.e.err == nil {
-					p.e.err = fmt.Errorf("des: process %q panicked: %v", p.name, r)
-				}
-			}
-			p.done = true
-			p.e.live--
-			p.e.yield <- struct{}{}
-		}()
+		defer p.exit()
 		<-p.resume
 		fn(p)
 	}()
@@ -100,22 +91,55 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// step transfers control to p and waits for it to yield (block or finish).
-func (e *Engine) step(p *Proc) {
-	if p.done {
-		return
+// exit is a process goroutine's epilogue: record a panic as the engine's
+// error, retire the process, and — still holding the baton — run the event
+// loop to find out who gets it next.
+func (p *Proc) exit() {
+	e := p.e
+	if r := recover(); r != nil && e.err == nil {
+		e.err = fmt.Errorf("des: process %q panicked: %v", p.name, r)
 	}
-	p.blockKind = blockNone
-	p.blockSig = nil
-	p.resume <- struct{}{}
-	<-e.yield
+	p.done = true
+	e.live--
+	e.pass(e.dispatchGuarded())
 }
 
-// block parks the calling process until the engine resumes it. The caller
-// records its block site in p.blockKind/blockDur/blockSig beforehand.
+// pass hands the baton to next, or back to Run when the loop is over.
+func (e *Engine) pass(next *Proc) {
+	if next != nil {
+		next.resume <- struct{}{}
+	} else {
+		e.ended <- struct{}{}
+	}
+}
+
+// dispatchGuarded is dispatch for a process goroutine. A callback that
+// panics there must not unwind into the process's own frames (which may
+// recover, and whose epilogue would blame the process): the panic is
+// caught here, the loop declared over, and Run re-raises the value on its
+// caller's goroutine.
+func (e *Engine) dispatchGuarded() (next *Proc) {
+	defer func() {
+		if r := recover(); r != nil {
+			e.cbPanic = r
+			next = nil
+		}
+	}()
+	return e.dispatch()
+}
+
+// block gives up the baton until the process's next resume. The caller
+// records its block site in p.blockKind/blockDur/blockSig beforehand. The
+// blocking process runs the event loop itself: if the next resume is its
+// own it returns without a goroutine switch; otherwise it wakes the next
+// process (or Run, when the loop is over) and parks until some later
+// baton holder resumes it — possibly in a later Run.
 func (p *Proc) block() {
-	p.e.yield <- struct{}{}
-	<-p.resume
+	e := p.e
+	if next := e.dispatchGuarded(); next != p {
+		e.pass(next)
+		<-p.resume
+	}
 	if p.killed {
 		panic(Killed{Reason: p.killReason})
 	}
@@ -136,11 +160,26 @@ func (p *Proc) Now() time.Duration { return p.e.now }
 // Sleep advances the process by d of simulated time (e.g. host
 // computation). Non-positive d yields without advancing the clock, letting
 // other same-timestamp events run first.
+//
+// When nothing else is due at or before the wake-up time, the wake-up is
+// within the RunFor horizon and the process has not been killed, the
+// resume Sleep would push is the very next entry the loop would pop: every
+// queued entry has a smaller sequence number, so it sorts first unless its
+// time is strictly later. Sleep then skips the queue — advance the clock,
+// consume the sequence number the push would have, return — which leaves
+// the engine in exactly the state push-then-pop would have.
 func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.e.scheduleStep(p.e.now+d, p)
+	e := p.e
+	at := e.now + d
+	if !p.killed && e.quietUntil(at) {
+		e.now = at
+		e.seq++
+		return
+	}
+	e.scheduleStep(at, p)
 	p.blockKind = blockSleep
 	p.blockDur = d
 	p.block()

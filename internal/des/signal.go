@@ -79,7 +79,10 @@ func (s *Signal) Fire() {
 func (s *Signal) FireAt(at time.Duration) { s.e.scheduleFire(at, s) }
 
 // OnFire registers fn to run when the signal fires (immediately if it has
-// already fired). Callbacks run in engine context, before waiters resume.
+// already fired), before waiters resume. fn runs inside Fire, on whichever
+// goroutine holds the baton then — the process calling Fire, or for FireAt
+// whoever runs the event loop — so it must not block, and must not call
+// t.FailNow or runtime.Goexit.
 func (s *Signal) OnFire(fn func()) {
 	if s.fired {
 		fn()

@@ -180,6 +180,9 @@ func (m *Monitor) IPM() *ipm.Monitor { return m.mon }
 // the kernel timing table was full.
 func (m *Monitor) KTTDropped() int64 { return m.kttDropped }
 
+// trace reports one timeline step to opts.Trace. Call sites pass constant
+// strings, so a disabled trace costs one branch; a site that has to build
+// its label guards the call itself (checkKTT).
 func (m *Monitor) trace(layer, what string) {
 	if m.opts.Trace != nil {
 		m.opts.Trace(TraceEvent{At: m.mon.Now(), Layer: layer, What: what})
@@ -339,7 +342,9 @@ func (m *Monitor) checkKTT() {
 		// so pricing the per-stream summary too would double-count.
 		stat.Energy = ipm.EnergyNJ(m.opts.KernelWatts, d)
 		m.mon.ObserveNRef(m.execKernelRef(s.stream, s.kernel), 0, stat)
-		m.trace("ipm", "KTT flush "+s.kernel+" (h)")
+		if m.opts.Trace != nil { // the label is built only for a listener
+			m.trace("ipm", "KTT flush "+s.kernel+" (h)")
+		}
 	}
 	m.kttArmed = remaining
 }

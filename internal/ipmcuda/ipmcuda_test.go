@@ -353,6 +353,37 @@ func TestTraceTimeline(t *testing.T) {
 	}
 }
 
+// With no trace listener the KTT flush allocates nothing: the pseudo-entry
+// handles are memoized, the table entries exist after the first flush, and
+// the "KTT flush <kernel> (h)" label is not built.
+func TestKTTFlushZeroAllocUntraced(t *testing.T) {
+	allocs := -1.0
+	app := func(api cudart.API, p *des.Proc) {
+		m := api.(*Monitor)
+		k := &cudart.Func{Name: "a_kernel_name_longer_than_a_stack_buffer", FixedCost: perfmodel.KernelCost{Fixed: time.Millisecond}}
+		api.Malloc(8)
+		api.ConfigureCall(cudart.Dim3{X: 1}, cudart.Dim3{X: 1}, 0, 0)
+		api.Launch(k)
+		api.ThreadSynchronize()
+		m.checkKTT() // first flush: creates the handles and the entries
+		allocs = testing.AllocsPerRun(100, func() {
+			// Re-arm the slot just released: its events stay recorded and
+			// complete, so the next check flushes it again.
+			i := m.findSlot()
+			m.ktt[i].used = true
+			m.kttArmed = append(m.kttArmed, i)
+			m.checkKTT()
+		})
+	}
+	m := run(t, Options{KernelTiming: true}, app)
+	if allocs != 0 {
+		t.Errorf("KTT flush with Trace == nil: %v allocs/op, want 0", allocs)
+	}
+	if s := lookup(t, m, ipm.ExecStreamName(0)); s.Count != 102 {
+		t.Errorf("flushes = %d, want 102 (1 + AllocsPerRun's warm-up + 100)", s.Count)
+	}
+}
+
 func TestDriverWrappers(t *testing.T) {
 	app := func(api cudart.API, p *des.Proc) {
 		m := api.(*Monitor)
