@@ -15,8 +15,10 @@ BENCH_PATTERN ?= BenchmarkObserveHot|BenchmarkTableUpdate|BenchmarkMapUpdateMany
 build:
 	$(GO) build ./...
 
+# vet also fails on any file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -24,9 +26,11 @@ test:
 # Race-enabled pass over the packages that run simulations concurrently:
 # the worker pool itself, the ensemble experiments that fan out on it,
 # and the core packages those simulations exercise (including the DES
-# event pool the whole simulator schedules through).
+# event pool the whole simulator schedules through). workloads runs jobs
+# side by side over the shared unread broadcast payload, so any write to
+# it is a race report.
 race:
-	$(GO) test -race ./internal/des ./internal/parallel ./internal/experiments ./internal/cluster ./internal/ipm ./internal/telemetry ./internal/profstore ./internal/cmdqueue ./internal/storecluster
+	$(GO) test -race ./internal/des ./internal/parallel ./internal/experiments ./internal/cluster ./internal/ipm ./internal/telemetry ./internal/profstore ./internal/cmdqueue ./internal/storecluster ./internal/workloads ./internal/mpisim
 
 # Race-enabled pass over the fault-injection machinery: the end-to-end
 # fault scenarios (rank death, hung-device watchdog, straggler skew,

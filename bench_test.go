@@ -109,6 +109,36 @@ func BenchmarkFig9HPLProfile(b *testing.B) {
 	b.ReportMetric(idle, "host-idle-%")
 }
 
+// BenchmarkHPLRanks is the monitor's scaling curve: one monitored
+// 20-iteration HPL job (the `ipmrun -nodes N -iterations 20 hpl` run) at
+// growing rank counts. B/op per rank is the simulator's and the monitor's
+// footprint per rank. Kept out of BENCH_PATTERN: the 1024-rank point
+// takes seconds per op.
+func BenchmarkHPLRanks(b *testing.B) {
+	for _, ranks := range []int{64, 256, 1024} {
+		b.Run(fmt.Sprintf("ranks=%d", ranks), func(b *testing.B) {
+			cfg := cluster.Dirac(ranks, 1)
+			cfg.Monitor = true
+			cfg.CUDA = ipmcuda.Options{KernelTiming: true, HostIdle: true}
+			cfg.NoiseSeed = 2011
+			cfg.NoiseAmp = 0.01
+			cfg.Command = "./hpl"
+			hpl := workloads.DefaultHPL()
+			hpl.Iterations = 20
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := cluster.Run(cfg, func(env *cluster.Env) {
+					if err := workloads.HPL(env, hpl); err != nil {
+						panic(err)
+					}
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkFig10Paratec regenerates the PARATEC scaling sweep and reports
 // the MKL->CUBLAS speedup at the base process count.
 func BenchmarkFig10Paratec(b *testing.B) {

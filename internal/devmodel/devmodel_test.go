@@ -100,10 +100,10 @@ func TestEnergyNJ(t *testing.T) {
 		{-5, time.Second, 0},
 		{100, 0, 0},
 		{100, -time.Second, 0},
-		{1, time.Nanosecond, 1},          // 1 W x 1 ns = 1 nJ
-		{190, time.Millisecond, 190e6},   // kernel-scale
+		{1, time.Nanosecond, 1},        // 1 W x 1 ns = 1 nJ
+		{190, time.Millisecond, 190e6}, // kernel-scale
 		{70, 250 * time.Microsecond, 17500000},
-		{0.5, time.Nanosecond, 1},        // rounds, not truncates
+		{0.5, time.Nanosecond, 1}, // rounds, not truncates
 	}
 	for _, c := range cases {
 		if got := EnergyNJ(c.watts, c.d); got != c.want {

@@ -83,7 +83,7 @@ type Device struct {
 	// time — the device-side ground truth of the paper's KTT.
 	tel     *telemetry.Recorder
 	telName string
-	telGen  int // bumped on AttachTelemetry; invalidates Stream.telTrack
+	telGen  int      // bumped on AttachTelemetry; invalidates Stream.telTrack
 	telH2D  []string // per-copy-engine track names, host-to-device
 	telD2H  []string // per-copy-engine track names, device-to-host
 }

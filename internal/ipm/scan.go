@@ -721,8 +721,8 @@ func parseFloat64(b []byte) (float64, bool) {
 	}
 	var mantissa uint64
 	sawDigit := false
-	nd := 0     // significant digits consumed
-	exp10 := 0  // decimal exponent adjustment from the fraction part
+	nd := 0    // significant digits consumed
+	exp10 := 0 // decimal exponent adjustment from the fraction part
 	for ; i < len(b); i++ {
 		c := b[i]
 		if c < '0' || c > '9' {

@@ -6,9 +6,11 @@
 //
 // IPM's guiding design goals, which this package preserves, are (a) a
 // complete runtime event inventory rather than a trace, (b) bounded memory
-// via a fixed-size open-addressing hash table, and (c) per-event overhead
-// small enough that monitoring can stay enabled for every job on a
-// production machine.
+// via a fixed-size open-addressing hash table — here a 4-byte slot index
+// over a dense entry slice, so a rank pays for the slots plus the
+// signatures it actually records, never a full entry per empty slot —
+// and (c) per-event overhead small enough that monitoring can stay
+// enabled for every job on a production machine.
 package ipm
 
 import (

@@ -13,16 +13,21 @@ const DefaultTableSize = 8192
 // probe and memory stays bounded for arbitrarily long runs. If the fixed
 // region fills up, entries spill to an overflow map and the spill is
 // counted — a monitored run can then report its own degraded fidelity.
+//
+// The open-addressing region is an index: each slot is 4 bytes naming an
+// entry in a dense, append-only slice, so a table costs 4 bytes per slot
+// plus one entry per signature actually recorded. Probe order, the
+// one-slot headroom rule and the spill are those of a table of inline
+// entries; only where an occupied slot's payload lives differs.
 type Table struct {
 	mask     uint64
-	entries  []entry
-	used     int
+	slots    []uint32 // 0 = empty, k = entries[k-1]
+	entries  []entry  // dense, in insertion order
 	overflow map[Sig]*Stats
 	probes   uint64 // total probe steps, for diagnostics/benchmarks
 }
 
 type entry struct {
-	inUse bool
 	sig   Sig
 	stats Stats
 }
@@ -38,8 +43,8 @@ func NewTable(capacity int) *Table {
 		n <<= 1
 	}
 	return &Table{
-		mask:    uint64(n - 1),
-		entries: make([]entry, n),
+		mask:  uint64(n - 1),
+		slots: make([]uint32, n),
 	}
 }
 
@@ -95,21 +100,19 @@ func (t *Table) UpdateHashed(h uint64, sig Sig, d Stats) {
 	// Fast path: fixed open-addressing region.
 	idx := h & t.mask
 	for i := uint64(0); i <= t.mask; i++ {
-		e := &t.entries[(idx+i)&t.mask]
+		slot := &t.slots[(idx+i)&t.mask]
 		t.probes++
-		if e.inUse {
-			if e.sig == sig {
+		if k := *slot; k != 0 {
+			if e := &t.entries[k-1]; e.sig == sig {
 				e.stats.Merge(d)
 				return
 			}
 			continue
 		}
 		// Leave one slot of headroom so probes of absent keys terminate.
-		if t.used < len(t.entries)-1 {
-			e.inUse = true
-			e.sig = sig
-			e.stats = d
-			t.used++
+		if len(t.entries) < len(t.slots)-1 {
+			t.entries = append(t.entries, entry{sig, d})
+			*slot = uint32(len(t.entries))
 			return
 		}
 		break
@@ -135,12 +138,12 @@ func (t *Table) Observe(sig Sig, d Stats) { t.Update(sig, d) }
 func (t *Table) Lookup(sig Sig) (Stats, bool) {
 	idx := hashSig(sig) & t.mask
 	for i := uint64(0); i <= t.mask; i++ {
-		e := &t.entries[(idx+i)&t.mask]
+		k := t.slots[(idx+i)&t.mask]
 		t.probes++
-		if !e.inUse {
+		if k == 0 {
 			break
 		}
-		if e.sig == sig {
+		if e := &t.entries[k-1]; e.sig == sig {
 			return e.stats, true
 		}
 	}
@@ -151,7 +154,7 @@ func (t *Table) Lookup(sig Sig) (Stats, bool) {
 }
 
 // Len returns the number of distinct signatures stored.
-func (t *Table) Len() int { return t.used + len(t.overflow) }
+func (t *Table) Len() int { return len(t.entries) + len(t.overflow) }
 
 // Overflowed returns the number of signatures that spilled out of the
 // fixed region.
@@ -164,10 +167,10 @@ func (t *Table) Probes() uint64 { return t.probes }
 // in [0, 1]. The banner's degraded-fidelity note reports it when entries
 // have spilled to the overflow map.
 func (t *Table) LoadFactor() float64 {
-	if len(t.entries) == 0 {
+	if len(t.slots) == 0 {
 		return 0
 	}
-	return float64(t.used) / float64(len(t.entries))
+	return float64(len(t.entries)) / float64(len(t.slots))
 }
 
 // Entry is a flattened (signature, statistics) pair.
@@ -182,10 +185,8 @@ type Entry struct {
 // does not perturb the report beyond its own (counted) fidelity loss.
 func (t *Table) Entries() []Entry {
 	out := make(entrySlice, 0, t.Len())
-	for i := range t.entries {
-		if t.entries[i].inUse {
-			out = append(out, Entry{t.entries[i].sig, t.entries[i].stats})
-		}
+	for _, e := range t.entries {
+		out = append(out, Entry{e.sig, e.stats})
 	}
 	for sig, s := range t.overflow {
 		out = append(out, Entry{sig, *s})

@@ -2,6 +2,8 @@ package ipm
 
 import (
 	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -262,11 +264,183 @@ func TestSigRefAccessors(t *testing.T) {
 
 func TestTableCapacityRounding(t *testing.T) {
 	tb := NewTable(100)
-	if len(tb.entries) != 128 {
-		t.Errorf("capacity = %d, want 128", len(tb.entries))
+	if len(tb.slots) != 128 {
+		t.Errorf("capacity = %d, want 128", len(tb.slots))
 	}
 	if NewTable(0).Len() != 0 {
 		t.Error("default table not empty")
+	}
+}
+
+// fixedTable is the inline-entry layout Table replaced, kept as the
+// differential oracle: every slot holds its signature and statistics, so
+// a table costs a full entry per slot whether used or not. Table must
+// agree with it on every observable, probe count included.
+type fixedTable struct {
+	mask     uint64
+	entries  []fixedEntry
+	used     int
+	overflow map[Sig]*Stats
+	probes   uint64
+}
+
+type fixedEntry struct {
+	inUse bool
+	sig   Sig
+	stats Stats
+}
+
+func newFixedTable(capacity int) *fixedTable {
+	n := 1
+	for n < capacity {
+		n <<= 1
+	}
+	return &fixedTable{mask: uint64(n - 1), entries: make([]fixedEntry, n)}
+}
+
+func (t *fixedTable) UpdateHashed(h uint64, sig Sig, d Stats) {
+	idx := h & t.mask
+	for i := uint64(0); i <= t.mask; i++ {
+		e := &t.entries[(idx+i)&t.mask]
+		t.probes++
+		if e.inUse {
+			if e.sig == sig {
+				e.stats.Merge(d)
+				return
+			}
+			continue
+		}
+		if t.used < len(t.entries)-1 {
+			*e = fixedEntry{true, sig, d}
+			t.used++
+			return
+		}
+		break
+	}
+	if t.overflow == nil {
+		t.overflow = make(map[Sig]*Stats)
+	}
+	if s, ok := t.overflow[sig]; ok {
+		s.Merge(d)
+	} else {
+		c := d
+		t.overflow[sig] = &c
+	}
+}
+
+func (t *fixedTable) Lookup(sig Sig) (Stats, bool) {
+	idx := hashSig(sig) & t.mask
+	for i := uint64(0); i <= t.mask; i++ {
+		e := &t.entries[(idx+i)&t.mask]
+		t.probes++
+		if !e.inUse {
+			break
+		}
+		if e.sig == sig {
+			return e.stats, true
+		}
+	}
+	if s, ok := t.overflow[sig]; ok {
+		return *s, true
+	}
+	return Stats{}, false
+}
+
+func (t *fixedTable) Len() int            { return t.used + len(t.overflow) }
+func (t *fixedTable) LoadFactor() float64 { return float64(t.used) / float64(len(t.entries)) }
+
+func (t *fixedTable) Entries() []Entry {
+	var out entrySlice
+	for _, e := range t.entries {
+		if e.inUse {
+			out = append(out, Entry{e.sig, e.stats})
+		}
+	}
+	for sig, s := range t.overflow {
+		out = append(out, Entry{sig, *s})
+	}
+	sort.Sort(out)
+	return out
+}
+
+// TestTableMatchesFixedLayout drives the slot-index table and the
+// inline-entry oracle with the same seeded operation streams and checks
+// that every observable agrees after every operation — including tiny
+// capacities that spill to the overflow map, where probe counts are
+// most sensitive to the probe sequence.
+func TestTableMatchesFixedLayout(t *testing.T) {
+	names := []string{"MPI_Send", "cudaLaunch", "cudaMemcpy(D2H)", "@CUDA_EXEC_STRM00", "fwrite"}
+	regions := []string{"", "solver", "io"}
+	for _, capacity := range []int{8, 16, 64, 1024} {
+		for seed := int64(1); seed <= 4; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			got, want := NewTable(capacity), newFixedTable(capacity)
+			// Twice the capacity in distinct signatures, so the small
+			// tables fill, spill, and keep hitting both regions.
+			sigs := make([]Sig, 2*capacity)
+			for i := range sigs {
+				sigs[i] = Sig{
+					Name:   names[rng.Intn(len(names))],
+					Bytes:  int64(i) * 8,
+					Region: regions[rng.Intn(len(regions))],
+				}
+			}
+			for op := 0; op < 400; op++ {
+				sig := sigs[rng.Intn(len(sigs))]
+				d := obs(time.Duration(1+rng.Intn(1000)) * time.Microsecond)
+				switch rng.Intn(3) {
+				case 0:
+					got.Update(sig, d)
+					want.UpdateHashed(hashSig(sig), sig, d)
+				case 1:
+					h := hashSig(sig)
+					got.UpdateHashed(h, sig, d)
+					want.UpdateHashed(h, sig, d)
+				case 2:
+					gs, gok := got.Lookup(sig)
+					ws, wok := want.Lookup(sig)
+					if gs != ws || gok != wok {
+						t.Fatalf("cap %d seed %d op %d: Lookup(%v) = %+v,%v, oracle %+v,%v",
+							capacity, seed, op, sig, gs, gok, ws, wok)
+					}
+				}
+				if got.Probes() != want.probes || got.LoadFactor() != want.LoadFactor() ||
+					got.Overflowed() != len(want.overflow) || got.Len() != want.Len() {
+					t.Fatalf("cap %d seed %d op %d: probes/load/overflow/len = %d/%v/%d/%d, oracle %d/%v/%d/%d",
+						capacity, seed, op, got.Probes(), got.LoadFactor(), got.Overflowed(), got.Len(),
+						want.probes, want.LoadFactor(), len(want.overflow), want.Len())
+				}
+				ge, we := got.Entries(), want.Entries()
+				if len(ge) != len(we) {
+					t.Fatalf("cap %d seed %d op %d: %d entries, oracle %d", capacity, seed, op, len(ge), len(we))
+				}
+				for i := range ge {
+					if ge[i] != we[i] {
+						t.Fatalf("cap %d seed %d op %d: entry %d = %+v, oracle %+v", capacity, seed, op, i, ge[i], we[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMonitorFootprint pins the monitor's own memory: a default-capacity
+// monitor that records 64 distinct signatures costs the 4-byte slot
+// index plus the entries it holds, not a full entry per slot (≈917 KB
+// at DefaultTableSize).
+func TestMonitorFootprint(t *testing.T) {
+	clock := func() time.Duration { return 0 }
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m := NewMonitor(0, "h", "c", clock, 0)
+			for k := 0; k < 64; k++ {
+				m.Observe("MPI_Send", int64(k)*8, time.Microsecond)
+			}
+		}
+	})
+	if kb := res.AllocedBytesPerOp() / 1024; kb > 48 {
+		t.Errorf("NewMonitor + 64 signatures allocates %d KB, want <= 48 KB", kb)
 	}
 }
 

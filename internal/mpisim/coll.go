@@ -110,24 +110,36 @@ func (c *comm) Barrier() error {
 	return err
 }
 
-// Bcast broadcasts root's buffer to all ranks (binomial tree).
+// Bcast broadcasts root's buffer to all ranks (binomial tree). The copy
+// happens in place when the last rank arrives: every rank is parked in
+// the collective then, so root's buffer goes straight into each
+// non-root's with no intermediate clone. A non-root buffer that starts
+// where root's does is root's own bytes and is not written at all, so
+// ranks may share one read-only buffer. A failed collective (root
+// mismatch) copies nothing.
 func (c *comm) Bcast(data []byte, root int) error {
 	if err := c.checkRank(root, false); err != nil {
 		return err
 	}
 	w := c.w
-	st, err := c.enterColl("bcast", data, root, nil, func(st *collState) []time.Duration {
-		n := int64(len(st.contribs[st.root]))
-		st.result = append([]byte(nil), st.contribs[st.root]...)
-		return w.uniform(time.Duration(log2ceil(w.size)) * w.hop(n))
+	_, err := c.enterColl("bcast", data, root, nil, func(st *collState) []time.Duration {
+		src := st.contribs[st.root]
+		if st.err == nil {
+			for i, dst := range st.contribs {
+				if i != st.root && !sameStart(dst, src) {
+					copy(dst, src)
+				}
+			}
+		}
+		return w.uniform(time.Duration(log2ceil(w.size)) * w.hop(int64(len(src))))
 	})
-	if err != nil {
-		return err
-	}
-	if c.rank != root {
-		copy(data, st.result)
-	}
-	return nil
+	return err
+}
+
+// sameStart reports whether a and b begin at the same byte, so copying
+// one onto the other is the identity.
+func sameStart(a, b []byte) bool {
+	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
 }
 
 // Reduce combines all ranks' send buffers with op into recv at root

@@ -3,6 +3,7 @@ package mpisim
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -236,21 +237,111 @@ func TestBarrierSynchronizes(t *testing.T) {
 	}
 }
 
+// TestBcast: with a root other than 0, every non-root's own buffer
+// receives root's bytes — a shorter buffer its prefix, a longer one
+// root's bytes followed by its own untouched tail.
 func TestBcast(t *testing.T) {
+	bufs := [][]byte{
+		make([]byte, 3), // shorter than root's
+		{0xEE, 0xEE, 0xEE, 0xEE, 0xEE, 0xEE, 0xEE}, // longer than root's
+		{1, 2, 3, 4, 5}, // root
+		make([]byte, 5), // same length
+	}
 	runWorld(t, 4, 1, func(c Comm) {
-		data := make([]byte, 4)
-		if c.Rank() == 2 {
-			copy(data, []byte{9, 9, 9, 9})
-		}
-		if err := c.Bcast(data, 2); err != nil {
+		if err := c.Bcast(bufs[c.Rank()], 2); err != nil {
 			t.Error(err)
 		}
-		for _, b := range data {
-			if b != 9 {
-				t.Errorf("rank %d bcast data = %v", c.Rank(), data)
-			}
-		}
 	})
+	want := [][]byte{
+		{1, 2, 3},
+		{1, 2, 3, 4, 5, 0xEE, 0xEE},
+		{1, 2, 3, 4, 5},
+		{1, 2, 3, 4, 5},
+	}
+	for r := range bufs {
+		if string(bufs[r]) != string(want[r]) {
+			t.Errorf("rank %d buffer = %v, want %v", r, bufs[r], want[r])
+		}
+	}
+}
+
+// TestBcastAliasedBuffersUntouched: ranks that pass root's own buffer (or
+// a slice of it starting at the same byte) are not written. Two jobs run
+// concurrently over the one shared buffer, so under -race any write to
+// it — even of the bytes already there — is reported.
+func TestBcastAliasedBuffersUntouched(t *testing.T) {
+	shared := []byte{7, 7, 7, 7, 7, 7, 7, 7}
+	job := func() error {
+		e := des.NewEngine()
+		w, err := NewWorld(e, Config{Size: 4, Net: perfmodel.QDRInfiniBand(), RanksPerNode: 2})
+		if err != nil {
+			return err
+		}
+		for r := 0; r < 4; r++ {
+			r := r
+			e.Spawn(fmt.Sprintf("rank%d", r), func(p *des.Proc) {
+				c, err := w.Attach(r, p)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				buf := shared
+				if r == 3 {
+					buf = shared[:4]
+				}
+				if err := c.Bcast(buf, 1); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+		return e.Run()
+	}
+	errs := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() { errs <- job() }()
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, b := range shared {
+		if b != 7 {
+			t.Fatalf("shared buffer changed: %v", shared)
+		}
+	}
+}
+
+// TestBcastAllocs pins the in-place copy: broadcasting 1 MB across 4
+// ranks costs the collective's bookkeeping, not a clone of the payload.
+// The per-collective figure is the difference between a job of 65
+// broadcasts and a job of one, so world and process set-up cancel out.
+func TestBcastAllocs(t *testing.T) {
+	bufs := make([][]byte, 4)
+	for r := range bufs {
+		bufs[r] = make([]byte, 1<<20)
+	}
+	job := func(n int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		runWorld(t, 4, 1, func(c Comm) {
+			for i := 0; i < n; i++ {
+				if err := c.Bcast(bufs[c.Rank()], 0); err != nil {
+					t.Error(err)
+				}
+			}
+		})
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	job(1) // warm up
+	one, many := job(1), job(65)
+	if many < one {
+		many = one
+	}
+	if per := (many - one) / 64; per >= 4<<10 {
+		t.Errorf("1 MB bcast over 4 ranks allocates %d B per collective, want < 4 KB", per)
+	}
 }
 
 func TestReduceSumAtRoot(t *testing.T) {
@@ -402,14 +493,25 @@ func TestAlltoall(t *testing.T) {
 	})
 }
 
+// TestCollectiveRootMismatch: ranks that disagree on the root all get an
+// error, and the failed broadcast leaves every buffer as it was.
 func TestCollectiveRootMismatch(t *testing.T) {
-	errs := make([]error, 2)
-	runWorld(t, 2, 1, func(c Comm) {
-		data := make([]byte, 1)
-		errs[c.Rank()] = c.Bcast(data, c.Rank()) // ranks disagree on root
+	bufs := [][]byte{{1, 1}, {2, 2}, {3, 3}}
+	errs := make([]error, len(bufs))
+	runWorld(t, 3, 1, func(c Comm) {
+		root := 0
+		if c.Rank() == 2 {
+			root = 2
+		}
+		errs[c.Rank()] = c.Bcast(bufs[c.Rank()], root)
 	})
-	if errs[0] == nil && errs[1] == nil {
-		t.Error("root mismatch not detected")
+	for r, b := range bufs {
+		if errs[r] == nil {
+			t.Errorf("rank %d: root mismatch not reported", r)
+		}
+		if want := byte(r + 1); b[0] != want || b[1] != want {
+			t.Errorf("rank %d buffer = %v after a failed bcast", r, b)
+		}
 	}
 }
 

@@ -44,9 +44,9 @@ type SoakOptions struct {
 	// -addr, -wal and -compact-every. Typically the running ipmserve
 	// binary itself (os.Executable).
 	ServerCmd []string
-	Jobs      int           // synthetic profiles to ingest (default 200)
-	Workers   int           // concurrent ingest workers (default 4)
-	Cycles    int           // SIGKILL/restart cycles (default 3)
+	Jobs      int // synthetic profiles to ingest (default 200)
+	Workers   int // concurrent ingest workers (default 4)
+	Cycles    int // SIGKILL/restart cycles (default 3)
 	// CompactEvery is forwarded to the child so snapshots and WAL
 	// truncation happen under fire (default 32 appends; -1 disables).
 	CompactEvery int
@@ -61,9 +61,9 @@ type SoakReport struct {
 	Jobs     int
 	Kills    int
 	Restarts int
-	Acked    int           // jobs acknowledged with a 2xx
-	Retried  int64         // posts that needed more than one round
-	AggBytes int           // size of the (verified identical) /agg body
+	Acked    int   // jobs acknowledged with a 2xx
+	Retried  int64 // posts that needed more than one round
+	AggBytes int   // size of the (verified identical) /agg body
 	Elapsed  time.Duration
 }
 

@@ -100,7 +100,7 @@ func Amber(env *cluster.Env, cfg AmberConfig) error {
 		}
 	}
 	for i := 0; i < 31; i++ {
-		if err := env.MPI.Bcast(make([]byte, 64<<10), 0); err != nil {
+		if err := env.MPI.Bcast(unread(64<<10), 0); err != nil {
 			return err
 		}
 	}
@@ -249,7 +249,7 @@ func Amber(env *cluster.Env, cfg AmberConfig) error {
 					return err
 				}
 			}
-			if err := env.MPI.Bcast(make([]byte, 1<<20), 0); err != nil {
+			if err := env.MPI.Bcast(unread(1<<20), 0); err != nil {
 				return err
 			}
 		}

@@ -86,11 +86,15 @@ func HPL(env *cluster.Env, cfg HPLConfig) error {
 	// loop: Bcast/Allreduce copy or consume their arguments before any
 	// rank returns from the collective, and LaunchKernel reads the Func at
 	// launch time, so reuse is safe and keeps the panel loop off the heap.
+	// The panel's bytes are never read, so it comes from unread: every
+	// rank's slice starts at the same shared byte and Bcast, which skips
+	// self-copies, copies nothing — unless Scale > 1 outgrows the shared
+	// payload and each rank gets its own buffer.
 	kernFns := make([]*cudart.Func, len(hplKernels))
 	for ki, k := range hplKernels {
 		kernFns[ki] = &cudart.Func{Name: k.name}
 	}
-	panelBuf := make([]byte, int(4<<20*cfg.Scale)+1)
+	panelBuf := unread(int(4<<20*cfg.Scale) + 1)
 	pivot := mpisim.Float64Bytes([]float64{0})
 	recv := make([]byte, 8)
 

@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -172,6 +174,78 @@ func TestHPLShape(t *testing.T) {
 	wall := jp.WallclockSpread().Total
 	if frac := float64(sync.Total) / float64(wall); frac > 0.15 {
 		t.Errorf("eventSynchronize fraction = %.3f, want small residual", frac)
+	}
+}
+
+// TestHPLScaleBeyondSharedPayload: at Scale 2 the panel (8 MB) is larger
+// than the shared unread payload, so each rank broadcasts from a buffer
+// of its own instead of indexing past the shared one.
+func TestHPLScaleBeyondSharedPayload(t *testing.T) {
+	hpl := HPLConfig{Iterations: 3, Scale: 2}
+	res, err := cluster.Run(monitoredCfg(2, 1), func(env *cluster.Env) {
+		if err := HPL(env, hpl); err != nil {
+			panic(err)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var largest int64
+	for _, e := range res.Profile.Ranks[0].Entries {
+		if e.Sig.Name == "MPI_Bcast" && e.Sig.Bytes > largest {
+			largest = e.Sig.Bytes
+		}
+	}
+	if want := int64(4<<20*hpl.Scale) + 1; largest != want {
+		t.Errorf("largest MPI_Bcast = %d bytes, want %d", largest, want)
+	}
+}
+
+// TestConcurrentJobsShareUnreadPayload runs HPL and Amber jobs side by
+// side, all broadcasting slices of the one shared unread payload. Under
+// -race any write to it is a report; without it, the payload must still
+// be all zeros afterwards, and twin jobs must produce the same profile.
+func TestConcurrentJobsShareUnreadPayload(t *testing.T) {
+	hpl := func() (*cluster.Result, error) {
+		return cluster.Run(monitoredCfg(4, 1), func(env *cluster.Env) {
+			if err := HPL(env, HPLConfig{Iterations: 4, Scale: 1}); err != nil {
+				panic(err)
+			}
+		})
+	}
+	amber := func() (*cluster.Result, error) {
+		cfg := monitoredCfg(2, 1)
+		cfg.Runtime = AmberRuntimeOptions()
+		return cluster.Run(cfg, func(env *cluster.Env) {
+			if err := Amber(env, AmberConfig{Steps: 8}); err != nil {
+				panic(err)
+			}
+		})
+	}
+	jobs := []func() (*cluster.Result, error){hpl, hpl, amber}
+	results := make([]*cluster.Result, len(jobs))
+	errs := make([]error, len(jobs))
+	var wg sync.WaitGroup
+	for i, job := range jobs {
+		wg.Add(1)
+		go func(i int, job func() (*cluster.Result, error)) {
+			defer wg.Done()
+			results[i], errs[i] = job()
+		}(i, job)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+	}
+	if a, b := results[0].Profile.FuncTotals(), results[1].Profile.FuncTotals(); !reflect.DeepEqual(a, b) {
+		t.Error("twin HPL jobs run concurrently disagree")
+	}
+	for i, b := range unreadPayload {
+		if b != 0 {
+			t.Fatalf("unread payload written at byte %d", i)
+		}
 	}
 }
 
