@@ -28,9 +28,11 @@ test:
 # and the core packages those simulations exercise (including the DES
 # event pool the whole simulator schedules through). workloads runs jobs
 # side by side over the shared unread broadcast payload, so any write to
-# it is a race report.
+# it is a race report. gpusim recycles completed ops behind
+# generation-checked handles; its users (cudart, clsim, ipmcuda) are here
+# so a stale op pointer read across the parallel ensemble is one too.
 race:
-	$(GO) test -race ./internal/des ./internal/parallel ./internal/experiments ./internal/cluster ./internal/ipm ./internal/telemetry ./internal/profstore ./internal/cmdqueue ./internal/storecluster ./internal/workloads ./internal/mpisim
+	$(GO) test -race ./internal/des ./internal/parallel ./internal/experiments ./internal/cluster ./internal/ipm ./internal/telemetry ./internal/profstore ./internal/cmdqueue ./internal/storecluster ./internal/workloads ./internal/mpisim ./internal/gpusim ./internal/cudart ./internal/clsim ./internal/ipmcuda
 
 # Race-enabled pass over the fault-injection machinery: the end-to-end
 # fault scenarios (rank death, hung-device watchdog, straggler skew,
@@ -92,7 +94,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/profstore
 	$(GO) test -run '^$$' -fuzz FuzzRollupWire -fuzztime $(FUZZTIME) ./internal/profstore
 
-verify: build vet test race-faults serve-e2e soak-short soak-cluster-short fuzz bench-smoke bench-check
+verify: build vet test race race-faults serve-e2e soak-short soak-cluster-short fuzz bench-smoke bench-check
 
 # -p 1 serialises the per-package test binaries: the ensemble benchmarks
 # saturate all cores, and letting them run beside the nanosecond-scale

@@ -66,7 +66,7 @@ type Context struct {
 	nextQueue Queue
 	mems      map[Mem]gpusim.DevPtr
 	nextMem   Mem
-	events    map[Event]*gpusim.Op
+	events    map[Event]gpusim.Ref
 	nextEvent Event
 	inited    bool
 }
@@ -83,7 +83,7 @@ func CreateContext(proc *des.Proc, dev *gpusim.Device) *Context {
 		nextQueue: 1,
 		mems:      make(map[Mem]gpusim.DevPtr),
 		nextMem:   1,
-		events:    make(map[Event]*gpusim.Op),
+		events:    make(map[Event]gpusim.Ref),
 		nextEvent: 1,
 	}
 }
@@ -187,10 +187,12 @@ func (c *Context) SetKernelArg(k *Kernel, index int, value any) error {
 	return nil
 }
 
+// registerOp files a handle to op under a new event id. Register before
+// waiting on op: once it completes the *Op may be reused, its Ref not.
 func (c *Context) registerOp(op *gpusim.Op) Event {
 	ev := c.nextEvent
 	c.nextEvent++
-	c.events[ev] = op
+	c.events[ev] = op.Ref()
 	return ev
 }
 
@@ -255,10 +257,11 @@ func (c *Context) EnqueueWriteBuffer(q Queue, m Mem, blocking bool, offset int64
 		}
 	}
 	op := c.dev.EnqueueCopy(s, perfmodel.HostToDevice, n, false, payload)
+	ev := c.registerOp(op)
 	if blocking {
 		c.proc.Wait(op.Done())
 	}
-	return c.registerOp(op), nil
+	return ev, nil
 }
 
 // EnqueueReadBuffer copies device data to the host (clEnqueueReadBuffer).
@@ -284,10 +287,11 @@ func (c *Context) EnqueueReadBuffer(q Queue, m Mem, blocking bool, offset int64,
 		}
 	}
 	op := c.dev.EnqueueCopy(s, perfmodel.DeviceToHost, n, false, payload)
+	ev := c.registerOp(op)
 	if blocking {
 		c.proc.Wait(op.Done())
 	}
-	return c.registerOp(op), nil
+	return ev, nil
 }
 
 // Finish blocks until all commands in the queue have completed
@@ -298,8 +302,8 @@ func (c *Context) Finish(q Queue) error {
 	if err != nil {
 		return err
 	}
-	if last := s.Last(); last != nil {
-		c.proc.Wait(last.Done())
+	if sig := s.Last().Done(); sig != nil {
+		c.proc.Wait(sig)
 	}
 	return nil
 }
@@ -309,11 +313,13 @@ func (c *Context) Finish(q Queue) error {
 func (c *Context) WaitForEvents(evs ...Event) error {
 	c.base()
 	for _, ev := range evs {
-		op, ok := c.events[ev]
+		ref, ok := c.events[ev]
 		if !ok {
 			return fmt.Errorf("clsim: invalid event %d", ev)
 		}
-		c.proc.Wait(op.Done())
+		if sig := ref.Done(); sig != nil {
+			c.proc.Wait(sig)
+		}
 	}
 	return nil
 }
@@ -323,12 +329,12 @@ func (c *Context) WaitForEvents(evs ...Event) error {
 // completed.
 func (c *Context) GetEventProfilingInfo(ev Event) (start, end time.Duration, err error) {
 	c.base()
-	op, ok := c.events[ev]
+	ref, ok := c.events[ev]
 	if !ok {
 		return 0, 0, fmt.Errorf("clsim: invalid event %d", ev)
 	}
-	if !op.Done().Fired() {
+	if !ref.Complete() {
 		return 0, 0, fmt.Errorf("clsim: event %d not complete (CL_PROFILING_INFO_NOT_AVAILABLE)", ev)
 	}
-	return op.Start, op.End, nil
+	return ref.Start, ref.End, nil
 }

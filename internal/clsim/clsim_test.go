@@ -206,3 +206,39 @@ func TestValidation(t *testing.T) {
 		}
 	})
 }
+
+// TestStaleEventKeepsProfilingInfo checks an event whose command completed
+// — and whose device op has since been reused by a later command — still
+// reports complete with its own timestamps.
+func TestStaleEventKeepsProfilingInfo(t *testing.T) {
+	k := &Kernel{Name: "k", Cost: perfmodel.KernelCost{Fixed: 7 * time.Millisecond}}
+	run(t, func(c *Context, p *des.Proc) {
+		q, _ := c.CreateCommandQueue()
+		buf, _ := c.CreateBuffer(1000)
+		t0 := p.Now()
+		wev, err := c.EnqueueWriteBuffer(q, buf, true, 0, make([]byte, 1000))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		t1 := p.Now()
+		// The copy's op is free now; the kernel takes it over.
+		kev, err := c.EnqueueNDRangeKernel(q, k, []int{1}, nil)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if start, end, err := c.GetEventProfilingInfo(wev); err != nil || start != t0 || end != t1 {
+			t.Errorf("stale write event: [%v, %v] %v, want [%v, %v]", start, end, err, t0, t1)
+		}
+		if err := c.WaitForEvents(wev); err != nil || p.Now() != t1 {
+			t.Errorf("WaitForEvents on a completed event: now %v, err %v; want %v, nil", p.Now(), err, t1)
+		}
+		if _, _, err := c.GetEventProfilingInfo(kev); err == nil {
+			t.Error("kernel event complete before the kernel ran")
+		}
+		if err := c.WaitForEvents(kev); err != nil || p.Now() != t1+7*time.Millisecond {
+			t.Errorf("WaitForEvents on the kernel: now %v, err %v; want %v", p.Now(), err, t1+7*time.Millisecond)
+		}
+	})
+}

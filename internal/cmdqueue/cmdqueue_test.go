@@ -108,11 +108,13 @@ func TestFlushByTimer(t *testing.T) {
 		}
 		p.Sleep(20 * time.Millisecond)
 		op := d.LastOp()
-		if op == nil {
+		if op == (gpusim.Ref{}) {
 			t.Error("no device op after timer window")
 			return
 		}
-		p.Wait(op.Done())
+		if sig := op.Done(); sig != nil {
+			p.Wait(sig)
+		}
 		opEnd = op.End
 	})
 	if err := e.Run(); err != nil {
@@ -222,7 +224,7 @@ func TestDeviceLostDropsBatch(t *testing.T) {
 	if q.Depth() != 0 {
 		t.Errorf("depth = %d after drop, want 0", q.Depth())
 	}
-	if d.LastOp() != nil {
+	if d.LastOp() != (gpusim.Ref{}) {
 		t.Error("device received an op from the dropped batch")
 	}
 }

@@ -311,8 +311,8 @@ func (r *Runtime) Memcpy(dst, src Ptr, n int64, kind MemcpyKind) error {
 		if err := r.flushQueue(); err != nil {
 			return err
 		}
-		if last := r.dev.DefaultStream().Last(); last != nil {
-			r.proc.Wait(last.Done())
+		if sig := r.dev.DefaultStream().Last().Done(); sig != nil {
+			r.proc.Wait(sig)
 		}
 		return nil
 	}
@@ -419,8 +419,8 @@ func (r *Runtime) MemcpyToSymbol(symbol string, src []byte) error {
 		if err := r.flushQueue(); err != nil {
 			return err
 		}
-		if last := r.dev.DefaultStream().Last(); last != nil {
-			r.proc.Wait(last.Done())
+		if sig := r.dev.DefaultStream().Last().Done(); sig != nil {
+			r.proc.Wait(sig)
 		}
 		return nil
 	}
@@ -484,7 +484,13 @@ func (r *Runtime) ConfigureCall(grid, block Dim3, sharedMem int64, s Stream) err
 	if _, err := r.stream(s); err != nil {
 		return r.fail(err)
 	}
-	r.pending = append(r.pending, launchConfig{grid: grid, block: block, sharedMem: sharedMem, stream: s})
+	// A popped configuration leaves its args backing array in the slot
+	// past len; reuse it unless Launch handed it to a kernel body.
+	var args KernelArgs
+	if n := len(r.pending); n < cap(r.pending) {
+		args = r.pending[:n+1][n].args[:0]
+	}
+	r.pending = append(r.pending, launchConfig{grid: grid, block: block, sharedMem: sharedMem, stream: s, args: args})
 	return nil
 }
 
@@ -517,8 +523,14 @@ func (r *Runtime) Launch(fn *Func) error {
 	if len(r.pending) == 0 {
 		return r.fail(errCode(CodeInvalidConfiguration, "cudaLaunch without cudaConfigureCall"))
 	}
-	cfg := r.pending[len(r.pending)-1]
-	r.pending = r.pending[:len(r.pending)-1]
+	n := len(r.pending) - 1
+	cfg := r.pending[n]
+	r.pending = r.pending[:n]
+	if fn.Body != nil {
+		// The body reads its args at completion time, long after the next
+		// ConfigureCall would have reused them: hand the array over.
+		r.pending[:n+1][n].args = nil
+	}
 	gs, err := r.stream(cfg.stream)
 	if err != nil {
 		return r.fail(err)
@@ -538,8 +550,8 @@ func (r *Runtime) Launch(fn *Func) error {
 			if err := r.flushQueue(); err != nil {
 				return err
 			}
-			if last := gs.Last(); last != nil {
-				r.proc.Wait(last.Done())
+			if sig := gs.Last().Done(); sig != nil {
+				r.proc.Wait(sig)
 			}
 		}
 		return nil
@@ -610,7 +622,7 @@ func (r *Runtime) StreamSynchronize(s Stream) error {
 	if err := r.flushQueue(); err != nil {
 		return err
 	}
-	var last *gpusim.Op
+	var last gpusim.Ref
 	if s == 0 {
 		last = r.dev.LastOp()
 	} else {
@@ -620,8 +632,8 @@ func (r *Runtime) StreamSynchronize(s Stream) error {
 		}
 		last = gs.Last()
 	}
-	if last != nil {
-		r.proc.Wait(last.Done())
+	if sig := last.Done(); sig != nil {
+		r.proc.Wait(sig)
 	}
 	return nil
 }
@@ -745,8 +757,8 @@ func (r *Runtime) ThreadSynchronize() error {
 	if err := r.flushQueue(); err != nil {
 		return err
 	}
-	if last := r.dev.LastOp(); last != nil {
-		r.proc.Wait(last.Done())
+	if sig := r.dev.LastOp().Done(); sig != nil {
+		r.proc.Wait(sig)
 	}
 	return nil
 }

@@ -508,3 +508,61 @@ func TestPropMemcpyRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestBodyKeepsArgsAcrossLaterConfigure checks that a kernel body reads
+// its own arguments at completion time even though ConfigureCall reuses
+// popped argument arrays: later launches — with and without a body — are
+// configured and launched while the first kernel is still running.
+func TestBodyKeepsArgsAcrossLaterConfigure(t *testing.T) {
+	var seen [][]any
+	body := func(ctx LaunchContext) { seen = append(seen, append([]any(nil), ctx.Args...)) }
+	withBody := &Func{Name: "body", FixedCost: perfmodel.KernelCost{Fixed: 10 * time.Millisecond}, Body: body}
+	bare := fixedKernel("bare", time.Millisecond)
+	run(t, fastSpec(), Options{}, func(p *des.Proc, rt *Runtime) {
+		launch := func(fn *Func, args ...any) {
+			if err := rt.ConfigureCall(Dim3{X: 1}, Dim3{X: 1}, 0, 0); err != nil {
+				t.Error(err)
+			}
+			for i, a := range args {
+				if err := rt.SetupArgument(a, 8, int64(8*i)); err != nil {
+					t.Error(err)
+				}
+			}
+			if err := rt.Launch(fn); err != nil {
+				t.Error(err)
+			}
+		}
+		launch(withBody, 1, 2)
+		launch(bare, 7, 8, 9)
+		launch(withBody, 3)
+		launch(bare, 4, 5, 6)
+		if err := rt.ThreadSynchronize(); err != nil {
+			t.Error(err)
+		}
+	})
+	if len(seen) != 2 || len(seen[0]) != 2 || seen[0][0] != 1 || seen[0][1] != 2 ||
+		len(seen[1]) != 1 || seen[1][0] != 3 {
+		t.Errorf("bodies saw args %v, want [[1 2] [3]]", seen)
+	}
+}
+
+// TestBareLaunchReusesArgs pins the steady-state cost of a bodiless
+// configure + argument + launch + synchronise round trip at zero heap
+// allocations: the popped configuration's argument array is reused and
+// the device recycles the completed op.
+func TestBareLaunchReusesArgs(t *testing.T) {
+	bare := fixedKernel("bare", time.Millisecond)
+	var arg any = 42
+	allocs := -1.0
+	run(t, fastSpec(), Options{}, func(p *des.Proc, rt *Runtime) {
+		allocs = testing.AllocsPerRun(100, func() {
+			rt.ConfigureCall(Dim3{X: 1}, Dim3{X: 1}, 0, 0)
+			rt.SetupArgument(arg, 8, 0)
+			rt.Launch(bare)
+			rt.ThreadSynchronize()
+		})
+	})
+	if allocs != 0 {
+		t.Errorf("bare launch round trip: %v allocs/op, want 0", allocs)
+	}
+}

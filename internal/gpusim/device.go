@@ -22,7 +22,6 @@
 package gpusim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 
@@ -50,14 +49,16 @@ type Device struct {
 	active   endHeap         // end times of scheduled kernels (concurrency limit)
 	allTail  time.Duration   // completion of the latest op on any stream
 	nullTail time.Duration   // completion of the latest NULL-stream op
-	lastOp   *Op             // op with the latest completion time
+	lastOp   Ref             // op with the latest completion time
 
 	mem *memPool
 
-	// slab is the current allocation chunk for Ops. Ops live for the whole
-	// run (streams, events and profilers keep pointers into them), so the
-	// slab only amortises: one heap allocation per opSlabSize ops instead
-	// of one per op.
+	// Ops are recycled: Op.Run puts a completed op on free, and newOp pops
+	// from free before it carves a new one from slab, the current
+	// opSlabSize-op allocation chunk. Anything that outlives an op's
+	// completion holds a generation-checked Ref, never the *Op, so a
+	// device needs only as many ops as it has in flight.
+	free []*Op
 	slab []Op
 
 	busyKernel time.Duration // accumulated kernel execution time
@@ -88,11 +89,17 @@ type Device struct {
 	telD2H  []string // per-copy-engine track names, device-to-host
 }
 
-// opSlabSize is the Op chunk size; see Device.slab.
+// opSlabSize is the Op chunk size; see Device.free.
 const opSlabSize = 128
 
-// newOp returns a fresh zeroed Op from the slab.
+// newOp returns a recycled Op, or a fresh one from the slab when none is
+// free. The caller (enqueue) overwrites every field but gen.
 func (d *Device) newOp() *Op {
+	if n := len(d.free); n > 0 {
+		op := d.free[n-1]
+		d.free = d.free[:n-1]
+		return op
+	}
 	if len(d.slab) == cap(d.slab) {
 		d.slab = make([]Op, 0, opSlabSize)
 	}
@@ -225,10 +232,11 @@ func (d *Device) DestroyStream(s *Stream) error {
 // StreamByID returns the stream with the given id, or nil.
 func (d *Device) StreamByID(id int) *Stream { return d.streams[id] }
 
-// LastOp returns the operation with the latest completion time enqueued so
-// far, or nil if the device is idle since creation. Waiting on its Done
-// signal is equivalent to cudaDeviceSynchronize.
-func (d *Device) LastOp() *Op { return d.lastOp }
+// LastOp returns a handle to the operation with the latest completion
+// time enqueued so far; the zero Ref if the device is idle since
+// creation. Waiting on its Done signal (when non-nil) is equivalent to
+// cudaDeviceSynchronize.
+func (d *Device) LastOp() Ref { return d.lastOp }
 
 // BusyKernelTime returns the accumulated kernel execution time (summed per
 // kernel, so overlapping kernels count multiply).
@@ -260,30 +268,61 @@ func (d *Device) MarkLost() { d.lost = true }
 // Lost reports whether the device has been marked lost.
 func (d *Device) Lost() bool { return d.lost }
 
-// endHeap is a min-heap of kernel end times, used to enforce the
-// MaxConcurrent kernel limit.
+// endHeap is a binary min-heap of kernel end times, used to enforce the
+// MaxConcurrent kernel limit. It is typed, so pushing an end time boxes
+// nothing; pop order is by value alone, so the heap's shape never shows.
 type endHeap []time.Duration
 
-func (h endHeap) Len() int            { return len(h) }
-func (h endHeap) Less(i, j int) bool  { return h[i] < h[j] }
-func (h endHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *endHeap) Push(x any)         { *h = append(*h, x.(time.Duration)) }
-func (h *endHeap) Pop() any           { old := *h; n := len(old); v := old[n-1]; *h = old[:n-1]; return v }
-func (h endHeap) peek() time.Duration { return h[0] }
+func (h *endHeap) push(v time.Duration) {
+	*h = append(*h, v)
+	a := *h
+	for i := len(a) - 1; i > 0; {
+		p := (i - 1) / 2
+		if a[p] <= a[i] {
+			break
+		}
+		a[p], a[i] = a[i], a[p]
+		i = p
+	}
+}
+
+func (h *endHeap) pop() time.Duration {
+	a := *h
+	v := a[0]
+	n := len(a) - 1
+	a[0] = a[n]
+	a = a[:n]
+	for i := 0; ; {
+		m, l := i, 2*i+1
+		if l < n && a[l] < a[m] {
+			m = l
+		}
+		if r := l + 1; r < n && a[r] < a[m] {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		a[i], a[m] = a[m], a[i]
+		i = m
+	}
+	*h = a
+	return v
+}
 
 // kernelStart returns the start time for a kernel that is ready at t,
 // respecting the device-wide concurrency limit, and registers its end time.
 func (d *Device) kernelStart(t, dur time.Duration) time.Duration {
-	for d.active.Len() > 0 && d.active.peek() <= t {
-		heap.Pop(&d.active)
+	for len(d.active) > 0 && d.active[0] <= t {
+		d.active.pop()
 	}
 	start := t
-	if d.active.Len() >= d.spec.MaxConcurrent {
-		start = heap.Pop(&d.active).(time.Duration)
+	if len(d.active) >= d.spec.MaxConcurrent {
+		start = d.active.pop()
 		if start < t {
 			start = t
 		}
 	}
-	heap.Push(&d.active, start+dur)
+	d.active.push(start + dur)
 	return start
 }

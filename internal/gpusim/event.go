@@ -13,9 +13,8 @@ import (
 // host. This is the mechanism IPM uses to recover GPU-side kernel
 // durations (paper Section III-B).
 type DevEvent struct {
-	dev      *Device
-	recorded bool
-	op       *Op
+	dev *Device
+	op  Ref // zero until recorded
 }
 
 // ErrEventNotRecorded is returned when querying an event that has not been
@@ -34,32 +33,31 @@ func (d *Device) NewEvent() *DevEvent { return &DevEvent{dev: d} }
 // with a fresh completion.
 func (ev *DevEvent) Record(s *Stream) {
 	ready := ev.dev.earliest(s)
-	ev.op = ev.dev.enqueue(s, OpEventRecord, "eventRecord", ready, ev.dev.spec.EventRecordCost, nil)
-	ev.dev.recordStreamSpan(s, telemetry.ClassGPU, ev.op, 0)
-	ev.recorded = true
+	op := ev.dev.enqueue(s, OpEventRecord, "eventRecord", ready, ev.dev.spec.EventRecordCost, nil)
+	ev.dev.recordStreamSpan(s, telemetry.ClassGPU, op, 0)
+	ev.op = op.Ref()
 }
+
+func (ev *DevEvent) recorded() bool { return ev.op.op != nil }
 
 // Query reports whether the event has completed on the device (the
 // cudaEventQuery success condition). An unrecorded event reports false.
 func (ev *DevEvent) Query() bool {
-	return ev.recorded && ev.op.done.Fired()
+	return ev.recorded() && ev.op.Complete()
 }
 
-// Done returns the completion signal, or nil if the event has not been
-// recorded.
+// Done returns the completion signal while the event is pending, or nil
+// if it has not been recorded or has already completed.
 func (ev *DevEvent) Done() *des.Signal {
-	if !ev.recorded {
-		return nil
-	}
 	return ev.op.Done()
 }
 
 // Timestamp returns the device-timeline completion time of the event.
 func (ev *DevEvent) Timestamp() (time.Duration, error) {
-	if !ev.recorded {
+	if !ev.recorded() {
 		return 0, ErrEventNotRecorded
 	}
-	if !ev.op.done.Fired() {
+	if !ev.op.Complete() {
 		return 0, ErrEventNotReady
 	}
 	return ev.op.End, nil

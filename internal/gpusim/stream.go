@@ -14,7 +14,7 @@ type Stream struct {
 	id   int
 	dev  *Device
 	tail time.Duration // completion of the latest op on this stream
-	last *Op
+	last Ref
 
 	telTrack string // cached telemetry track name, see Device.streamTrack
 	telGen   int    // Device.telGen this cache entry belongs to
@@ -23,10 +23,10 @@ type Stream struct {
 // ID returns the stream identifier (0 for the NULL stream).
 func (s *Stream) ID() int { return s.id }
 
-// Last returns the most recently enqueued operation on the stream, or nil.
-// Waiting on its Done signal is equivalent to cudaStreamSynchronize for a
-// non-NULL stream.
-func (s *Stream) Last() *Op { return s.last }
+// Last returns a handle to the most recently enqueued operation on the
+// stream; the zero Ref if there is none. Waiting on its Done signal (when
+// non-nil) is equivalent to cudaStreamSynchronize for a non-NULL stream.
+func (s *Stream) Last() Ref { return s.last }
 
 // Tail returns the virtual time at which all currently enqueued work on
 // the stream completes.
@@ -60,9 +60,12 @@ func (k OpKind) String() string {
 // (the simulator schedules greedily in enqueue order, which is exact for a
 // non-preemptive device) and its Done signal fires at completion.
 //
-// Ops are carved from a device-owned slab and carry their completion
-// signal inline, so enqueuing costs no per-op heap allocation; the op
-// itself is the des.Runner the engine dispatches at completion time.
+// Ops carry their completion signal inline and are recycled through a
+// per-device free list once they complete, so enqueuing costs no per-op
+// heap allocation; the op itself is the des.Runner the engine dispatches
+// at completion time. An *Op is valid only until it completes: whoever
+// enqueues one waits on it at once or not at all, and anything kept past
+// completion is a Ref.
 type Op struct {
 	Kind   OpKind
 	Name   string
@@ -73,17 +76,24 @@ type Op struct {
 	dev     *Device
 	payload func()
 	done    des.Signal
+	gen     uint32 // bumped on every recycle; see Ref
 }
 
 // Done returns the completion signal.
 func (o *Op) Done() *des.Signal { return &o.done }
 
-// Run fires the op's completion. It implements des.Runner: the engine
-// dispatches the op directly at its end time, with no closure allocated
-// at enqueue. On a lost device the completion is suppressed — the Done
-// signal never fires, so synchronising hosts hang (see Device.MarkLost).
+// Ref returns a handle to the op that stays meaningful after the op
+// completes and is reused.
+func (o *Op) Ref() Ref { return Ref{op: o, gen: o.gen, Start: o.Start, End: o.End} }
+
+// Run fires the op's completion and recycles it. It implements
+// des.Runner: the engine dispatches the op directly at its end time, with
+// no closure allocated at enqueue. On a lost device the completion is
+// suppressed — the Done signal never fires, so synchronising hosts hang
+// (see Device.MarkLost) — and the op is never recycled.
 func (o *Op) Run() {
-	if o.dev.lost {
+	d := o.dev
+	if d.lost {
 		return
 	}
 	if fn := o.payload; fn != nil {
@@ -91,10 +101,44 @@ func (o *Op) Run() {
 		fn()
 	}
 	o.done.Fire()
+	// Waiters were scheduled by Fire and read nothing of the op when they
+	// resume; every Ref taken so far now reads as complete.
+	o.gen++
+	d.free = append(d.free, o)
 }
 
 // Duration returns the operation's execution time.
 func (o *Op) Duration() time.Duration { return o.End - o.Start }
+
+// Ref is a generation-checked handle to an Op: the op pointer, the op's
+// generation when the handle was taken, and the op's schedule copied at
+// enqueue time. Once the op completes it is recycled and its generation
+// moves on, so a stale handle means "completed" — the same rule des
+// applies to its event slots. The zero Ref refers to no op and also
+// reads as complete.
+type Ref struct {
+	op    *Op
+	gen   uint32
+	Start time.Duration
+	End   time.Duration
+}
+
+// Complete reports whether the referenced op has completed (or there is
+// none). A lost device's ops never complete.
+func (r Ref) Complete() bool {
+	return r.op == nil || r.op.gen != r.gen || r.op.done.Fired()
+}
+
+// Done returns the op's completion signal while the op is in flight, and
+// nil once it has completed and been recycled (or for the zero Ref):
+// nil means there is nothing to wait for. Wait on the signal at once; do
+// not keep it.
+func (r Ref) Done() *des.Signal {
+	if r.op == nil || r.op.gen != r.gen {
+		return nil
+	}
+	return &r.op.done
+}
 
 // earliest returns the earliest time an op enqueued now on stream s may
 // begin, honouring stream order and NULL-stream barrier semantics.
@@ -128,16 +172,17 @@ func (d *Device) enqueue(s *Stream, kind OpKind, name string, start, dur time.Du
 	op.dev = d
 	op.payload = payload
 	d.eng.InitSignal(&op.done, name)
+	ref := op.Ref()
 	s.tail = end
-	s.last = op
+	s.last = ref
 	if end > d.allTail {
 		d.allTail = end
 	}
 	if s.id == 0 {
 		d.nullTail = end
 	}
-	if d.lastOp == nil || end > d.lastOp.End {
-		d.lastOp = op
+	if d.lastOp.op == nil || end > d.lastOp.End {
+		d.lastOp = ref
 	}
 	d.nOps++
 	d.eng.ScheduleRunner(end, op)

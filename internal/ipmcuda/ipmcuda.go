@@ -104,10 +104,10 @@ type Monitor struct {
 	proc  *des.Proc
 	opts  Options
 
-	ktt        []kttSlot
-	kttFree    []int // indices of free slots (LIFO)
-	kttArmed   []int // indices of armed slots, in arm order
-	kttDropped int64 // launches not timed because the KTT was full
+	ktt        []kttSlot // grown on demand up to opts.KTTSize
+	kttFree    []int     // indices of released slots (LIFO)
+	kttArmed   []int     // indices of armed slots, in arm order
+	kttDropped int64     // launches not timed because the KTT was full
 
 	// Mirror of the pending ConfigureCall stack, so the Launch wrapper
 	// knows which stream the kernel goes to.
@@ -164,11 +164,6 @@ func Wrap(inner cudart.API, mon *ipm.Monitor, proc *des.Proc, opts Options) *Mon
 	}
 	if d, ok := inner.(cudart.Driver); ok {
 		m.drv = d
-	}
-	m.ktt = make([]kttSlot, m.opts.KTTSize)
-	m.kttFree = make([]int, m.opts.KTTSize)
-	for i := range m.kttFree {
-		m.kttFree[i] = m.opts.KTTSize - 1 - i // pop order 0, 1, 2, ...
 	}
 	return m
 }
@@ -263,12 +258,20 @@ func (m *Monitor) foldEnergy(ref ipm.SigRef, bytes int64, watts float64, d time.
 
 // ---- Kernel timing table (Section III-B) ----
 
-// findSlot returns a free KTT slot index or -1.
+// findSlot returns a free KTT slot index or -1 when the table is full:
+// the most recently released slot, else the next never-used one (so
+// slots are handed out 0, 1, 2, ... and then LIFO). The table grows
+// here and only here, so a *kttSlot taken after findSlot stays valid
+// until the next launch.
 func (m *Monitor) findSlot() int {
 	if n := len(m.kttFree); n > 0 {
 		i := m.kttFree[n-1]
 		m.kttFree = m.kttFree[:n-1]
 		return i
+	}
+	if len(m.ktt) < m.opts.KTTSize {
+		m.ktt = append(m.ktt, kttSlot{})
+		return len(m.ktt) - 1
 	}
 	return -1
 }

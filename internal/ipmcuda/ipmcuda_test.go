@@ -1,6 +1,7 @@
 package ipmcuda
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -451,5 +452,37 @@ func TestMemsetNotHostIdleProbed(t *testing.T) {
 	m := run(t, Options{KernelTiming: true, HostIdle: true}, app)
 	if s := lookup(t, m, ipm.HostIdleName); s.Count != 0 {
 		t.Errorf("memset charged host idle: %+v", s)
+	}
+}
+
+// TestKTTGrowsOnDemand checks the kernel timing table holds only the
+// slots a rank has used, hands them out 0, 1, 2, ... and then most
+// recently released first, and still stops at KTTSize.
+func TestKTTGrowsOnDemand(t *testing.T) {
+	var before int
+	var armed, free []int
+	next := -1
+	app := func(api cudart.API, p *des.Proc) {
+		m := api.(*Monitor)
+		before = len(m.ktt)
+		k := &cudart.Func{Name: "k", FixedCost: perfmodel.KernelCost{Fixed: time.Millisecond}}
+		api.Malloc(8)
+		for i := 0; i < 3; i++ {
+			api.ConfigureCall(cudart.Dim3{X: 1}, cudart.Dim3{X: 1}, 0, 0)
+			api.Launch(k)
+		}
+		armed = append(armed, m.kttArmed...)
+		api.ThreadSynchronize()
+		m.checkKTT()
+		free = append(free, m.kttFree...)
+		next = m.findSlot()
+		m.releaseSlot(next)
+	}
+	m := run(t, Options{KernelTiming: true, KTTSize: 4}, app)
+	if before != 0 || len(m.ktt) != 3 {
+		t.Errorf("table length %d before any launch and %d after 3, want 0 and 3", before, len(m.ktt))
+	}
+	if fmt.Sprint(armed) != "[0 1 2]" || fmt.Sprint(free) != "[0 1 2]" || next != 2 {
+		t.Errorf("armed %v, released %v, next %d; want [0 1 2], [0 1 2], 2", armed, free, next)
 	}
 }
