@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"ipmgo/internal/alloctest"
 	"ipmgo/internal/cluster"
 	"ipmgo/internal/cudart"
 	"ipmgo/internal/devmodel"
@@ -314,24 +315,38 @@ func BenchmarkAblationKTTSize(b *testing.B) {
 	b.ReportMetric(large, "coverage-ktt1024-%")
 }
 
-// BenchmarkAblationHashTable compares the fixed open-addressing table
-// against a plain Go map under the wrapper's update pattern (see also the
-// micro-benchmarks in internal/ipm).
-func BenchmarkAblationHashTable(b *testing.B) {
-	sigs := make([]ipm.Sig, 256)
-	for i := range sigs {
-		sigs[i] = ipm.Sig{Name: "cudaMemcpy(D2H)", Bytes: int64(i * 4096)}
+// A benchCase is one variant of a benchmark: its b.Run name and a
+// constructor for the op one iteration runs. alloc_test.go pins what
+// each op allocates.
+type benchCase struct {
+	name  string
+	newOp func(tb testing.TB) func()
+}
+
+func runCases(b *testing.B, cases []benchCase) {
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) { alloctest.Bench(b, c.newOp(b)) })
 	}
-	obs := ipm.Stats{Count: 1, Total: time.Microsecond, Min: time.Microsecond, Max: time.Microsecond}
-	b.Run("open-addressing", func(b *testing.B) {
+}
+
+// hashTableCases are BenchmarkAblationHashTable's variants: the
+// wrapper's update pattern over 256 resident signatures, in the fixed
+// open-addressing table and in a plain Go map.
+var hashTableCases = []benchCase{
+	{"open-addressing", func(testing.TB) func() {
+		sigs, obs := ablationSigs()
 		t := ipm.NewTable(ipm.DefaultTableSize)
-		for i := 0; i < b.N; i++ {
+		i := 0
+		return warmed(func() {
 			t.Update(sigs[i&255], obs)
-		}
-	})
-	b.Run("go-map", func(b *testing.B) {
+			i++
+		})
+	}},
+	{"go-map", func(testing.TB) func() {
+		sigs, obs := ablationSigs()
 		m := make(map[ipm.Sig]*ipm.Stats)
-		for i := 0; i < b.N; i++ {
+		i := 0
+		return warmed(func() {
 			sig := sigs[i&255]
 			if s, ok := m[sig]; ok {
 				s.Merge(obs)
@@ -339,73 +354,96 @@ func BenchmarkAblationHashTable(b *testing.B) {
 				c := obs
 				m[sig] = &c
 			}
+			i++
+		})
+	}},
+}
+
+// ablationSigs returns the 256 signatures the ablation cycles over and the
+// observation it records.
+func ablationSigs() ([]ipm.Sig, ipm.Stats) {
+	sigs := make([]ipm.Sig, 256)
+	for i := range sigs {
+		sigs[i] = ipm.Sig{Name: "cudaMemcpy(D2H)", Bytes: int64(i * 4096)}
+	}
+	return sigs, ipm.Stats{Count: 1, Total: time.Microsecond, Min: time.Microsecond, Max: time.Microsecond}
+}
+
+// warmed runs an ablation op once per signature, so every one is
+// resident, and returns it.
+func warmed(op func()) func() {
+	for range 256 {
+		op()
+	}
+	return op
+}
+
+// BenchmarkAblationHashTable compares the fixed open-addressing table
+// against a plain Go map under the wrapper's update pattern (see also the
+// micro-benchmarks in internal/ipm).
+func BenchmarkAblationHashTable(b *testing.B) { runCases(b, hashTableCases) }
+
+// observeOp records one event on a fresh monitor, with a telemetry
+// recorder attached when traced is set.
+func observeOp(traced bool) func(testing.TB) func() {
+	return func(testing.TB) func() {
+		m := ipm.NewMonitor(0, "host", "bench", func() time.Duration { return 0 }, 1024)
+		if traced {
+			m.AttachTelemetry(telemetry.NewRecorder(1 << 16))
 		}
-	})
+		ref := ipm.NewSigRef("cudaMemcpy(D2H)")
+		return func() { m.ObserveRef(ref, 1<<20, time.Microsecond) }
+	}
+}
+
+// observeTelemetryCases are BenchmarkObserveTelemetry's variants.
+var observeTelemetryCases = []benchCase{
+	{"disabled", observeOp(false)},
+	{"enabled", observeOp(true)},
 }
 
 // BenchmarkObserveTelemetry measures the monitored hot path with the
 // telemetry layer absent and attached. The disabled variant must match
 // the sigref path of BenchmarkObserveHot (internal/ipm) — telemetry-off
 // costs one untaken branch, no allocations.
-func BenchmarkObserveTelemetry(b *testing.B) {
-	clock := func() time.Duration { return 0 }
-	ref := ipm.NewSigRef("cudaMemcpy(D2H)")
-	b.Run("disabled", func(b *testing.B) {
-		m := ipm.NewMonitor(0, "host", "bench", clock, 1024)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m.ObserveRef(ref, 1<<20, time.Microsecond)
+func BenchmarkObserveTelemetry(b *testing.B) { runCases(b, observeTelemetryCases) }
+
+// fig8Op runs one fig8 quick ensemble (24 trials) through the bounded
+// worker pool under o.
+func fig8Op(o experiments.Options) func(testing.TB) func() {
+	o.Quick, o.Seed = true, 2011
+	return func(tb testing.TB) func() {
+		return func() {
+			if _, err := experiments.Fig8(o); err != nil {
+				tb.Fatal(err)
+			}
 		}
-	})
-	b.Run("enabled", func(b *testing.B) {
-		m := ipm.NewMonitor(0, "host", "bench", clock, 1024)
-		m.AttachTelemetry(telemetry.NewRecorder(1 << 16))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m.ObserveRef(ref, 1<<20, time.Microsecond)
-		}
-	})
+	}
 }
 
-// BenchmarkEnsembleParallel measures the fig8 quick ensemble (24 trials)
-// through the bounded worker pool at 1 and 4 workers. On a multi-core
-// host the j4 variant approaches a 4x speedup; the trials are fully
-// independent simulations, so the pool scales until it runs out of CPUs.
-func BenchmarkEnsembleParallel(b *testing.B) {
+// ensembleCases are BenchmarkEnsembleParallel's variants.
+func ensembleCases() []benchCase {
+	var cases []benchCase
 	for _, j := range []int{1, 4} {
-		b.Run(fmt.Sprintf("j%d", j), func(b *testing.B) {
-			o := experiments.Options{Quick: true, Seed: 2011, Workers: j}
-			for i := 0; i < b.N; i++ {
-				if _, err := experiments.Fig8(o); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		// The same ensemble with the driver command-queue layer between
-		// the runtime and the device: the delta prices the queue's
-		// batching and submit-stall accounting.
-		b.Run(fmt.Sprintf("queue-j%d", j), func(b *testing.B) {
-			o := experiments.Options{Quick: true, Seed: 2011, Workers: j, Queue: true}
-			for i := 0; i < b.N; i++ {
-				if _, err := experiments.Fig8(o); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		cases = append(cases,
+			benchCase{fmt.Sprintf("j%d", j), fig8Op(experiments.Options{Workers: j})},
+			// The driver command-queue layer between the runtime and the
+			// device: the delta prices the queue's batching and
+			// submit-stall accounting.
+			benchCase{fmt.Sprintf("queue-j%d", j), fig8Op(experiments.Options{Workers: j, Queue: true})})
 	}
-	// The same ensemble on each registered device backend: the delta
-	// prices the power model's per-observation energy folds plus the
-	// backend's own machine balance (the A100 finishes kernels faster, so
-	// its trials simulate fewer virtual-time events).
+	// Each registered device backend: the delta prices the power model's
+	// per-observation energy folds plus the backend's own machine balance
+	// (the A100 finishes kernels faster, so its trials simulate fewer
+	// virtual-time events).
 	for _, d := range devmodel.List() {
-		d := d
-		b.Run("device-"+d.Name+"-j4", func(b *testing.B) {
-			o := experiments.Options{Quick: true, Seed: 2011, Workers: 4, Device: d}
-			for i := 0; i < b.N; i++ {
-				if _, err := experiments.Fig8(o); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		cases = append(cases, benchCase{"device-" + d.Name + "-j4", fig8Op(experiments.Options{Workers: 4, Device: d})})
 	}
+	return cases
 }
+
+// BenchmarkEnsembleParallel measures the fig8 quick ensemble at 1 and 4
+// workers. On a multi-core host the j4 variant approaches a 4x speedup;
+// the trials are fully independent simulations, so the pool scales until
+// it runs out of CPUs.
+func BenchmarkEnsembleParallel(b *testing.B) { runCases(b, ensembleCases()) }

@@ -27,11 +27,14 @@
 // -snapshot-on-exit the corpus is compacted before exit.
 //
 // With -peers the member joins a cluster: ingest is routed to the R
-// consistent-hash owners of each job id (acked at majority quorum) and
-// /agg, /regress and /jobs are answered by parallel scatter-gather over
-// compact per-job rollups, byte-identical to a single node holding the
-// whole corpus. Every member is a router; -self names this member's own
-// base URL within -peers.
+// consistent-hash owners of each job id (acked at majority quorum).
+// /agg and /regress are served from the router's mirror of every
+// member's per-job rollups, revalidated with one conditional leg per
+// peer inside each query; /jobs is answered by parallel scatter-gather
+// and /job/{id} is forwarded to the job's ring owners when this member
+// holds no copy. Every answer is byte-identical to a single node holding
+// the whole corpus. Every member is a router; -self names this member's
+// own base URL within -peers.
 //
 // With -selftest the command runs the built-in load generator instead
 // of serving; with -soak it runs the kill/restart durability harness,
@@ -192,9 +195,10 @@ func main() {
 	srv := profstore.NewServer(store, reg)
 	handler := srv.Handler()
 
-	// Cluster mode: wrap the single-node surface with the router. Routed
-	// endpoints (/ingest, /agg, /regress, /jobs, /job/{id}) fan out to
-	// the ring owners; everything else still hits the local handler.
+	// Cluster mode: wrap the single-node surface with the router. /ingest
+	// and /job/{id} go to the ring owners, /jobs scatters to every member,
+	// /agg and /regress are served from the router's revalidated rollup
+	// mirror; everything else still hits the local handler.
 	var recorder *telemetry.Recorder
 	if *peersFlag != "" {
 		members := strings.Split(*peersFlag, ",")

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"ipmgo/internal/alloctest"
 	"ipmgo/internal/des"
 	"ipmgo/internal/gpusim"
 	"ipmgo/internal/perfmodel"
@@ -297,7 +298,10 @@ func TestEnqueueAllocs(t *testing.T) {
 	}
 }
 
-func BenchmarkQueueSubmit(b *testing.B) {
+// queueSubmitOp returns BenchmarkQueueSubmit's op on warm pools and a
+// grown command slice: 1024 memsets enqueued, flushed and run to
+// completion.
+func queueSubmitOp(tb testing.TB) func() {
 	e := des.NewEngine()
 	d := gpusim.NewDevice(e, testSpec())
 	q := New(d, Options{FlushDepth: 64, FlushInterval: -1})
@@ -305,20 +309,18 @@ func BenchmarkQueueSubmit(b *testing.B) {
 	run := func() {
 		for j := 0; j < 1024; j++ {
 			if err := q.EnqueueMemset(gs, "cudaMemset", 4096, nil); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
 		if err := q.Flush(); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if err := e.Run(); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
-	run() // warm pools and the command slice
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run()
-	}
+	run()
+	return run
 }
+
+func BenchmarkQueueSubmit(b *testing.B) { alloctest.Bench(b, queueSubmitOp(b)) }

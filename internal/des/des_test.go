@@ -8,6 +8,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"ipmgo/internal/alloctest"
 )
 
 func TestScheduleOrdering(t *testing.T) {
@@ -441,23 +443,29 @@ func TestPropCancelPreservesOrder(t *testing.T) {
 	}
 }
 
-// TestScheduleFireZeroAllocSteadyState pins the headline property of the
-// slot-pool engine: once the pool and heap have grown to working size,
-// Schedule + fire allocates nothing.
-func TestScheduleFireZeroAllocSteadyState(t *testing.T) {
+// scheduleRunOp returns BenchmarkDESScheduleRun's op on a warm engine:
+// schedule 1000 events and run them to completion.
+func scheduleRunOp(tb testing.TB) func() {
 	e := NewEngine()
 	fn := func() {}
 	round := func() {
 		base := e.Now()
-		for j := 0; j < 256; j++ {
+		for j := 0; j < 1000; j++ {
 			e.Schedule(base+time.Duration(j)*time.Microsecond, fn)
 		}
 		if err := e.Run(); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	round() // grow pool, heap and free list to steady state
-	if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
+	return round
+}
+
+// TestScheduleFireZeroAllocSteadyState pins the headline property of the
+// slot-pool engine: once the pool and heap have grown to working size,
+// Schedule + fire allocates nothing.
+func TestScheduleFireZeroAllocSteadyState(t *testing.T) {
+	if allocs := testing.AllocsPerRun(50, scheduleRunOp(t)); allocs != 0 {
 		t.Errorf("schedule+fire steady state = %v allocs/round, want 0", allocs)
 	}
 }
@@ -487,25 +495,7 @@ func TestCancelZeroAllocSteadyState(t *testing.T) {
 
 // BenchmarkDESScheduleRun measures the steady-state schedule+fire round
 // trip on a warm engine (1000 events per op); allocs/op must stay 0.
-func BenchmarkDESScheduleRun(b *testing.B) {
-	e := NewEngine()
-	fn := func() {}
-	run := func() {
-		base := e.Now()
-		for j := 0; j < 1000; j++ {
-			e.Schedule(base+time.Duration(j)*time.Microsecond, fn)
-		}
-		if err := e.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	run() // warm the pool
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run()
-	}
-}
+func BenchmarkDESScheduleRun(b *testing.B) { alloctest.Bench(b, scheduleRunOp(b)) }
 
 func BenchmarkScheduleRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -519,14 +509,17 @@ func BenchmarkScheduleRun(b *testing.B) {
 	}
 }
 
-// BenchmarkProcContextSwitch is the self-resume cost: a Sleep with nothing
-// else due, so the sleeper is next in line (87 % of the resumes of a
-// monitored Amber job).
+// sleepNextInLine is BenchmarkProcContextSwitch's op, a self-resume: a
+// Sleep with nothing else due, so the sleeper is next in line (87 % of
+// the resumes of a monitored Amber job).
+func sleepNextInLine(p *Proc) { p.Sleep(time.Nanosecond) }
+
+// BenchmarkProcContextSwitch is the self-resume cost.
 func BenchmarkProcContextSwitch(b *testing.B) {
 	e := NewEngine()
 	e.Spawn("p", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
-			p.Sleep(time.Nanosecond)
+			sleepNextInLine(p)
 		}
 	})
 	b.ReportAllocs()
@@ -581,15 +574,21 @@ type nopRunner struct{}
 
 func (nopRunner) Run() {}
 
-// BenchmarkProcSleepPastCallback is a Sleep with a Runner due before the
-// wake-up (an async completion landing while the host computes): the
-// sleeper goes through the queue and runs the callback inline.
+// sleepPastCallback is BenchmarkProcSleepPastCallback's op: a Sleep with
+// a Runner due before the wake-up (an async completion landing while the
+// host computes), so the sleeper goes through the queue and runs the
+// callback inline.
+func sleepPastCallback(p *Proc) {
+	p.e.ScheduleRunner(p.Now()+time.Nanosecond, nopRunner{})
+	p.Sleep(2 * time.Nanosecond)
+}
+
+// BenchmarkProcSleepPastCallback is the cost of a Sleep past a callback.
 func BenchmarkProcSleepPastCallback(b *testing.B) {
 	e := NewEngine()
 	e.Spawn("p", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
-			e.ScheduleRunner(e.Now()+time.Nanosecond, nopRunner{})
-			p.Sleep(2 * time.Nanosecond)
+			sleepPastCallback(p)
 		}
 	})
 	b.ReportAllocs()
@@ -783,18 +782,16 @@ func TestDeadlockFoundByProcessGoroutine(t *testing.T) {
 }
 
 // Control transfer allocates nothing: neither a Sleep (next in line or
-// through the queue) nor a cross-process signal round trip.
+// through the queue) nor a cross-process signal round trip — the ops of
+// the three BenchmarkProc* benchmarks.
 func TestControlTransferZeroAlloc(t *testing.T) {
 	const runs = 200
 	e := NewEngine()
 	roundTrip := spawnEcho(e, 1+runs)
 	var sleep, queued, handoff float64
 	e.Spawn("p", func(p *Proc) {
-		sleep = testing.AllocsPerRun(runs, func() { p.Sleep(time.Nanosecond) })
-		queued = testing.AllocsPerRun(runs, func() {
-			e.ScheduleRunner(e.Now()+time.Nanosecond, nopRunner{})
-			p.Sleep(2 * time.Nanosecond)
-		})
+		sleep = testing.AllocsPerRun(runs, func() { sleepNextInLine(p) })
+		queued = testing.AllocsPerRun(runs, func() { sleepPastCallback(p) })
 		handoff = testing.AllocsPerRun(runs, func() { roundTrip(p) })
 	})
 	if err := e.Run(); err != nil {

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"ipmgo/internal/alloctest"
 	"ipmgo/internal/devmodel"
 )
 
@@ -502,39 +503,53 @@ func TestPropMergeCommutative(t *testing.T) {
 	}
 }
 
-func BenchmarkTableUpdateHit(b *testing.B) {
+// The benchmarks below run an op that alloc_test.go pins at zero
+// allocations; each op is built warm, with every signature it cycles
+// over already resident.
+
+// A namedOp is one variant of a benchmark: its b.Run name and its op.
+type namedOp struct {
+	name string
+	op   func()
+}
+
+// tableUpdateHitOp updates one resident signature.
+func tableUpdateHitOp() func() {
 	tb := NewTable(DefaultTableSize)
 	sig := Sig{Name: "cudaLaunch"}
 	o := obs(time.Microsecond)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tb.Update(sig, o)
-	}
+	tb.Update(sig, o)
+	return func() { tb.Update(sig, o) }
 }
 
-func BenchmarkTableUpdateManyKeys(b *testing.B) {
-	tb := NewTable(DefaultTableSize)
-	sigs := make([]Sig, 512)
-	for i := range sigs {
-		sigs[i] = Sig{Name: fmt.Sprintf("MPI_Send"), Bytes: int64(i * 8)}
-	}
-	o := obs(time.Microsecond)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tb.Update(sigs[i&511], o)
-	}
-}
-
-// BenchmarkMapUpdateManyKeys is the ablation baseline: a plain Go map in
-// place of the fixed open-addressing table.
-func BenchmarkMapUpdateManyKeys(b *testing.B) {
-	m := make(map[Sig]*Stats)
+// manyKeys returns 512 MPI_Send signatures that differ in size only.
+func manyKeys() []Sig {
 	sigs := make([]Sig, 512)
 	for i := range sigs {
 		sigs[i] = Sig{Name: "MPI_Send", Bytes: int64(i * 8)}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return sigs
+}
+
+// tableUpdateManyKeysOp updates the 512 manyKeys signatures in turn.
+func tableUpdateManyKeysOp() func() {
+	tb := NewTable(DefaultTableSize)
+	sigs := manyKeys()
+	o := obs(time.Microsecond)
+	i := 0
+	return warm(func() {
+		tb.Update(sigs[i&511], o)
+		i++
+	})
+}
+
+// mapUpdateManyKeysOp is the ablation baseline: the same update pattern
+// over a plain Go map in place of the fixed open-addressing table.
+func mapUpdateManyKeysOp() func() {
+	m := make(map[Sig]*Stats)
+	sigs := manyKeys()
+	i := 0
+	return warm(func() {
 		sig := sigs[i&511]
 		if s, ok := m[sig]; ok {
 			s.Add(time.Microsecond)
@@ -542,43 +557,55 @@ func BenchmarkMapUpdateManyKeys(b *testing.B) {
 			c := obs(time.Microsecond)
 			m[sig] = &c
 		}
-	}
+		i++
+	})
 }
 
-// BenchmarkObserveHot compares the per-event recording cost of the
-// string-signature path (rehashes the name on every event) against the
-// SigRef fast path (name hashed once at wrapper-construction time). The
-// sigref variant must run with zero allocations per op.
-func BenchmarkObserveHot(b *testing.B) {
+// warm runs a manyKeys op once per signature, so every one is resident,
+// and returns it.
+func warm(op func()) func() {
+	for range 512 {
+		op()
+	}
+	return op
+}
+
+// observeHotOps are BenchmarkObserveHot's variants, each recording one
+// event on its own monitor.
+func observeHotOps() []namedOp {
 	clock := func() time.Duration { return 0 }
-	b.Run("string-sig", func(b *testing.B) {
-		m := NewMonitor(0, "host", "bench", clock, 1024)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m.Observe("cudaMemcpy(D2H)", 1<<20, time.Microsecond)
-		}
-	})
-	b.Run("sigref", func(b *testing.B) {
-		m := NewMonitor(0, "host", "bench", clock, 1024)
-		ref := NewSigRef("cudaMemcpy(D2H)")
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m.ObserveRef(ref, 1<<20, time.Microsecond)
-		}
-	})
+	monitor := func() *Monitor { return NewMonitor(0, "host", "bench", clock, 1024) }
+	ref := NewSigRef("cudaMemcpy(D2H)")
+	str, sigref := monitor(), monitor()
+	ops := []namedOp{
+		{"string-sig", func() { str.Observe("cudaMemcpy(D2H)", 1<<20, time.Microsecond) }},
+		{"sigref", func() { sigref.ObserveRef(ref, 1<<20, time.Microsecond) }},
+	}
 	// Per-backend energy attribution: the same hot path with each
 	// registered device backend's copy-engine wattage priced into the
 	// observation. The energy fold must stay allocation-free too.
 	for _, d := range devmodel.List() {
-		d := d
-		b.Run("energy-"+d.Name, func(b *testing.B) {
-			m := NewMonitor(0, "host", "bench", clock, 1024)
-			ref := NewSigRef("cudaMemcpy(D2H)")
-			nj := devmodel.EnergyNJ(d.Power.CopyWatts, time.Microsecond)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				m.ObserveNRef(ref, 1<<20, Stats{Count: 1, Total: time.Microsecond, Min: time.Microsecond, Max: time.Microsecond, Energy: nj})
-			}
-		})
+		m := monitor()
+		nj := devmodel.EnergyNJ(d.Power.CopyWatts, time.Microsecond)
+		st := Stats{Count: 1, Total: time.Microsecond, Min: time.Microsecond, Max: time.Microsecond, Energy: nj}
+		ops = append(ops, namedOp{"energy-" + d.Name, func() { m.ObserveNRef(ref, 1<<20, st) }})
+	}
+	return ops
+}
+
+func BenchmarkTableUpdateHit(b *testing.B) { alloctest.Bench(b, tableUpdateHitOp()) }
+
+func BenchmarkTableUpdateManyKeys(b *testing.B) { alloctest.Bench(b, tableUpdateManyKeysOp()) }
+
+// BenchmarkMapUpdateManyKeys is the ablation baseline for
+// BenchmarkTableUpdateManyKeys.
+func BenchmarkMapUpdateManyKeys(b *testing.B) { alloctest.Bench(b, mapUpdateManyKeysOp()) }
+
+// BenchmarkObserveHot compares the per-event recording cost of the
+// string-signature path (rehashes the name on every event) against the
+// SigRef fast path (name hashed once at wrapper-construction time).
+func BenchmarkObserveHot(b *testing.B) {
+	for _, c := range observeHotOps() {
+		b.Run(c.name, func(b *testing.B) { alloctest.Bench(b, c.op) })
 	}
 }

@@ -2,7 +2,11 @@
 
 package profstore
 
-import "testing"
+import (
+	"testing"
+
+	"ipmgo/internal/alloctest"
+)
 
 // TestIngestSteadyStateAllocs pins the streaming ingest allocation
 // budget. The scratch pool and interned-name cache make a warmed-up
@@ -29,4 +33,20 @@ func TestIngestSteadyStateAllocs(t *testing.T) {
 		t.Errorf("steady-state ingest allocates %.1f allocs/op, want <= 40 "+
 			"(streaming fast path disengaged?)", got)
 	}
+}
+
+// A memo hit allocates nothing: the op behind BenchmarkProfstoreAggCached.
+func TestAggCachedZeroAlloc(t *testing.T) {
+	if allocs := testing.AllocsPerRun(1000, aggCachedOp(t)); allocs != 0 {
+		t.Errorf("ProfstoreAggCached: %v allocs/op, want 0", allocs)
+	}
+}
+
+// The ops behind the allocating store benchmarks allocate what they did
+// when the pins were taken (the figures below), within 30 %.
+func TestStoreBenchmarkAllocs(t *testing.T) {
+	stream, _ := ingestStreamOp(t)
+	alloctest.Pin(t, "ProfstoreIngest", 1000, ingestOp(t), 17, 8330)
+	alloctest.Pin(t, "ProfstoreIngestStream", 20, stream, 961, 526892)
+	alloctest.Pin(t, "ProfstoreAgg", 200, aggOp(t), 37, 5872)
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"ipmgo/internal/alloctest"
 	"ipmgo/internal/ipm"
 	"ipmgo/internal/profstore"
 	"ipmgo/internal/telemetry"
@@ -28,7 +29,7 @@ import (
 // benchCluster brings up n WAL-backed members (R=1: placement spread,
 // no replication overhead — the pure sharding measurement) and returns
 // the member base URLs.
-func benchCluster(b *testing.B, n int) []string {
+func benchCluster(b testing.TB, n int) []string {
 	b.Helper()
 	dir := b.TempDir()
 	urls := make([]string, n)
@@ -117,6 +118,37 @@ func benchPost(client *http.Client, url string, doc []byte) error {
 	return nil
 }
 
+// clusterIngestOp returns BenchmarkClusterIngest's op on a warm
+// shards-member cluster: one durable POST /ingest of the next document of
+// a 64-document corpus, sent straight to its owner. It is safe for
+// concurrent use.
+func clusterIngestOp(tb testing.TB, shards int) func() {
+	urls := benchCluster(tb, shards)
+	docs := benchSmallDocs(tb, 64)
+	ring, err := NewRing(urls)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	owner := make([]string, len(docs))
+	for i, doc := range docs {
+		owner[i] = ring.Owners(profstore.DeriveID(doc), 1)[0]
+	}
+	client := profstore.SharedClient(10 * time.Second)
+	// Warm every member: connections established, ring state hot.
+	for i, doc := range docs {
+		if err := benchPost(client, owner[i], doc); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	var next atomic.Int64
+	return func() {
+		i := int(next.Add(1)) % len(docs)
+		if err := benchPost(client, owner[i], docs[i]); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkClusterIngest measures durable ingest throughput end to end
 // (HTTP in, consistent-hash placement, WAL append + fsync on the
 // owner) at 1 and 4 shards. The corpus is placement-aware-posted: the
@@ -128,36 +160,65 @@ func benchPost(client *http.Client, url string, doc []byte) error {
 func BenchmarkClusterIngest(b *testing.B) {
 	for _, shards := range []int{1, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			urls := benchCluster(b, shards)
-			docs := benchSmallDocs(b, 64)
-			ring, err := NewRing(urls)
-			if err != nil {
-				b.Fatal(err)
-			}
-			owner := make([]string, len(docs))
-			for i, doc := range docs {
-				owner[i] = ring.Owners(profstore.DeriveID(doc), 1)[0]
-			}
-			client := profstore.SharedClient(10 * time.Second)
-			// Warm every member: connections established, ring state hot.
-			for i, doc := range docs {
-				if err := benchPost(client, owner[i], doc); err != nil {
-					b.Fatal(err)
-				}
-			}
-			var next atomic.Int64
+			op := clusterIngestOp(b, shards)
 			b.SetParallelism(16) // in-flight posts even on one core: fsync is I/O wait
 			b.ReportAllocs()
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
 				for pb.Next() {
-					i := int(next.Add(1)) % len(docs)
-					if err := benchPost(client, owner[i], docs[i]); err != nil {
-						b.Fatal(err)
-					}
+					op()
 				}
 			})
 		})
+	}
+}
+
+// clusterAggOp returns BenchmarkClusterAgg's op on a shards-member
+// cluster holding a 64-job corpus, every router's mirror and memo warm:
+// one routed GET /agg, through each router in turn. With mixed set,
+// every 20th op first replaces one job through the router that reads
+// next.
+func clusterAggOp(tb testing.TB, shards int, mixed bool) func() {
+	urls := benchCluster(tb, shards)
+	docs := benchDocs(tb, 64)
+	client := profstore.SharedClient(10 * time.Second)
+	post := func(i int) {
+		// Explicit ids: the mixed run replaces, the corpus keeps its size.
+		resp, err := client.Post(fmt.Sprintf("%s/ingest?id=bench-%d", urls[i%len(urls)], i%len(docs)),
+			"application/xml", bytes.NewReader(docs[(i/len(docs)+i)%len(docs)]))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			tb.Fatalf("ingest: %d", resp.StatusCode)
+		}
+	}
+	for i := range docs {
+		post(i)
+	}
+	for _, url := range urls { // warm every router's mirror and memo
+		if resp, err := client.Get(url + "/agg?top=5"); err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}
+	i := 0
+	return func() {
+		if mixed && i%20 == 19 {
+			post(len(docs) + i)
+		}
+		resp, err := client.Get(urls[i%len(urls)] + "/agg?top=5")
+		if err != nil {
+			tb.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || len(body) == 0 {
+			tb.Fatalf("/agg: %d (%d bytes)", resp.StatusCode, len(body))
+		}
+		i++
 	}
 }
 
@@ -168,50 +229,12 @@ func BenchmarkClusterIngest(b *testing.B) {
 // in twenty also pays a delta leg, the corpus rebuild and the recompute.
 func BenchmarkClusterAgg(b *testing.B) {
 	for _, shards := range []int{1, 4} {
-		for _, mix := range []string{"", "/mix=read95"} {
-			b.Run(fmt.Sprintf("shards=%d%s", shards, mix), func(b *testing.B) {
-				urls := benchCluster(b, shards)
-				docs := benchDocs(b, 64)
-				client := profstore.SharedClient(10 * time.Second)
-				post := func(i int) {
-					// Explicit ids: the mixed run replaces, the corpus keeps its size.
-					resp, err := client.Post(fmt.Sprintf("%s/ingest?id=bench-%d", urls[i%len(urls)], i%len(docs)),
-						"application/xml", bytes.NewReader(docs[(i/len(docs)+i)%len(docs)]))
-					if err != nil {
-						b.Fatal(err)
-					}
-					io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-					if resp.StatusCode != http.StatusOK {
-						b.Fatalf("ingest: %d", resp.StatusCode)
-					}
-				}
-				for i := range docs {
-					post(i)
-				}
-				for _, url := range urls { // warm every router's mirror and memo
-					if resp, err := client.Get(url + "/agg?top=5"); err == nil {
-						io.Copy(io.Discard, resp.Body)
-						resp.Body.Close()
-					}
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if mix != "" && i%20 == 19 {
-						post(len(docs) + i)
-					}
-					resp, err := client.Get(urls[i%len(urls)] + "/agg?top=5")
-					if err != nil {
-						b.Fatal(err)
-					}
-					body, _ := io.ReadAll(resp.Body)
-					resp.Body.Close()
-					if resp.StatusCode != http.StatusOK || len(body) == 0 {
-						b.Fatalf("/agg: %d (%d bytes)", resp.StatusCode, len(body))
-					}
-				}
-			})
+		for _, mixed := range []bool{false, true} {
+			name := fmt.Sprintf("shards=%d", shards)
+			if mixed {
+				name += "/mix=read95"
+			}
+			b.Run(name, func(b *testing.B) { alloctest.Bench(b, clusterAggOp(b, shards, mixed)) })
 		}
 	}
 }

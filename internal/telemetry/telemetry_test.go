@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ipmgo/internal/alloctest"
 )
 
 func span(name string, startMs int) Span {
@@ -172,11 +174,9 @@ func TestSpanClassStrings(t *testing.T) {
 	}
 }
 
-// BenchmarkSpanRecord measures the enabled-telemetry hot path: one value
-// Span stored into the ring under the mutex. Steady state is 0 allocs/op
-// — Span is a value type and the ring is preallocated.
-func BenchmarkSpanRecord(b *testing.B) {
-	r := NewRecorder(1 << 12)
+// spanRecordOp is the op of the SpanRecord benchmarks: one value Span
+// stored into r's ring under the mutex. It is safe for concurrent use.
+func spanRecordOp(r *Recorder) func() {
 	s := Span{
 		Track: "gpu0/strm01",
 		Name:  "gemm_nn",
@@ -185,11 +185,15 @@ func BenchmarkSpanRecord(b *testing.B) {
 		End:   35 * time.Microsecond,
 		Bytes: 1 << 20,
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Record(s)
-	}
+	return func() { r.Record(s) }
+}
+
+// BenchmarkSpanRecord measures the enabled-telemetry hot path. Steady
+// state is 0 allocs/op — Span is a value type and the ring is
+// preallocated (pinned in alloc_test.go).
+func BenchmarkSpanRecord(b *testing.B) {
+	r := NewRecorder(1 << 12)
+	alloctest.Bench(b, spanRecordOp(r))
 	if r.Total() != uint64(b.N) {
 		b.Fatalf("total = %d, want %d", r.Total(), b.N)
 	}
@@ -198,13 +202,12 @@ func BenchmarkSpanRecord(b *testing.B) {
 // BenchmarkSpanRecordParallel is the same store under contention from an
 // ensemble's worth of concurrent writers.
 func BenchmarkSpanRecordParallel(b *testing.B) {
-	r := NewRecorder(1 << 12)
+	op := spanRecordOp(NewRecorder(1 << 12))
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		s := Span{Track: "rank0/cpu", Name: "MPI_Allreduce", Class: ClassMPI}
 		for pb.Next() {
-			r.Record(s)
+			op()
 		}
 	})
 }
