@@ -69,29 +69,25 @@ serve-load:
 serve-e2e:
 	$(GO) test -race -run ServeE2E .
 
-# Kill/restart durability soak: ipmserve re-execs itself as a child
-# server over a WAL, sustains concurrent ingest, SIGKILLs the child
-# mid-ingest N times, and gates on byte-identical /agg + /regress vs a
-# never-killed reference and zero lost acknowledged jobs. `soak-short`
-# is the bounded CI variant wired into `make verify`.
+# Kill/restart durability soak: ipmserve re-execs itself as
+# -soak-members child servers (one plain server by default; a cluster
+# above one), each over its own WAL, sustains concurrent ingest through
+# rotating routers, SIGKILLs a rotating member mid-ingest each cycle,
+# and gates on zero lost acknowledged jobs and /agg + /jobs + /regress
+# byte-identical from EVERY member to a never-killed single-node
+# reference. The `-short` variants are the bounded CI runs wired into
+# `make verify` (well under 30s each).
 soak:
 	$(GO) run ./cmd/ipmserve -soak -soak-jobs 400 -soak-cycles 6 -soak-timeout 120s
 
 soak-short:
 	$(GO) run ./cmd/ipmserve -soak -soak-jobs 80 -soak-cycles 3 -soak-timeout 30s
 
-# Cluster kill/restart soak: N ipmserve members in cluster mode, each
-# over its own WAL, with rotating members SIGKILLed mid-ingest while
-# workers retry through the surviving routers. Gates on zero lost
-# acknowledged jobs and /agg + /jobs + /regress byte-identical from
-# EVERY member to a never-killed single-node reference.
-# `soak-cluster-short` is the bounded CI variant wired into `make
-# verify` (3 members, one kill cycle, well under 30s).
 soak-cluster:
-	$(GO) run ./cmd/ipmserve -soak-cluster -soak-members 3 -soak-replicas 2 -soak-jobs 240 -soak-cycles 4 -soak-timeout 120s
+	$(GO) run ./cmd/ipmserve -soak -soak-members 3 -soak-replicas 2 -soak-jobs 240 -soak-cycles 4 -soak-timeout 120s
 
 soak-cluster-short:
-	$(GO) run ./cmd/ipmserve -soak-cluster -soak-members 3 -soak-replicas 2 -soak-jobs 60 -soak-cycles 1 -soak-timeout 30s
+	$(GO) run ./cmd/ipmserve -soak -soak-members 3 -soak-replicas 2 -soak-jobs 60 -soak-cycles 1 -soak-timeout 30s
 
 # Short native-fuzz pass over both parser entry points (strict and
 # tolerant), the streaming-scanner differential, and the framed-WAL

@@ -38,10 +38,10 @@
 //
 // With -selftest the command runs the built-in load generator instead
 // of serving; with -soak it runs the kill/restart durability harness,
-// re-executing itself as the server child and repeatedly SIGKILLing it
-// mid-ingest; with -soak-cluster it does the same to a whole cluster,
-// SIGKILLing rotating members mid-ingest while workers retry through
-// the surviving routers. All exit non-zero on any violation.
+// re-executing itself as -soak-members server children (one plain
+// server by default, a cluster above one) and SIGKILLing rotating
+// members mid-ingest while workers retry through the surviving
+// routers. Both exit non-zero on any violation.
 package main
 
 import (
@@ -54,6 +54,7 @@ import (
 	"os"
 	"os/signal"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
@@ -84,9 +85,8 @@ func main() {
 	replicas := flag.Int("replicas", 2, "cluster: copies per job (acked at majority quorum)")
 	peerFaults := flag.String("peer-faults", "", "JSON peer-fault plan injected into the peer transport (see testdata/faults/)")
 	tracePath := flag.String("trace", "", "write a Chrome trace of cluster scatter/forward spans here on shutdown")
-	soakCluster := flag.Bool("soak-cluster", false, "run the cluster kill/restart soak harness and exit")
-	soakMembers := flag.Int("soak-members", 3, "soak-cluster: cluster size")
-	soakReplicas := flag.Int("soak-replicas", 2, "soak-cluster: copies per job")
+	soakMembers := flag.Int("soak-members", 1, "soak: server processes (1 = one plain server, more = a cluster)")
+	soakReplicas := flag.Int("soak-replicas", 2, "soak: copies per job when -soak-members > 1")
 	flag.Parse()
 
 	logf := func(format string, args ...any) {
@@ -114,35 +114,15 @@ func main() {
 		}
 		rep, err := profstore.Soak(profstore.SoakOptions{
 			ServerCmd: []string{exe},
-			Jobs:      *soakJobs, Workers: *soakWorkers, Cycles: *soakCycles,
+			Members:   *soakMembers, Replicas: *soakReplicas,
+			Jobs: *soakJobs, Workers: *soakWorkers, Cycles: *soakCycles,
 			CompactEvery: *compactEvery, Timeout: *soakTimeout, Logf: logf,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ipmserve: soak FAILED:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("soak ok: %d jobs acked (%d retried through kill windows), %d kills, %d restarts, /agg byte-identical (%d bytes), %v\n",
-			rep.Acked, rep.Retried, rep.Kills, rep.Restarts, rep.AggBytes, rep.Elapsed.Round(time.Millisecond))
-		return
-	}
-
-	if *soakCluster {
-		exe, err := os.Executable()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ipmserve:", err)
-			os.Exit(1)
-		}
-		rep, err := storecluster.SoakCluster(storecluster.SoakClusterOptions{
-			ServerCmd: []string{exe},
-			Members:   *soakMembers, Replicas: *soakReplicas,
-			Jobs: *soakJobs, Workers: *soakWorkers, Cycles: *soakCycles,
-			CompactEvery: *compactEvery, Timeout: *soakTimeout, Logf: logf,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ipmserve: soak-cluster FAILED:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("soak-cluster ok: %d members (R=%d), %d jobs acked (%d retried through kill windows), %d kills, %d restarts, queries byte-identical on all members (/agg %d bytes), %v\n",
+		fmt.Printf("soak ok: %d member(s) (R=%d), %d jobs acked (%d retried through kill windows), %d kills, %d restarts, queries byte-identical on every member (/agg %d bytes), %v\n",
 			rep.Members, rep.Replicas, rep.Acked, rep.Retried, rep.Kills, rep.Restarts, rep.AggBytes, rep.Elapsed.Round(time.Millisecond))
 		return
 	}
@@ -267,7 +247,27 @@ func main() {
 	}
 	logf("ipmserve: serving on http://%s/ (%d job(s) loaded)", ln.Addr(), store.Len())
 
-	hs := &http.Server{Handler: handler}
+	// Shutdown counts a connection that was accepted but never sent a
+	// request (StateNew) as active for up to 5 s (Go issue 22682); a
+	// peer's pooled keep-alive dial that was never used is exactly that.
+	// Track those connections and close them when draining starts.
+	var (
+		connMu   sync.Mutex
+		fresh    = make(map[net.Conn]bool)
+		draining bool
+	)
+	hs := &http.Server{Handler: handler, ConnState: func(c net.Conn, st http.ConnState) {
+		connMu.Lock()
+		defer connMu.Unlock()
+		switch {
+		case st != http.StateNew:
+			delete(fresh, c)
+		case draining:
+			c.Close()
+		default:
+			fresh[c] = true
+		}
+	}}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
@@ -284,6 +284,12 @@ func main() {
 		// even that safe.
 		logf("ipmserve: %v: draining", sig)
 		srv.SetDraining(true)
+		connMu.Lock()
+		draining = true
+		for c := range fresh {
+			c.Close()
+		}
+		connMu.Unlock()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		go func() {
 			<-sigc

@@ -1,6 +1,7 @@
 package ipm
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"time"
@@ -214,12 +215,11 @@ func (s *scanner) text() bool {
 }
 
 // procInst consumes <?target ...?>. The decoder accepts any PI, but for
-// a target of exactly "xml" it scans the body for "encoding=" and
-// errors on any charset other than UTF-8 — a document-wide error this
-// scanner cannot replicate, so those bail.
+// a target of exactly "xml" it errors on a version other than 1.0 and
+// on any charset other than UTF-8 — document-wide errors this scanner
+// cannot replicate, so those bail.
 func (s *scanner) procInst() bool {
 	s.pos += 2 // "<?"
-	start := s.pos
 	name := s.readName()
 	if name == nil {
 		return false
@@ -236,37 +236,39 @@ func (s *scanner) procInst() bool {
 	}
 	body := s.data[bodyStart:s.pos]
 	s.pos += 2
-	if string(name) == "xml" && s.pos-start > 3 {
-		// Replicate procInst(): a quoted encoding value other than
-		// utf-8 (case-insensitive) errors; anything else — including a
-		// malformed encoding= with no quote — is accepted.
-		if enc, found := piEncoding(body); found && !equalFoldASCII(enc, "utf-8") {
+	if string(name) == "xml" {
+		// Replicate the decoder's checks; an empty or malformed value
+		// (no quote, no closing quote) reads as absent and is accepted.
+		if v := piParam(body, "version="); len(v) > 0 && string(v) != "1.0" {
+			return false
+		}
+		if enc := piParam(body, "encoding="); len(enc) > 0 && !equalFoldASCII(enc, "utf-8") {
 			return false
 		}
 	}
 	return true
 }
 
-// piEncoding finds the first `encoding=` in a PI body (substring match,
-// as the decoder does) and returns its quoted value.
-func piEncoding(body []byte) (val []byte, found bool) {
-	for i := 0; i+9 <= len(body); i++ {
-		if string(body[i:i+9]) != "encoding=" {
+// piParam replicates encoding/xml's procInst: the value of the first
+// `param` (which ends in '=') that is directly followed by a quote, up
+// to the matching quote. Occurrences followed by anything else are
+// skipped, as the decoder does; nil when none is quoted or the quote
+// never closes.
+func piParam(body []byte, param string) []byte {
+	n := len(param)
+	for i := 0; i+n < len(body); i++ {
+		if string(body[i:i+n]) != param {
 			continue
 		}
-		rest := body[i+9:]
-		if len(rest) == 0 || (rest[0] != '"' && rest[0] != '\'') {
-			return nil, false
-		}
-		q := rest[0]
-		for j := 1; j < len(rest); j++ {
-			if rest[j] == q {
-				return rest[1:j], true
+		if q := body[i+n]; q == '"' || q == '\'' {
+			if j := bytes.IndexByte(body[i+n+1:], q); j >= 0 {
+				return body[i+n+1 : i+n+1+j]
 			}
+			return nil
 		}
-		return nil, false
+		i += n // the decoder resumes past the byte after '='
 	}
-	return nil, false
+	return nil
 }
 
 func equalFoldASCII(b []byte, s string) bool {

@@ -244,6 +244,8 @@ func FuzzScanVsParse(f *testing.F) {
 	}
 	f.Add([]byte(`<ipm_log ntasks="2"><task rank="0"><region><func name="MPI_Send" t="1.5"/></region></task></ipm_log>`))
 	f.Add([]byte(`<?xml version="1.0" encoding="UTF-8"?><ipm_log/>`))
+	f.Add([]byte(`<?xml version="0.0" encoding="UTF-8"?><ipm_log/>`))
+	f.Add([]byte(`<?xml version="1.0" encoding=x encoding="latin1"?><ipm_log/>`))
 	f.Add([]byte(`<ipm_log><task rank="0"><task rank="1"></task></ipm_log>`))
 	f.Add([]byte(`<ipm_log cmd="a b"><func name="x"/><region></region></ipm_log>`))
 	f.Add([]byte(`<ipm_log ntasks="1"><task energy_total="1.5" device="X"><region><func name="k" t="1" energy="0.5"/></region></task></ipm_log>`))

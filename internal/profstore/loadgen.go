@@ -323,8 +323,14 @@ func SelfTest(opts SelfTestOptions) (*SelfTestReport, error) {
 	return rep, nil
 }
 
+// getClient bounds every harness read (selftest and soak queries, soak
+// readiness polls): a child that accepts connections but never answers
+// fails the run instead of hanging it.
+var getClient = &http.Client{Timeout: 10 * time.Second}
+
+// httpGet fetches one URL body, demanding a 200.
 func httpGet(url string) ([]byte, error) {
-	resp, err := http.Get(url)
+	resp, err := getClient.Get(url)
 	if err != nil {
 		return nil, err
 	}

@@ -9,6 +9,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -21,33 +22,40 @@ import (
 
 // This file is the kill/restart soak harness behind `ipmserve -soak` /
 // `make soak`: the durability twin of the SelfTest load generator. It
-// launches a real ipmserve child process over a WAL in a scratch
-// directory, sustains concurrent ingest against it, and SIGKILLs the
-// child mid-ingest at deterministic points in the ack stream —
-// restarting it each time — before a final SIGTERM to prove graceful
-// shutdown. The run is gated on the acceptance criteria from the
-// durability design:
+// launches Members real ipmserve child processes, each over its own WAL
+// in a scratch directory — one plain server, or a cluster when Members
+// > 1 — sustains concurrent ingest through rotating routers, and
+// SIGKILLs a member mid-ingest at deterministic points in the ack
+// stream, restarting it each time, before a final SIGTERM of every
+// member to prove graceful shutdown. The run is gated on the durability
+// contract:
 //
-//   - zero lost acknowledged jobs: every profile the server acked with
-//     a 2xx before any kill is present after the last recovery;
-//   - byte-identical queries: the recovered corpus answers /agg and
-//     /regress exactly like a never-killed in-process reference store
-//     over the same documents.
+//   - zero lost acknowledged jobs: every profile any member acked with
+//     a 2xx is present in /jobs after the last recovery;
+//   - byte-identical queries from EVERY member: the recovered corpus
+//     answers /agg, /jobs and /regress exactly like a never-killed
+//     in-process single-node store over the same documents.
 //
-// Content-derived ids make the comparison exact even for documents that
-// were persisted but killed before the ack: the client retries them and
-// the re-ingest replaces the job with identical bytes.
+// In a cluster, quorum writes make the first gate honest: an ack means
+// R/2+1 owners persisted the document before the kill, so any single
+// member's death cannot lose it. Content-derived ids make the second
+// gate exact even for documents that were persisted but killed before
+// the ack, or re-posted through a different router: the re-ingest
+// replaces the job with identical bytes.
 
 // SoakOptions sizes a kill/restart soak run.
 type SoakOptions struct {
 	// ServerCmd is the argv of the child server; the harness appends
-	// -addr, -wal and -compact-every. Typically the running ipmserve
-	// binary itself (os.Executable).
+	// -addr, -wal, -compact-every and -snapshot-on-exit, plus -peers,
+	// -self and -replicas when Members > 1. Typically the running
+	// ipmserve binary itself (os.Executable).
 	ServerCmd []string
+	Members   int // server processes; 1 = one plain server (default 1)
+	Replicas  int // copies per job when Members > 1 (default 2, at most Members)
 	Jobs      int // synthetic profiles to ingest (default 200)
 	Workers   int // concurrent ingest workers (default 4)
 	Cycles    int // SIGKILL/restart cycles (default 3)
-	// CompactEvery is forwarded to the child so snapshots and WAL
+	// CompactEvery is forwarded to the children so snapshots and WAL
 	// truncation happen under fire (default 32 appends; -1 disables).
 	CompactEvery int
 	Timeout      time.Duration // wall-clock budget (default 120s)
@@ -58,30 +66,81 @@ type SoakOptions struct {
 
 // SoakReport summarises a soak run.
 type SoakReport struct {
+	Members  int
+	Replicas int
 	Jobs     int
 	Kills    int
 	Restarts int
-	Acked    int   // jobs acknowledged with a 2xx
+	Acked    int   // jobs acknowledged with a 2xx by some member
 	Retried  int64 // posts that needed more than one round
 	AggBytes int   // size of the (verified identical) /agg body
 	Elapsed  time.Duration
 }
 
-// soakChild is the managed ipmserve subprocess.
+// setDefaults fills the zero fields and clamps Replicas to Members.
+func (o *SoakOptions) setDefaults() {
+	if o.Members <= 0 {
+		o.Members = 1
+	}
+	if o.Replicas <= 0 {
+		o.Replicas = 2
+	}
+	if o.Replicas > o.Members {
+		o.Replicas = o.Members
+	}
+	if o.Jobs <= 0 {
+		o.Jobs = 200
+	}
+	if o.Workers <= 0 {
+		o.Workers = 4
+	}
+	if o.Cycles <= 0 {
+		o.Cycles = 3
+	}
+	if o.CompactEvery == 0 {
+		o.CompactEvery = 32
+	}
+	if o.Timeout <= 0 {
+		o.Timeout = 120 * time.Second
+	}
+	if o.Seed == 0 {
+		o.Seed = 2011
+	}
+}
+
+// memberArgv is member i's child argv. A lone member runs the plain
+// server, so that path keeps its own coverage; a cluster member also
+// learns the full membership, its own URL and the replication factor.
+// Restarts reuse the same argv, so recovery replays the member's
+// snapshot + WAL into the same ring position.
+func (o *SoakOptions) memberArgv(i int, urls []string, dir string) []string {
+	argv := append(append([]string{}, o.ServerCmd...),
+		"-addr", strings.TrimPrefix(urls[i], "http://"),
+		"-wal", filepath.Join(dir, fmt.Sprintf("member%d.wal", i)),
+		"-compact-every", fmt.Sprint(o.CompactEvery),
+		"-snapshot-on-exit")
+	if o.Members > 1 {
+		argv = append(argv,
+			"-peers", strings.Join(urls, ","),
+			"-self", urls[i],
+			"-replicas", fmt.Sprint(o.Replicas))
+	}
+	return argv
+}
+
+// soakChild is one managed ipmserve subprocess.
 type soakChild struct {
 	argv []string
-	addr string
-	wal  string
+	url  string
 	cmd  *exec.Cmd
 }
 
 func (c *soakChild) start() error {
-	args := append(append([]string{}, c.argv[1:]...), "-addr", c.addr, "-wal", c.wal)
-	cmd := exec.Command(c.argv[0], args...)
+	cmd := exec.Command(c.argv[0], c.argv[1:]...)
 	cmd.Stdout = os.Stderr
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
-		return fmt.Errorf("soak: starting server: %w", err)
+		return fmt.Errorf("soak: starting server %s: %w", c.url, err)
 	}
 	c.cmd = cmd
 	return nil
@@ -89,9 +148,8 @@ func (c *soakChild) start() error {
 
 // waitReady polls /readyz until the child accepts writes.
 func (c *soakChild) waitReady(deadline time.Time) error {
-	url := "http://" + c.addr + "/readyz"
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(url)
+		resp, err := getClient.Get(c.url + "/readyz")
 		if err == nil {
 			resp.Body.Close()
 			if resp.StatusCode == http.StatusOK {
@@ -100,7 +158,7 @@ func (c *soakChild) waitReady(deadline time.Time) error {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	return fmt.Errorf("soak: server at %s not ready before deadline", c.addr)
+	return fmt.Errorf("soak: server %s not ready before deadline", c.url)
 }
 
 // kill SIGKILLs the child — no flush, no goodbye; the crash being
@@ -115,7 +173,7 @@ func (c *soakChild) kill() {
 // shutdown path (drain, flush, snapshot) must finish with status 0.
 func (c *soakChild) terminate(deadline time.Time) error {
 	if err := c.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return fmt.Errorf("soak: SIGTERM: %w", err)
+		return fmt.Errorf("soak: SIGTERM %s: %w", c.url, err)
 	}
 	done := make(chan error, 1)
 	go func() { done <- c.cmd.Wait() }()
@@ -123,41 +181,25 @@ func (c *soakChild) terminate(deadline time.Time) error {
 	case err := <-done:
 		c.cmd = nil
 		if err != nil {
-			return fmt.Errorf("soak: server exited uncleanly after SIGTERM: %w", err)
+			return fmt.Errorf("soak: server %s exited uncleanly after SIGTERM: %w", c.url, err)
 		}
 		return nil
 	case <-time.After(time.Until(deadline)):
 		c.cmd.Process.Kill()
 		<-done
 		c.cmd = nil
-		return fmt.Errorf("soak: server did not exit within deadline after SIGTERM")
+		return fmt.Errorf("soak: server %s did not exit within deadline after SIGTERM", c.url)
 	}
 }
 
 // Soak runs the kill/restart soak. Any lost acknowledged job, query
-// divergence from the reference store, or unclean shutdown is an error.
+// divergence from the never-killed reference on any member, or unclean
+// shutdown is an error.
 func Soak(opts SoakOptions) (*SoakReport, error) {
 	if len(opts.ServerCmd) == 0 {
 		return nil, fmt.Errorf("soak: ServerCmd is required")
 	}
-	if opts.Jobs <= 0 {
-		opts.Jobs = 200
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = 4
-	}
-	if opts.Cycles <= 0 {
-		opts.Cycles = 3
-	}
-	if opts.CompactEvery == 0 {
-		opts.CompactEvery = 32
-	}
-	if opts.Timeout <= 0 {
-		opts.Timeout = 120 * time.Second
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 2011
-	}
+	opts.setDefaults()
 	logf := opts.Logf
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -173,21 +215,23 @@ func Soak(opts SoakOptions) (*SoakReport, error) {
 	}
 	start := time.Now()
 	deadline := start.Add(opts.Timeout)
-	rep := &SoakReport{Jobs: opts.Jobs}
+	rep := &SoakReport{Members: opts.Members, Replicas: opts.Replicas, Jobs: opts.Jobs}
 
-	// Reserve a port for the child (and its restarts) by binding and
-	// releasing it; Go listeners set SO_REUSEADDR, so the rebinds race
-	// nothing but our own dead process.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return rep, err
+	// Reserve one port per member by binding and releasing it; Go
+	// listeners set SO_REUSEADDR, so the rebinds race nothing but our
+	// own dead children.
+	urls := make([]string, opts.Members)
+	for i := range urls {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return rep, err
+		}
+		urls[i] = "http://" + ln.Addr().String()
+		ln.Close()
 	}
-	addr := ln.Addr().String()
-	ln.Close()
-	base := "http://" + addr
 
-	// Render the corpus once: the same bytes go to the child and the
-	// in-process reference store.
+	// Render the corpus once: the same bytes go to the children and the
+	// in-process single-node reference store.
 	type doc struct {
 		xml  []byte
 		id   string
@@ -208,26 +252,36 @@ func Soak(opts SoakOptions) (*SoakReport, error) {
 		}
 	}
 
-	cmd := append(append([]string{}, opts.ServerCmd...),
-		"-compact-every", fmt.Sprint(opts.CompactEvery), "-snapshot-on-exit")
-	child := &soakChild{argv: cmd, addr: addr, wal: filepath.Join(dir, "soak.wal")}
-	if err := child.start(); err != nil {
-		return rep, err
+	children := make([]*soakChild, opts.Members)
+	for i := range children {
+		children[i] = &soakChild{argv: opts.memberArgv(i, urls, dir), url: urls[i]}
 	}
 	defer func() {
-		if child.cmd != nil {
-			child.kill()
+		for _, c := range children {
+			if c.cmd != nil {
+				c.kill()
+			}
 		}
 	}()
-	if err := child.waitReady(deadline); err != nil {
-		return rep, err
+	for _, c := range children {
+		if err := c.start(); err != nil {
+			return rep, err
+		}
 	}
-	logf("soak: serving on %s (wal %s), %d jobs, %d workers, %d kill cycles",
-		base, child.wal, opts.Jobs, opts.Workers, opts.Cycles)
+	for _, c := range children {
+		if err := c.waitReady(deadline); err != nil {
+			return rep, err
+		}
+	}
+	logf("soak: %d member(s) on %s (replicas=%d), %d jobs, %d workers, %d kill cycles",
+		opts.Members, strings.Join(urls, ","), opts.Replicas, opts.Jobs, opts.Workers, opts.Cycles)
 
 	// Ingest workers: each owns a shard of the corpus and retries every
-	// document until the server acks it — riding out the kill windows.
-	// Acked ids are recorded only on a 2xx: the zero-loss gate below is
+	// document until some member acks it, rotating the router per round
+	// so a dead member never wedges a worker. A 503+Retry-After (a
+	// router short of write quorum) is not waited out inside the
+	// Poster: it falls through to the next router after 25 ms. Acked
+	// ids are recorded only on a 2xx: the zero-loss gate below is
 	// exactly "acked implies present after recovery".
 	var (
 		acked   atomic.Int64
@@ -241,14 +295,18 @@ func Soak(opts SoakOptions) (*SoakReport, error) {
 		workers.Add(1)
 		go func(w int) {
 			defer workers.Done()
-			poster := &Poster{
-				URL: base,
-				Policy: faultsim.RetryPolicy{
-					MaxAttempts: 2,
-					Backoff:     faultsim.Dur(10 * time.Millisecond),
-					MaxBackoff:  faultsim.Dur(100 * time.Millisecond),
-				},
-				Client: &http.Client{Timeout: 5 * time.Second},
+			posters := make([]*Poster, opts.Members)
+			for m := range posters {
+				posters[m] = &Poster{
+					URL: urls[m],
+					Policy: faultsim.RetryPolicy{
+						MaxAttempts: 2,
+						Backoff:     faultsim.Dur(10 * time.Millisecond),
+						MaxBackoff:  faultsim.Dur(100 * time.Millisecond),
+					},
+					ReadOnlyAttempts: 1,
+					Client:           &http.Client{Timeout: 5 * time.Second},
+				}
 			}
 			for i := w; i < len(docs); i += opts.Workers {
 				d := docs[i]
@@ -258,12 +316,12 @@ func Soak(opts SoakOptions) (*SoakReport, error) {
 						errc <- fmt.Errorf("soak: deadline while ingesting job %d", i)
 						return
 					}
-					_, err := poster.PostXML(d.xml, d.id, d.tags)
+					_, err := posters[(i+rounds)%opts.Members].PostXML(d.xml, d.id, d.tags)
 					if err == nil {
 						break
 					}
 					rounds++
-					time.Sleep(25 * time.Millisecond) // server is restarting
+					time.Sleep(25 * time.Millisecond) // a member is restarting
 				}
 				if rounds > 0 {
 					retried.Add(1)
@@ -276,9 +334,9 @@ func Soak(opts SoakOptions) (*SoakReport, error) {
 		}(w)
 	}
 
-	// Killer: SIGKILL the child each time the ack stream crosses the
-	// next threshold — evenly spaced so every cycle lands mid-ingest —
-	// then restart it and let recovery replay snapshot + WAL.
+	// Killer: SIGKILL a rotating victim each time the ack stream
+	// crosses the next threshold — evenly spaced so every cycle lands
+	// mid-ingest — then restart it and let recovery replay its WAL.
 	killerDone := make(chan struct{})
 	go func() {
 		defer close(killerDone)
@@ -291,14 +349,15 @@ func Soak(opts SoakOptions) (*SoakReport, error) {
 				}
 				time.Sleep(5 * time.Millisecond)
 			}
-			logf("soak: cycle %d/%d: SIGKILL at %d acked job(s)", c, opts.Cycles, acked.Load())
-			child.kill()
+			victim := (c - 1) % opts.Members
+			logf("soak: cycle %d/%d: SIGKILL member %d at %d acked job(s)", c, opts.Cycles, victim, acked.Load())
+			children[victim].kill()
 			rep.Kills++
-			if err := child.start(); err != nil {
+			if err := children[victim].start(); err != nil {
 				errc <- err
 				return
 			}
-			if err := child.waitReady(deadline); err != nil {
+			if err := children[victim].waitReady(deadline); err != nil {
 				errc <- err
 				return
 			}
@@ -316,46 +375,58 @@ func Soak(opts SoakOptions) (*SoakReport, error) {
 	default:
 	}
 
-	// Graceful exit under SIGTERM, then one more cold recovery: the
-	// verified corpus below has survived both crash and clean shutdown.
-	if err := child.terminate(deadline); err != nil {
-		return rep, err
-	}
-	if err := child.start(); err != nil {
-		return rep, err
-	}
-	if err := child.waitReady(deadline); err != nil {
-		return rep, err
-	}
-	rep.Restarts++
-
-	// Gate 1: zero lost acknowledged jobs.
-	jobsBody, err := httpGet(base + "/jobs")
-	if err != nil {
-		return rep, err
-	}
-	var metas []JobMeta
-	if err := json.Unmarshal(jobsBody, &metas); err != nil {
-		return rep, fmt.Errorf("soak: decoding /jobs: %w", err)
-	}
-	present := make(map[string]bool, len(metas))
-	for _, m := range metas {
-		present[m.ID] = true
-	}
-	lost := 0
-	for id := range ackedID {
-		if !present[id] {
-			lost++
+	// Graceful exit of every member under SIGTERM, then one more cold
+	// recovery of each: the verified corpus below has survived both
+	// crash and clean shutdown on every shard.
+	for _, c := range children {
+		if err := c.terminate(deadline); err != nil {
+			return rep, err
 		}
 	}
-	if lost > 0 {
-		return rep, fmt.Errorf("soak: %d acknowledged job(s) lost across %d kill(s)", lost, rep.Kills)
+	for _, c := range children {
+		if err := c.start(); err != nil {
+			return rep, err
+		}
 	}
-	if len(metas) != opts.Jobs {
-		return rep, fmt.Errorf("soak: recovered corpus holds %d jobs, want %d", len(metas), opts.Jobs)
+	for _, c := range children {
+		if err := c.waitReady(deadline); err != nil {
+			return rep, err
+		}
+	}
+	rep.Restarts += opts.Members
+
+	// Gate 1: zero lost acknowledged jobs, asked through every member
+	// (cluster scatter-gather reads are strict, so a 200 also proves
+	// every member answered).
+	for m, u := range urls {
+		jobsBody, err := httpGet(u + "/jobs")
+		if err != nil {
+			return rep, fmt.Errorf("soak: member %d: %w", m, err)
+		}
+		var metas []JobMeta
+		if err := json.Unmarshal(jobsBody, &metas); err != nil {
+			return rep, fmt.Errorf("soak: decoding /jobs from member %d: %w", m, err)
+		}
+		present := make(map[string]bool, len(metas))
+		for _, meta := range metas {
+			present[meta.ID] = true
+		}
+		lost := 0
+		for id := range ackedID {
+			if !present[id] {
+				lost++
+			}
+		}
+		if lost > 0 {
+			return rep, fmt.Errorf("soak: member %d: %d acknowledged job(s) lost across %d kill(s)", m, lost, rep.Kills)
+		}
+		if len(metas) != opts.Jobs {
+			return rep, fmt.Errorf("soak: member %d sees %d jobs, want %d", m, len(metas), opts.Jobs)
+		}
 	}
 
-	// Gate 2: byte-identical queries versus the never-killed reference.
+	// Gate 2: byte-identical queries from every member versus the
+	// never-killed single-node reference.
 	refSrv := NewServer(ref, telemetry.NewRegistry())
 	refLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -370,30 +441,31 @@ func Soak(opts SoakOptions) (*SoakReport, error) {
 		"/jobs",
 		"/regress?base=tag:batch:0&head=tag:batch:1&threshold=5",
 	} {
-		got, err := httpGet(base + q)
-		if err != nil {
-			return rep, err
-		}
 		want, err := httpGet(refBase + q)
 		if err != nil {
 			return rep, err
 		}
-		if !bytes.Equal(got, want) {
-			return rep, fmt.Errorf("soak: %s differs from the never-killed reference (%d vs %d bytes)", q, len(got), len(want))
+		for m, u := range urls {
+			got, err := httpGet(u + q)
+			if err != nil {
+				return rep, fmt.Errorf("soak: member %d: %w", m, err)
+			}
+			if !bytes.Equal(got, want) {
+				return rep, fmt.Errorf("soak: %s from member %d differs from the never-killed reference (%d vs %d bytes)", q, m, len(got), len(want))
+			}
 		}
-		if q == "/jobs" {
-			continue
-		}
-		if rep.AggBytes == 0 {
-			rep.AggBytes = len(got)
+		if strings.HasPrefix(q, "/agg") {
+			rep.AggBytes = len(want)
 		}
 	}
 
-	if err := child.terminate(deadline); err != nil {
-		return rep, err
+	for _, c := range children {
+		if err := c.terminate(deadline); err != nil {
+			return rep, err
+		}
 	}
 	rep.Elapsed = time.Since(start)
-	logf("soak: ok — %d jobs acked (%d retried through kill windows), %d kills, %d restarts, queries byte-identical, in %v",
-		rep.Acked, rep.Retried, rep.Kills, rep.Restarts, rep.Elapsed.Round(time.Millisecond))
+	logf("soak: ok — %d jobs acked (%d retried through kill windows), %d kills, %d restarts, queries byte-identical on all %d member(s), in %v",
+		rep.Acked, rep.Retried, rep.Kills, rep.Restarts, opts.Members, rep.Elapsed.Round(time.Millisecond))
 	return rep, nil
 }
