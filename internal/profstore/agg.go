@@ -147,52 +147,51 @@ func aggregateJobs(jobs []*Job, opts AggOptions) *AggReport {
 	var wall, gpu, xfer, idle, mpi, stall time.Duration
 	var energyNJ int64
 	for _, job := range jobs {
-		ro := job.roll()
 		rep.Ranks += job.Ranks
-		rep.LostRanks += ro.lostRanks
+		rep.LostRanks += job.Lost
 		if job.Salvaged {
 			rep.Salvaged++
 		}
-		wall += ro.wall
-		gpu += ro.gpu
-		xfer += ro.xfer
-		idle += ro.idle
-		mpi += ro.mpi
-		stall += ro.stall
-		if ro.energy != 0 {
-			energyNJ += ro.energy
+		wall += time.Duration(job.Wall)
+		gpu += time.Duration(job.GPU)
+		xfer += time.Duration(job.Xfer)
+		idle += time.Duration(job.Idle)
+		mpi += time.Duration(job.MPI)
+		stall += time.Duration(job.Stall)
+		if job.Energy != 0 {
+			energyNJ += job.Energy
 			je := JobEnergyAgg{
 				Job: job.ID, Ranks: job.Ranks,
-				EnergyJoules: float64(ro.energy) / 1e9,
+				EnergyJoules: float64(job.Energy) / 1e9,
 			}
 			if job.Ranks > 0 {
 				je.PerRankJoules = je.EnergyJoules / float64(job.Ranks)
 			}
 			rep.JobEnergy = append(rep.JobEnergy, je)
 		}
-		for name, st := range ro.sites {
-			acc, ok := sites[name]
+		for _, row := range job.Sites {
+			acc, ok := sites[row.Name]
 			if !ok {
 				acc = &ipm.Stats{}
-				sites[name] = acc
+				sites[row.Name] = acc
 			}
-			acc.Merge(st)
+			acc.Merge(row.stats())
 		}
-		for k, st := range ro.kernels {
-			acc, ok := kernels[k]
+		for _, row := range job.Kernels {
+			acc, ok := kernels[row.Name]
 			if !ok {
 				acc = &ipm.Stats{}
-				kernels[k] = acc
+				kernels[row.Name] = acc
 			}
-			acc.Merge(st)
+			acc.Merge(row.stats())
 		}
 		// Per-rank imbalance (max/avg) per call site, worst job wins.
 		// Jobs arrive sorted by id (Select) and each rollup lists every
 		// site once, so this reproduces the original walk exactly.
-		for _, ia := range ro.imb {
+		for _, ia := range job.Imb {
 			w, ok := worst[ia.Name]
 			if !ok || ia.MaxOverAvg > w.MaxOverAvg || (ia.MaxOverAvg == w.MaxOverAvg && ia.WorstJob < w.WorstJob) {
-				worst[ia.Name] = ia
+				worst[ia.Name] = ImbalanceAgg(ia)
 			}
 		}
 	}

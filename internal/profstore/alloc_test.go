@@ -6,15 +6,17 @@ import (
 	"testing"
 
 	"ipmgo/internal/alloctest"
+	"ipmgo/internal/ipm"
 )
 
 // TestIngestSteadyStateAllocs pins the streaming ingest allocation
 // budget. The scratch pool and interned-name cache make a warmed-up
 // ingest nearly allocation-free: what remains is the Job value, the
-// retained raw copy of the document, the tag slice and the rollup's
-// output maps. The bound is deliberately loose (the measured figure is
-// ~17) but far below the ~1100 allocs/op of the DOM route — a
-// regression back to per-token boxing trips it immediately.
+// retained raw copy of the document, the tag slice, the rollup's three
+// row slices and the scanner's four per-document allocations. The bound
+// is deliberately loose (the measured figure is 9) but far below the
+// ~1100 allocs/op of the DOM route — a regression back to per-token
+// boxing trips it immediately.
 //
 // Excluded under -race: the race runtime adds bookkeeping allocations
 // that would make the pin meaningless.
@@ -35,6 +37,34 @@ func TestIngestSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+var wireJobSink *Job
+
+// TestRollupBuildAllocs pins a job's rollup to its three row slices:
+// building it from a scanned multi-rank document allocates the
+// call-site, kernel and imbalance rows and nothing else, and rebuilding a
+// job from its wire image allocates the Job alone.
+func TestRollupBuildAllocs(t *testing.T) {
+	sink := newRollupSink()
+	sink.reset()
+	var rep ipm.ParseReport
+	if ok, err := ipm.ScanXMLTolerant(syntheticXML(t, 42, 0), sink, &rep); !ok || err != nil {
+		t.Fatalf("scan: ok=%v err=%v", ok, err)
+	}
+	var w WireJob
+	build := func() { w = sink.build("j") }
+	build()
+	if sink.tasks < 2 || len(w.Sites) == 0 || len(w.Kernels) == 0 || len(w.Imb) == 0 {
+		t.Fatalf("document has %d ranks, %d sites, %d kernels, %d imbalance rows; want > 1, > 0, > 0, > 0",
+			sink.tasks, len(w.Sites), len(w.Kernels), len(w.Imb))
+	}
+	if got := testing.AllocsPerRun(200, build); got > 3 {
+		t.Errorf("rollupSink.build: %.1f allocs/job, want <= 3", got)
+	}
+	if got := testing.AllocsPerRun(200, func() { wireJobSink = w.Job() }); got != 1 {
+		t.Errorf("WireJob.Job: %.1f allocs/job, want 1", got)
+	}
+}
+
 // A memo hit allocates nothing: the op behind BenchmarkProfstoreAggCached.
 func TestAggCachedZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, aggCachedOp(t)); allocs != 0 {
@@ -46,7 +76,7 @@ func TestAggCachedZeroAlloc(t *testing.T) {
 // when the pins were taken (the figures below), within 30 %.
 func TestStoreBenchmarkAllocs(t *testing.T) {
 	stream, _ := ingestStreamOp(t)
-	alloctest.Pin(t, "ProfstoreIngest", 1000, ingestOp(t), 17, 8330)
-	alloctest.Pin(t, "ProfstoreIngestStream", 20, stream, 961, 526892)
+	alloctest.Pin(t, "ProfstoreIngest", 1000, ingestOp(t), 11, 7098)
+	alloctest.Pin(t, "ProfstoreIngestStream", 20, stream, 577, 448034)
 	alloctest.Pin(t, "ProfstoreAgg", 200, aggOp(t), 37, 5872)
 }

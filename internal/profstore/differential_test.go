@@ -12,7 +12,7 @@ import (
 )
 
 // This file pins the streaming fast path to its semantic reference: for
-// every input the scanner accepts, the event-stream rollup, the salvage
+// every input the scanner accepts, the encoded rollup, the salvage
 // report and the store-level ingest result must be identical to the
 // ParseXMLTolerant + computeRollup route. The same harness backs
 // FuzzScanVsParse.
@@ -94,42 +94,67 @@ func diffScan(t testing.TB, data []byte) bool {
 	if sink.tasks != len(jp.Ranks) {
 		t.Fatalf("tasks %d vs %d ranks\ninput: %q", sink.tasks, len(jp.Ranks), data)
 	}
-	got := sink.build("j")
-	want := computeRollup(jp, "j")
-	if !rollupEqual(got, want) {
-		t.Fatalf("rollup diverges\nscan:  %+v\nparse: %+v\ninput: %q", got, want, data)
+	got, gerr := EncodeWireJobs([]WireJob{sink.build("j")})
+	want, werr := EncodeWireJobs([]WireJob{computeRollup(jp, "j")})
+	if gerr != nil || werr != nil || !bytes.Equal(got, want) {
+		t.Fatalf("rollup diverges (errors %v, %v)\nscan:  %s\nparse: %s\ninput: %q", gerr, werr, got, want, data)
 	}
 	return true
 }
 
-// rollupEqual compares two rollups field by field; empty and nil maps
-// and imbalance slices are interchangeable.
-func rollupEqual(a, b *rollup) bool {
-	if a.wall != b.wall || a.gpu != b.gpu || a.xfer != b.xfer ||
-		a.idle != b.idle || a.mpi != b.mpi || a.stall != b.stall ||
-		a.energy != b.energy || a.lostRanks != b.lostRanks {
-		return false
+// mergeDoc holds the two merges a job's rows make: kernel k runs on two
+// streams (@CUDA_EXEC_STRM00:k, @CUDA_EXEC_STRM01:k) and MPI_Send is
+// called in two regions, so the job has one kernel row and one MPI_Send
+// row. No other fixture has either case.
+const mergeDoc = `<?xml version="1.0" encoding="UTF-8"?>
+<ipm_log version="2.0" command="./merge" ntasks="2" nhosts="1" wallclock="2.0">
+  <task mpi_rank="0" host="n1" wallclock="2.0">
+    <region name="ipm_global">
+      <func name="MPI_Send" bytes="8" count="2" ttot="0.3" tmin="0.1" tmax="0.2"></func>
+      <func name="@CUDA_EXEC_STRM00:k" bytes="0" count="4" ttot="0.4" tmin="0.05" tmax="0.15"></func>
+    </region>
+    <region name="solve">
+      <func name="MPI_Send" bytes="8" count="1" ttot="0.05" tmin="0.05" tmax="0.05"></func>
+      <func name="@CUDA_EXEC_STRM01:k" bytes="0" count="2" ttot="0.5" tmin="0.2" tmax="0.3"></func>
+    </region>
+  </task>
+  <task mpi_rank="1" host="n1" wallclock="1.5">
+    <region name="ipm_global">
+      <func name="@CUDA_EXEC_STRM01:k" bytes="0" count="1" ttot="0.25" tmin="0.25" tmax="0.25"></func>
+    </region>
+  </task>
+</ipm_log>
+`
+
+// TestRollupMergesRows: on both ingest paths, a kernel seen on two
+// streams is one kernel row and a call site seen in two regions is one
+// site row, each carrying the merged stats.
+func TestRollupMergesRows(t *testing.T) {
+	if !diffScan(t, []byte(mergeDoc)) {
+		t.Fatal("scanner bailed on the merge document")
 	}
-	if len(a.sites) != len(b.sites) || len(a.kernels) != len(b.kernels) ||
-		len(a.imb) != len(b.imb) {
-		return false
-	}
-	for k, v := range a.sites {
-		if b.sites[k] != v {
-			return false
+	for _, forceDOM := range []bool{false, true} {
+		s := New()
+		s.forceDOM = forceDOM
+		job, err := s.Ingest([]byte(mergeDoc), "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := WireStats{Count: 7, Total: 1150e6, Min: 50e6, Max: 300e6}
+		if len(job.Kernels) != 1 || job.Kernels[0] != (WireSite{Name: "k", WireStats: want}) {
+			t.Errorf("forceDOM=%v: kernel rows %+v, want one row k %+v", forceDOM, job.Kernels, want)
+		}
+		var send []WireSite
+		for _, row := range job.Sites {
+			if row.Name == "MPI_Send" {
+				send = append(send, row)
+			}
+		}
+		want = WireStats{Count: 3, Total: 350e6, Min: 50e6, Max: 200e6}
+		if len(send) != 1 || send[0].WireStats != want {
+			t.Errorf("forceDOM=%v: MPI_Send rows %+v, want one row %+v", forceDOM, send, want)
 		}
 	}
-	for k, v := range a.kernels {
-		if b.kernels[k] != v {
-			return false
-		}
-	}
-	for i, v := range a.imb {
-		if b.imb[i] != v {
-			return false
-		}
-	}
-	return true
 }
 
 // diffStore ingests the same document into a streaming store and a

@@ -2,6 +2,7 @@ package profstore
 
 import (
 	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -299,26 +300,43 @@ func isGPUExecB(b []byte) bool {
 	return hasPrefixB(b, "@CUDA_EXEC_STRM") && !containsB(b, ":")
 }
 
-// build materializes the accumulated state into the immutable rollup,
-// byte-identical to computeRollup over the equivalent JobProfile.
-func (k *rollupSink) build(jobID string) *rollup {
-	ro := &rollup{
-		wall: k.wall, gpu: k.gpu, xfer: k.xfer, idle: k.idle, mpi: k.mpi,
-		stall:     k.stall,
-		energy:    k.energy,
-		lostRanks: k.lostRanks,
-		sites:     make(map[string]ipm.Stats),
-		kernels:   make(map[string]ipm.Stats),
+// build materializes the accumulated state into the rollup fields of a
+// wire image, byte-identical to computeRollup over the equivalent
+// JobProfile. It allocates the three row slices and nothing else.
+func (k *rollupSink) build(jobID string) WireJob {
+	w := WireJob{
+		Lost: k.lostRanks,
+		Wall: int64(k.wall), GPU: int64(k.gpu), Xfer: int64(k.xfer),
+		Idle: int64(k.idle), MPI: int64(k.mpi), Stall: int64(k.stall),
+		Energy: k.energy,
 	}
+	// Call sites (kernel "") first, by name; then the per-kernel entries.
+	slices.SortFunc(k.list, func(a, b *nameAcc) int {
+		if c := strings.Compare(a.kernel, b.kernel); c != 0 {
+			return c
+		}
+		return strings.Compare(a.name, b.name)
+	})
+	nsites := 0
 	for _, acc := range k.list {
 		acc.fold()
-		if acc.kernel != "" {
-			st := ro.kernels[acc.kernel]
-			st.Merge(acc.merged)
-			ro.kernels[acc.kernel] = st
-			continue
+		if acc.kernel == "" {
+			nsites++
 		}
-		ro.sites[acc.name] = acc.merged
+	}
+	if nsites > 0 {
+		w.Sites = make([]WireSite, nsites)
+		for i, acc := range k.list[:nsites] {
+			w.Sites[i] = WireSite{Name: acc.name, WireStats: toWireStats(acc.merged)}
+		}
+	}
+	if n := len(k.list) - nsites; n > 0 {
+		// One kernel on several streams is one row.
+		w.Kernels = make([]WireSite, n)
+		for i, acc := range k.list[nsites:] {
+			w.Kernels[i] = WireSite{Name: acc.kernel, WireStats: toWireStats(acc.merged)}
+		}
+		w.Kernels = foldRows(w.Kernels)
 	}
 	if k.tasks > 1 {
 		// FuncTotals order: merged total descending, then name — the
@@ -338,7 +356,8 @@ func (k *rollupSink) build(jobID string) *rollup {
 			}
 			return 0
 		})
-		for _, acc := range k.list {
+		w.Imb = make([]WireImb, len(k.list))
+		for i, acc := range k.list {
 			// spreadOf over per-rank FuncTime: ranks without the name
 			// contribute zeros, so the max is clamped at zero when any
 			// rank missed it.
@@ -351,12 +370,10 @@ func (k *rollupSink) build(jobID string) *rollup {
 			if avg != 0 {
 				mo = float64(max) / float64(avg)
 			}
-			ro.imb = append(ro.imb, ImbalanceAgg{
-				Name: acc.name, MaxOverAvg: mo, WorstJob: jobID,
-			})
+			w.Imb[i] = WireImb{Name: acc.name, MaxOverAvg: mo, WorstJob: jobID}
 		}
 	}
-	return ro
+	return w
 }
 
 // ingestScratch is the pooled per-ingest working set: the sink, the

@@ -40,7 +40,7 @@ type Corpus interface {
 
 // memoKey identifies one cacheable query.
 type memoKey struct {
-	kind string // "agg", "regress" or "wire"
+	kind string // "agg" or "regress"
 	a, b string // selectors
 	n    int    // TopN (agg)
 	th   float64

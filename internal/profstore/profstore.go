@@ -61,15 +61,11 @@ type WriteSyncer interface {
 	Sync() error
 }
 
-// Job is one ingested profile with its store metadata.
+// Job is one ingested profile: its wire image — the store metadata and
+// the rollup, computed once at ingest and immutable afterwards (see
+// rollup.go and wire.go) — and the document behind Profile.
 type Job struct {
-	ID       string   // deterministic: caller-supplied or content hash
-	Tags     []string // sorted, deduplicated
-	Command  string   // from the profile header
-	Salvaged bool     // tolerant parse made concessions
-	Warnings int      // number of parse warnings recorded
-	Ranks    int      // rank snapshots recovered
-	Bytes    int      // size of the ingested XML document
+	WireJob
 
 	// The streaming ingest path never builds the JobProfile DOM; it
 	// retains the raw document instead and Profile() parses it lazily on
@@ -78,10 +74,6 @@ type Job struct {
 	raw      []byte
 	profOnce sync.Once
 	prof     *ipm.JobProfile
-
-	// rollup is the per-job pre-aggregation, computed once at ingest and
-	// immutable afterwards (see rollup.go).
-	rollup *rollup
 }
 
 // Profile returns the job's full DOM profile, parsing the retained
@@ -94,9 +86,9 @@ func (j *Job) Profile() *ipm.JobProfile {
 		}
 		jp, _, err := ipm.ParseXMLTolerant(bytes.NewReader(j.raw))
 		if err != nil {
-			// Unreachable for documents the streaming scanner accepted
-			// (it found the ipm_log root); keep a usable zero profile
-			// rather than a nil deref if that invariant ever breaks.
+			// A job rebuilt from its wire image has no document and
+			// gets an empty profile. Unreachable otherwise: the
+			// streaming scanner found the ipm_log root.
 			jp = ipm.NewJobProfile(j.Command, 0, nil)
 		}
 		j.prof = jp
@@ -511,12 +503,9 @@ func (s *Store) ingest(xml []byte, id string, tags []string, logIt bool) (*Job, 
 	}
 
 	var (
-		ro       *rollup
-		jp       *ipm.JobProfile
-		command  string
-		salvaged bool
-		warnings int
-		nranks   int
+		w   WireJob
+		jp  *ipm.JobProfile
+		rep *ipm.ParseReport
 	)
 	if clean {
 		sc.sink.reset()
@@ -525,38 +514,25 @@ func (s *Store) ingest(xml []byte, id string, tags []string, logIt bool) (*Job, 
 			if serr != nil {
 				return nil, fmt.Errorf("profstore: ingest: %w", serr)
 			}
-			ro = sc.sink.build(id)
-			command = sc.sink.command
-			warnings = len(sc.rep.Warnings)
-			salvaged = sc.rep.Truncated || warnings > 0
-			nranks = sc.sink.tasks
+			w = sc.sink.build(id)
+			w.Command, w.Ranks = sc.sink.command, sc.sink.tasks
+			rep = &sc.rep
 		}
 	}
-	if ro == nil {
-		var rep *ipm.ParseReport
+	if rep == nil {
 		var err error
 		jp, rep, err = ipm.ParseXMLTolerant(bytes.NewReader(xml))
 		if err != nil {
 			return nil, fmt.Errorf("profstore: ingest: %w", err)
 		}
-		ro = computeRollup(jp, id)
-		command = jp.Command
-		warnings = len(rep.Warnings)
-		salvaged = rep.Truncated || warnings > 0
-		nranks = len(jp.Ranks)
+		w = computeRollup(jp, id)
+		w.Command, w.Ranks = jp.Command, len(jp.Ranks)
 	}
+	w.ID, w.Tags, w.Bytes = id, normTags(tags), len(xml)
+	w.Warnings = len(rep.Warnings)
+	w.Salvaged = rep.Truncated || w.Warnings > 0
 
-	job := &Job{
-		ID:       id,
-		Tags:     normTags(tags),
-		Command:  command,
-		Salvaged: salvaged,
-		Warnings: warnings,
-		Ranks:    nranks,
-		Bytes:    len(xml),
-		prof:     jp,
-		rollup:   ro,
-	}
+	job := &Job{WireJob: w, prof: jp}
 	if jp == nil {
 		// Streaming path: keep the raw bytes for the lazy DOM parse.
 		job.raw = append([]byte(nil), xml...)

@@ -58,10 +58,10 @@ type RegressReport struct {
 func siteTotals(jobs []*Job) map[string]ipm.Stats {
 	out := make(map[string]ipm.Stats)
 	for _, job := range jobs {
-		for name, st := range job.roll().sites {
-			cur := out[name]
-			cur.Merge(st)
-			out[name] = cur
+		for _, row := range job.Sites {
+			cur := out[row.Name]
+			cur.Merge(row.stats())
+			out[row.Name] = cur
 		}
 	}
 	return out

@@ -1,104 +1,92 @@
 package profstore
 
 import (
-	"time"
+	"slices"
+	"strings"
 
 	"ipmgo/internal/ipm"
 )
 
-// rollup is the per-job pre-aggregation computed once at ingest: every
-// quantity Aggregate and Regress need from a job, reduced from the
-// per-rank entry walk to a handful of maps. Because ipm.Stats.Merge is
-// commutative and associative (integer sums plus zero-count-guarded
-// min/max) and every float in a report is derived only after the final
-// integer merge, merging rollups job-by-job is byte-identical to the
-// original walk over every rank entry — in any merge order.
+// A job's rollup is the per-job pre-aggregation computed once at ingest:
+// every quantity Aggregate and Regress need from a job, reduced from the
+// per-rank entry walk to the rollup fields of its WireJob — the scalar
+// sums, the call-site and kernel rows sorted by name and the imbalance
+// rows in FuncTotals order. Because ipm.Stats.Merge is commutative and
+// associative (integer sums plus zero-count-guarded min/max) and every
+// float in a report is derived only after the final integer merge,
+// merging rollups job-by-job is byte-identical to the original walk over
+// every rank entry — in any merge order.
 //
 // A rollup is immutable once built; concurrent aggregations may read it
 // without locking.
-type rollup struct {
-	wall  time.Duration // summed rank wallclock
-	gpu   time.Duration // @CUDA_EXEC_STRMxx stream totals
-	xfer  time.Duration // host-side Memcpy/Memset call-site totals
-	idle  time.Duration // @CUDA_HOST_IDLE
-	mpi   time.Duration // DomainMPI call sites
-	stall time.Duration // command-queue submit stall summed over ranks
 
-	// energy is the job's attributed device energy in integer
-	// nanojoules, summed over ranks; zero for jobs from unpowered runs.
-	energy int64
-
-	lostRanks int
-
-	// sites accumulates per call-site stats with per-kernel pseudo
-	// entries excluded — the exact filter Aggregate's call-site table and
-	// Regress's siteTotals share.
-	sites map[string]ipm.Stats
-	// kernels accumulates the per-kernel pseudo entries
-	// (@CUDA_EXEC_STRMxx:kernel) by kernel name.
-	kernels map[string]ipm.Stats
-	// imb is the per call-site imbalance (max/avg over ranks), one row
-	// per distinct site, in FuncTotals order. Empty for single-rank jobs,
-	// which carry no balance information.
-	imb []ImbalanceAgg
-}
-
-// computeRollup reduces one job profile. jobID labels the imbalance rows.
-func computeRollup(jp *ipm.JobProfile, jobID string) *rollup {
-	ro := &rollup{
-		sites:   make(map[string]ipm.Stats),
-		kernels: make(map[string]ipm.Stats),
-	}
+// computeRollup reduces one job profile to the rollup fields of its wire
+// image; the metadata fields are left zero. jobID labels the imbalance
+// rows. It is ingest's DOM fallback and the reference the streaming
+// rollupSink is tested against.
+func computeRollup(jp *ipm.JobProfile, jobID string) WireJob {
+	var w WireJob
+	var sites, kernels []WireSite
 	for _, r := range jp.Ranks {
-		ro.wall += r.Wallclock
-		ro.stall += r.SubmitStall
-		ro.energy += r.Energy
+		w.Wall += int64(r.Wallclock)
+		w.Stall += int64(r.SubmitStall)
+		w.Energy += r.Energy
 		if r.Lost {
-			ro.lostRanks++
+			w.Lost++
 		}
 		for _, e := range r.Entries {
 			name := e.Sig.Name
+			total := int64(e.Stats.Total)
 			switch {
 			case isGPUExec(name):
-				ro.gpu += e.Stats.Total
+				w.GPU += total
 			case name == ipm.HostIdleName:
-				ro.idle += e.Stats.Total
+				w.Idle += total
 			case e.Sig.Pseudo():
 				// Per-kernel pseudo entries are tallied below; other
 				// pseudo entries only appear in the call-site table.
 			case isTransfer(name):
-				ro.xfer += e.Stats.Total
+				w.Xfer += total
 			}
 			if ipm.Classify(name) == ipm.DomainMPI {
-				ro.mpi += e.Stats.Total
+				w.MPI += total
 			}
+			row := WireSite{Name: name, WireStats: toWireStats(e.Stats)}
 			if k := kernelOf(name); k != "" {
-				st := ro.kernels[k]
-				st.Merge(e.Stats)
-				ro.kernels[k] = st
+				row.Name = k
+				kernels = append(kernels, row)
 				continue // per-kernel entries double the stream totals; keep them out of call sites
 			}
-			st := ro.sites[name]
-			st.Merge(e.Stats)
-			ro.sites[name] = st
+			sites = append(sites, row)
 		}
 	}
+	// One row per entry until folded: copy the folded rows out so the
+	// job does not keep the per-entry arrays.
+	w.Sites, w.Kernels = slices.Clone(foldRows(sites)), slices.Clone(foldRows(kernels))
 	if len(jp.Ranks) > 1 {
 		for _, ft := range jp.FuncTotals() {
-			ro.imb = append(ro.imb, ImbalanceAgg{
+			w.Imb = append(w.Imb, WireImb{
 				Name: ft.Name, MaxOverAvg: jp.Imbalance(ft.Name), WorstJob: jobID,
 			})
 		}
 	}
-	return ro
+	return w
 }
 
-// roll returns the job's rollup, computing one on the fly (without
-// caching, to stay race-free on shared Jobs) for jobs that were built
-// outside Store.ingest.
-func (j *Job) roll() *rollup {
-	if j.rollup != nil {
-		return j.rollup
+// foldRows merges the rows of each name into one, folding that name's
+// stats from zero in input order, and returns the merged rows sorted by
+// name, in place.
+func foldRows(rows []WireSite) []WireSite {
+	slices.SortStableFunc(rows, func(a, b WireSite) int { return strings.Compare(a.Name, b.Name) })
+	n := 0
+	for i := 0; i < len(rows); n++ {
+		var st ipm.Stats
+		j := i
+		for ; j < len(rows) && rows[j].Name == rows[i].Name; j++ {
+			st.Merge(rows[j].stats())
+		}
+		rows[n] = WireSite{Name: rows[i].Name, WireStats: toWireStats(st)}
+		i = j
 	}
-	return computeRollup(j.Profile(), j.ID)
+	return rows[:n]
 }

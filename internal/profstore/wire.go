@@ -9,13 +9,14 @@ import (
 	"ipmgo/internal/ipm"
 )
 
-// The shard rollup wire format: how a cluster member ships its local
-// per-job pre-aggregations to a scatter-gather router without ever
-// putting raw XML on the wire. One WireJob is the exact image of a
-// (*Job, *rollup) pair — every duration an integer nanosecond count,
-// every energy an integer nanojoule count, maps flattened to
-// name-sorted slices — so encode/decode round-trips losslessly and a
-// router that merges decoded WireJobs with AggregateJobs/RegressJobs
+// The wire image: the one shape a job's store metadata and rollup (see
+// rollup.go) take, in a member's memory and on the wire alike. Every
+// Job embeds its WireJob; every duration is an integer nanosecond count,
+// every energy an integer nanojoule count, and the call-site and kernel
+// rows are sorted by name, so a job has exactly one encoding. A member
+// ships its jobs to a scatter-gather router as these rows and never as
+// raw XML; decoding one back into a *Job is a single allocation, and a
+// router that merges decoded jobs with AggregateJobs/RegressJobs
 // produces byte-identical output to a single node holding the whole
 // corpus (FuzzRollupWire enforces exactly that).
 //
@@ -71,119 +72,51 @@ type WireImb struct {
 
 // WireJob is one job's store metadata plus its ingest-time rollup.
 type WireJob struct {
-	ID       string   `json:"id"`
-	Command  string   `json:"cmd,omitempty"`
-	Tags     []string `json:"tags,omitempty"`
-	Ranks    int      `json:"ranks,omitempty"`
-	Salvaged bool     `json:"salv,omitempty"`
-	Warnings int      `json:"warn,omitempty"`
-	Bytes    int      `json:"bytes,omitempty"`
-	Lost     int      `json:"lost,omitempty"`
+	ID       string   `json:"id"`              // deterministic: caller-supplied or content hash
+	Command  string   `json:"cmd,omitempty"`   // from the profile header
+	Tags     []string `json:"tags,omitempty"`  // sorted, deduplicated
+	Ranks    int      `json:"ranks,omitempty"` // rank snapshots recovered
+	Salvaged bool     `json:"salv,omitempty"`  // tolerant parse made concessions
+	Warnings int      `json:"warn,omitempty"`  // number of parse warnings recorded
+	Bytes    int      `json:"bytes,omitempty"` // size of the ingested XML document
+	Lost     int      `json:"lost,omitempty"`  // ranks that died mid-run
 
-	Wall   int64 `json:"w,omitempty"`
-	GPU    int64 `json:"g,omitempty"`
-	Xfer   int64 `json:"x,omitempty"`
-	Idle   int64 `json:"i,omitempty"`
-	MPI    int64 `json:"mpi,omitempty"`
-	Stall  int64 `json:"st,omitempty"`
+	// The rollup. Durations in nanoseconds, summed over ranks.
+	Wall  int64 `json:"w,omitempty"`   // rank wallclock
+	GPU   int64 `json:"g,omitempty"`   // @CUDA_EXEC_STRMxx stream totals
+	Xfer  int64 `json:"x,omitempty"`   // host-side Memcpy/Memset call-site totals
+	Idle  int64 `json:"i,omitempty"`   // @CUDA_HOST_IDLE
+	MPI   int64 `json:"mpi,omitempty"` // DomainMPI call sites
+	Stall int64 `json:"st,omitempty"`  // command-queue submit stall
+	// Energy is the attributed device energy in nanojoules, summed over
+	// ranks; zero for jobs from unpowered runs.
 	Energy int64 `json:"en,omitempty"`
 
-	// Sites and Kernels are the rollup maps flattened in name order (so
-	// the encoding of a job is canonical); Imb preserves the rollup's
-	// FuncTotals row order.
+	// Sites holds the per call-site stats with the per-kernel pseudo
+	// entries excluded — the exact filter Aggregate's call-site table and
+	// Regress's siteTotals share. Kernels holds those pseudo entries
+	// (@CUDA_EXEC_STRMxx:kernel) merged by kernel name across streams.
+	// Both are sorted by name, one row per name. Imb is the per call-site
+	// imbalance (max/avg over ranks), one row per distinct name, in
+	// FuncTotals order; empty for single-rank jobs, which carry no
+	// balance information.
 	Sites   []WireSite `json:"sites,omitempty"`
 	Kernels []WireSite `json:"kern,omitempty"`
 	Imb     []WireImb  `json:"imb,omitempty"`
 }
 
-func wireSites(m map[string]ipm.Stats) []WireSite {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]WireSite, 0, len(m))
-	for name, st := range m {
-		out = append(out, WireSite{Name: name, WireStats: toWireStats(st)})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-func sitesMap(ws []WireSite) map[string]ipm.Stats {
-	m := make(map[string]ipm.Stats, len(ws))
-	for _, w := range ws {
-		m[w.Name] = w.stats()
-	}
-	return m
-}
-
-// Wire converts the job to its wire image.
-func (j *Job) Wire() WireJob {
-	ro := j.roll()
-	w := WireJob{
-		ID: j.ID, Command: j.Command, Tags: j.Tags,
-		Ranks: j.Ranks, Salvaged: j.Salvaged, Warnings: j.Warnings,
-		Bytes: j.Bytes, Lost: ro.lostRanks,
-		Wall: int64(ro.wall), GPU: int64(ro.gpu), Xfer: int64(ro.xfer),
-		Idle: int64(ro.idle), MPI: int64(ro.mpi), Stall: int64(ro.stall),
-		Energy:  ro.energy,
-		Sites:   wireSites(ro.sites),
-		Kernels: wireSites(ro.kernels),
-	}
-	if len(ro.imb) > 0 {
-		w.Imb = make([]WireImb, len(ro.imb))
-		for i, ia := range ro.imb {
-			w.Imb[i] = WireImb{Name: ia.Name, MaxOverAvg: ia.MaxOverAvg, WorstJob: ia.WorstJob}
-		}
-	}
-	return w
-}
-
-// Job reconstructs the (*Job, rollup) pair from the wire image. The
-// reconstructed job carries no raw document: it can be selected,
-// aggregated and regressed, but Profile() yields an empty profile —
-// exactly what a router needs and nothing more.
-func (w WireJob) Job() *Job {
-	ro := &rollup{
-		wall: time.Duration(w.Wall), gpu: time.Duration(w.GPU),
-		xfer: time.Duration(w.Xfer), idle: time.Duration(w.Idle),
-		mpi: time.Duration(w.MPI), stall: time.Duration(w.Stall),
-		energy:    w.Energy,
-		lostRanks: w.Lost,
-		sites:     sitesMap(w.Sites),
-		kernels:   sitesMap(w.Kernels),
-	}
-	if len(w.Imb) > 0 {
-		ro.imb = make([]ImbalanceAgg, len(w.Imb))
-		for i, ia := range w.Imb {
-			ro.imb[i] = ImbalanceAgg{Name: ia.Name, MaxOverAvg: ia.MaxOverAvg, WorstJob: ia.WorstJob}
-		}
-	}
-	j := &Job{
-		ID: w.ID, Command: w.Command, Tags: w.Tags,
-		Ranks: w.Ranks, Salvaged: w.Salvaged, Warnings: w.Warnings,
-		Bytes: w.Bytes, rollup: ro,
-	}
-	// Pre-arm the lazy DOM with an empty profile so a stray Profile()
-	// call on a wire job degrades instead of parsing nil bytes.
-	j.prof = ipm.NewJobProfile(w.Command, w.Ranks, nil)
-	return j
-}
+// Job rebuilds a job from its wire image. The job carries no raw
+// document: it can be selected, aggregated and regressed, and Profile()
+// yields an empty profile — exactly what a router needs and nothing more.
+func (w WireJob) Job() *Job { return &Job{WireJob: w} }
 
 // WireJobs returns the wire image of the whole corpus, sorted by job id.
-// Repeated calls on an unchanged store are served from the epoch-keyed
-// memo cache; the returned slice is shared and must not be mutated.
 func (s *Store) WireJobs() []WireJob {
-	key := memoKey{kind: "wire"}
-	ep := s.epoch.Load()
-	if v, ok := s.memo.lookup(ep, key); ok {
-		return v.([]WireJob)
-	}
 	jobs := s.Select("")
 	out := make([]WireJob, len(jobs))
 	for i, j := range jobs {
-		out[i] = j.Wire()
+		out[i] = j.WireJob
 	}
-	s.memo.store(s, ep, key, out)
 	return out
 }
 
@@ -220,7 +153,7 @@ func ParseRollupKind(s string) (RollupKind, error) {
 type Rollups struct {
 	Epoch uint64 // the store's epoch, captured before Jobs was selected
 	Kind  RollupKind
-	Jobs  []WireJob // sorted by id; shared when Kind is RollupFull, do not mutate
+	Jobs  []WireJob // sorted by id
 }
 
 // RollupsSince answers a router holding this store's rollups as of epoch
@@ -249,7 +182,7 @@ func (s *Store) RollupsSince(since uint64) Rollups {
 	ids = slicesCompact(ids)
 	jobs := make([]WireJob, len(ids))
 	for i, id := range ids {
-		jobs[i] = s.Get(id).Wire() // inserted before its epoch bump, and jobs are never removed
+		jobs[i] = s.Get(id).WireJob // inserted before its epoch bump, and jobs are never removed
 	}
 	return Rollups{Epoch: ep, Kind: RollupDelta, Jobs: jobs}
 }

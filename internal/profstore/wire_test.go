@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"ipmgo/internal/ipm"
@@ -60,6 +62,7 @@ func FuzzRollupWire(f *testing.F) {
 		}
 	}
 	f.Add(fixedSyntheticXML(f, 7))
+	f.Add([]byte(mergeDoc))
 	f.Add([]byte("<ipm_log><job username=\"u\" nhosts=\"1\"></job></ipm_log>"))
 
 	f.Fuzz(func(t *testing.T, doc []byte) {
@@ -152,26 +155,6 @@ func FuzzRollupWire(f *testing.F) {
 	})
 }
 
-// TestWireJobsMemoized: repeated WireJobs on a quiet store returns the
-// cached slice; an ingest invalidates it.
-func TestWireJobsMemoized(t *testing.T) {
-	s := New()
-	if _, err := s.Ingest(fixedSyntheticXML(t, 0), "", nil); err != nil {
-		t.Fatal(err)
-	}
-	a := s.WireJobs()
-	b := s.WireJobs()
-	if len(a) != 1 || len(b) != 1 || &a[0] != &b[0] {
-		t.Error("WireJobs not served from the epoch memo on a quiet store")
-	}
-	if _, err := s.Ingest(fixedSyntheticXML(t, 1), "", nil); err != nil {
-		t.Fatal(err)
-	}
-	if c := s.WireJobs(); len(c) != 2 {
-		t.Errorf("WireJobs after ingest = %d jobs, want 2", len(c))
-	}
-}
-
 // TestWireJobRoundTripFields: the reconstructed job preserves the store
 // metadata /jobs-independent queries read.
 func TestWireJobRoundTripFields(t *testing.T) {
@@ -180,13 +163,51 @@ func TestWireJobRoundTripFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := job.Wire().Job()
+	got := job.WireJob.Job()
 	if got.ID != job.ID || got.Command != job.Command || got.Ranks != job.Ranks ||
 		got.Salvaged != job.Salvaged || got.Warnings != job.Warnings || got.Bytes != job.Bytes {
 		t.Errorf("round-tripped job metadata differs: %+v vs %+v", got, job)
 	}
 	if len(got.Tags) != 2 || got.Tags[0] != "a" || got.Tags[1] != "b" {
 		t.Errorf("round-tripped tags = %v", got.Tags)
+	}
+}
+
+// TestWireGolden pins the bytes members send each other: the wire image
+// of the four fixtures, built by either ingest path.
+func TestWireGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "wire.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, forceDOM := range []bool{false, true} {
+		s := New()
+		s.forceDOM = forceDOM
+		for _, name := range []string{"base.xml", "head.xml", "energy.xml", "submit.xml"} {
+			if _, err := s.Ingest(fixture(t, name), "", []string{strings.TrimSuffix(name, ".xml")}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := EncodeWireJobs(s.WireJobs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("forceDOM=%v: wire image differs from testdata/wire.golden\ngot:  %s\nwant: %s", forceDOM, got, want)
+		}
+	}
+}
+
+// TestWireJobProfileEmpty: a job rebuilt from its wire image has no
+// document, and Profile() gives the empty profile of its command.
+func TestWireJobProfileEmpty(t *testing.T) {
+	s := New()
+	job, err := s.Ingest(fixedSyntheticXML(t, 4), "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := job.WireJob.Job().Profile(), (&ipm.JobProfile{Command: job.Command}); !reflect.DeepEqual(got, want) {
+		t.Errorf("mirrored job's profile = %+v, want %+v", got, want)
 	}
 }
 

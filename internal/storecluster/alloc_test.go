@@ -18,8 +18,8 @@ func TestClusterBenchmarkAllocs(t *testing.T) {
 		shards        int
 		allocs, bytes float64
 	}{
-		{1, 146, 12977},
-		{4, 146, 12974},
+		{1, 142, 12277},
+		{4, 142, 12277},
 	} {
 		alloctest.Pin(t, fmt.Sprintf("ClusterIngest/shards=%d", c.shards), 200,
 			clusterIngestOp(t, c.shards), c.allocs, c.bytes)
@@ -30,9 +30,9 @@ func TestClusterBenchmarkAllocs(t *testing.T) {
 		allocs, bytes float64
 	}{
 		{1, false, 130, 26039},
-		{1, true, 140, 28482},
+		{1, true, 139, 28233},
 		{4, false, 446, 53367},
-		{4, true, 480, 60069},
+		{4, true, 475, 58809},
 	} {
 		name := fmt.Sprintf("ClusterAgg/shards=%d", c.shards)
 		if c.mixed {

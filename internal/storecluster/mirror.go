@@ -176,7 +176,7 @@ func (c *Cluster) handleShardRollups(w http.ResponseWriter, r *http.Request) {
 		sel := c.cfg.Store.Select(q.Get("sel"))
 		jobs = make([]profstore.WireJob, len(sel))
 		for i, j := range sel {
-			jobs[i] = j.Wire()
+			jobs[i] = j.WireJob
 		}
 	}
 	body, err := profstore.EncodeWireJobs(jobs)
