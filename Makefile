@@ -10,7 +10,7 @@
 # plain `go test -bench` text.
 
 GO ?= go
-BENCH_PATTERN ?= BenchmarkObserveHot|BenchmarkTableUpdate|BenchmarkMapUpdateManyKeys|BenchmarkAblationHashTable|BenchmarkEnsembleParallel|BenchmarkObserveTelemetry|BenchmarkProfstoreIngest|BenchmarkProfstoreAgg|BenchmarkDESScheduleRun|BenchmarkProcContextSwitch|BenchmarkProcHandoff|BenchmarkProcSleepPastCallback|BenchmarkSpanRecord|BenchmarkQueueSubmit|BenchmarkClusterIngest|BenchmarkClusterAgg
+BENCH_PATTERN ?= BenchmarkObserveHot|BenchmarkTableUpdate|BenchmarkMapUpdateManyKeys|BenchmarkAblationHashTable|BenchmarkEnsembleParallel|BenchmarkObserveTelemetry|BenchmarkProfstoreIngest|BenchmarkProfstoreAgg|BenchmarkDESScheduleRun|BenchmarkProcContextSwitch|BenchmarkProcHandoff|BenchmarkProcSleepPastCallback|BenchmarkSpanRecord|BenchmarkQueueSubmit|BenchmarkClusterIngest|BenchmarkClusterAgg|BenchmarkScanXML|BenchmarkParseXMLTolerant
 
 .PHONY: build vet test race results-check serve serve-load serve-e2e soak soak-short soak-cluster soak-cluster-short fuzz verify bench bench-e2e profile experiments trace faults clean
 
@@ -90,16 +90,20 @@ soak-cluster-short:
 	$(GO) run ./cmd/ipmserve -soak -soak-members 3 -soak-replicas 2 -soak-jobs 60 -soak-cycles 1 -soak-timeout 30s
 
 # Short native-fuzz pass over both parser entry points (strict and
-# tolerant), the streaming-scanner differential, and the framed-WAL
+# tolerant), the scanner-vs-decoder differential, and the framed-WAL
 # replay path; longer sessions:
 # go test -fuzz FuzzScanVsParse ./internal/profstore
+# -fuzzminimizetime 1x caps the minimization of each new interesting
+# input at one run: under the default 60 s budget the minimizer, not the
+# fuzzer, spends the short FUZZTIME (the run reports 0 execs/sec).
 FUZZTIME ?= 5s
+FUZZFLAGS = -run '^$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1x
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/ipmparse
-	$(GO) test -run '^$$' -fuzz FuzzTolerant -fuzztime $(FUZZTIME) ./internal/ipmparse
-	$(GO) test -run '^$$' -fuzz FuzzScanVsParse -fuzztime $(FUZZTIME) ./internal/profstore
-	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/profstore
-	$(GO) test -run '^$$' -fuzz FuzzRollupWire -fuzztime $(FUZZTIME) ./internal/profstore
+	$(GO) test $(FUZZFLAGS) -fuzz FuzzParse ./internal/ipmparse
+	$(GO) test $(FUZZFLAGS) -fuzz FuzzTolerant ./internal/ipmparse
+	$(GO) test $(FUZZFLAGS) -fuzz FuzzScanVsParse ./internal/profstore
+	$(GO) test $(FUZZFLAGS) -fuzz FuzzWALReplay ./internal/profstore
+	$(GO) test $(FUZZFLAGS) -fuzz FuzzRollupWire ./internal/profstore
 
 verify: build vet test race results-check serve-e2e soak-short soak-cluster-short fuzz
 

@@ -24,7 +24,7 @@ import (
 func main() {
 	format := flag.String("format", "banner", "output format: banner, full, html, cube, advise, regions")
 	out := flag.String("o", "", "output file (default stdout)")
-	strict := flag.Bool("strict", false, "reject malformed logs instead of salvaging partial reports")
+	strict := flag.Bool("strict", false, "reject instead of salvaging: fail on any XML error, a root other than ipm_log, or anything the default mode would warn about (a log declaring more tasks than it holds still loads)")
 	flag.Parse()
 
 	if flag.NArg() != 1 {

@@ -2,7 +2,11 @@
 
 package ipm
 
-import "testing"
+import (
+	"testing"
+
+	"ipmgo/internal/alloctest"
+)
 
 // The monitor's recording path allocates nothing: every op behind the
 // table and Observe benchmarks reads 0 allocs/op. Excluded under -race,
@@ -21,4 +25,12 @@ func TestHotPathZeroAlloc(t *testing.T) {
 			t.Errorf("%s: %v allocs/op, want 0", c.name, allocs)
 		}
 	}
+}
+
+// The ops behind the reader benchmarks allocate what they did when the
+// pins were taken (the figures below), within 30 %: the scanner its
+// per-document scratch, the decoder its tokens and the profile.
+func TestReaderAllocs(t *testing.T) {
+	alloctest.Pin(t, "ScanXML", 200, scanXMLOp(t), 5, 792)
+	alloctest.Pin(t, "ParseXMLTolerant", 200, parseXMLTolerantOp(t), 1177, 78910)
 }

@@ -1,31 +1,27 @@
 package ipm
 
-import (
-	"bytes"
-	"fmt"
-	"strconv"
-	"time"
-)
+import "bytes"
 
 // This file is the streaming fast path of profile ingest: a zero-copy
-// scanner over the raw XML bytes that feeds per-task and per-entry
-// events to a sink without building the XMLLog/JobProfile DOM and
-// without the per-token boxing of encoding/xml.
+// byte lexer over the raw XML that feeds the reading rules (read.go)
+// without building a DOM and without the per-token boxing of
+// encoding/xml.
 //
-// Correctness contract: for every input on which ScanXMLTolerant
-// reports ok=true, its events, warnings, truncation flag, task counts
-// and error must be EXACTLY what ParseXMLTolerant would produce for the
-// same bytes. The scanner earns that guarantee by handling only the
-// clean core grammar and bailing out (ok=false, caller re-parses with
-// ParseXMLTolerant) on anything where the encoding/xml non-strict
-// decoder has behavior this scanner does not replicate bit-for-bit:
+// Correctness contract: on every input for which ScanXMLTolerant
+// reports ok=true, its sink events, warnings, truncation flag, task
+// counts and error are EXACTLY those of DecodeXMLTolerant over the same
+// bytes. The two lexers share the rules, so the scanner earns that
+// guarantee by lexing only the clean core grammar, where its tokens are
+// encoding/xml's, and bailing out (ok=false, the caller re-reads with
+// DecodeXMLTolerant) on anything where the non-strict decoder behaves
+// in a way this lexer does not replicate bit-for-bit:
 //
 //   - any '&' (entity expansion) or byte outside printable ASCII +
-//     \t\n\r anywhere in the document (callers prescan for this);
+//     \t\n\r anywhere in the document;
 //   - truncation: EOF inside a tag or with elements still open (the
 //     decoder's error text is embedded in the salvage warning);
-//   - mismatched end tags (the non-strict decoder auto-closes
-//     intermediate elements — a different event stream);
+//   - mismatched end tags (the non-strict decoder renames them — a
+//     different event stream);
 //   - unquoted or valueless attributes, '<' or '\r' inside attribute
 //     values ('\r' is normalized to '\n' by the decoder);
 //   - ':' in names (namespace resolution), names not matching
@@ -36,131 +32,48 @@ import (
 //   - "<?xml ...?>" processing instructions that mention a non-UTF-8
 //     encoding (the decoder errors on those anywhere in the document).
 //
-// Everything else the decoder tolerates is tolerated identically here:
+// Everything else the decoder tolerates is lexed identically here:
 // multiple roots, stray top-level text, duplicate attributes (last
 // wins), whitespace around '=', '\t'/'\n' inside attribute values,
-// self-closing tags, unknown elements, and the full salvage state
-// machine (interleaved tasks, region/func out of place, bad numeric
-// attributes).
-
-// ScanHeader carries the ipm_log root attributes. Byte-slice fields
-// alias the input buffer and are only valid during the callback.
-type ScanHeader struct {
-	Version   []byte
-	Command   []byte
-	Start     []byte
-	Stop      []byte
-	NTasks    int
-	NHosts    int
-	Wallclock float64
-}
-
-// ScanTask carries one task element's attributes, durations already
-// converted with the same rounding FromXML applies.
-type ScanTask struct {
-	Rank          int
-	Host          []byte
-	Wallclock     time.Duration
-	LoadFactor    float64
-	Overflow      int
-	Probes        uint64
-	Errors        int64
-	SubmitStall   time.Duration
-	Energy        int64 // nanojoules, converted like joulesToEnergy
-	Device        []byte
-	MonitorErrors int64
-	Lost          bool
-	LostAt        time.Duration
-	LostReason    []byte
-}
-
-// ScanEntry is one func element inside a region: one hash-table entry.
-type ScanEntry struct {
-	Region      []byte // enclosing region's name attribute, "" if absent
-	Name        []byte
-	Bytes       int64
-	Count       int64
-	Total       time.Duration
-	Min         time.Duration
-	Max         time.Duration
-	Errors      int64
-	Submits     int64
-	SubmitStall time.Duration
-	Energy      int64 // nanojoules
-}
-
-// ScanSink receives the event stream of one document. Slices passed in
-// alias the input; copy anything that must outlive the callback.
-// TaskEnd fires exactly once per recovered task (including tasks closed
-// implicitly by an interleaved <task>), after its entries.
-type ScanSink interface {
-	Header(*ScanHeader)
-	TaskStart(*ScanTask)
-	Entry(*ScanEntry)
-	TaskEnd()
-}
+// self-closing tags and unknown elements.
 
 // ScanXMLTolerant streams data into sink. ok=false means the input
 // strayed off the fast-path grammar: nothing about the partial event
-// stream or rep should be trusted, and the caller must fall back to
-// ParseXMLTolerant. With ok=true, rep and err match ParseXMLTolerant
-// exactly (err is non-nil only when no ipm_log root was found).
+// stream or rep should be trusted, and the caller must reset both and
+// fall back to DecodeXMLTolerant. With ok=true, the events, rep and err
+// are DecodeXMLTolerant's (err is non-nil only when no ipm_log root was
+// found).
 //
 // rep must be zeroed by the caller; its Warnings slice is appended to,
 // so a recycled backing array is reused across documents.
 func ScanXMLTolerant(data []byte, sink ScanSink, rep *ParseReport) (ok bool, err error) {
-	s := scanner{data: data, sink: sink, rep: rep}
+	s := scanner{data: data, r: reader{sink: sink, rep: rep}}
 	if !s.run() {
 		return false, nil
 	}
-	if !s.seenRoot {
-		return true, fmt.Errorf("ipm: no ipm_log root element found")
-	}
-	// On the fast path every open <task> is closed by a matched end tag
-	// or an interleaved start, so the "log ends inside task" salvage
-	// branch is unreachable here (an EOF with the task still open is a
-	// decoder error, which bails to the fallback).
-	rep.TasksRecovered = s.tasks
-	rep.TasksDeclared = s.ntasks
-	if s.ntasks > s.tasks {
-		rep.warnf("log declares %d task(s) but only %d recovered", s.ntasks, s.tasks)
-	}
-	return true, nil
+	return true, s.r.finish()
 }
 
-// element kinds dispatched by name.
-const (
-	elOther = iota
-	elRoot
-	elTask
-	elRegion
-	elFunc
-)
+// plainByte marks the bytes this lexer reads exactly as encoding/xml
+// does: printable ASCII plus tab/LF/CR, minus '&' (entity expansion
+// rewrites the text). Any other byte bails.
+var plainByte = func() (t [256]bool) {
+	for c := 0x20; c < 0x7f; c++ {
+		t[c] = true
+	}
+	t['\t'], t['\n'], t['\r'] = true, true, true
+	t['&'] = false
+	return
+}()
 
 type scanner struct {
 	data []byte
 	pos  int
-	sink ScanSink
-	rep  *ParseReport
+	r    reader
 
-	// stack holds the open element names (slices into data). skipFrom
-	// is the depth of the outermost element of a skipped subtree
-	// (task-before-root, region-outside-task), 0 when not skipping:
-	// while len(stack) >= skipFrom > 0, elements are syntax-checked but
-	// produce no warnings or events — the dec.Skip() equivalence.
-	stack    [][]byte
-	skipFrom int
-
-	seenRoot bool
-	inTask   bool
-	inRegion bool
-	tasks    int
-	ntasks   int
-
-	hdr        ScanHeader
-	task       ScanTask
-	entry      ScanEntry
-	regionName []byte
+	// stack holds the open element names (slices into data), for
+	// matching end tags.
+	stack [][]byte
 }
 
 func (s *scanner) run() bool {
@@ -197,16 +110,17 @@ func (s *scanner) run() bool {
 
 // text consumes character data up to the next '<'. The decoder accepts
 // anything here except the CDATA terminator "]]>"; content is discarded
-// (the tolerant parser ignores all character data).
+// (the rules ignore all character data).
 func (s *scanner) text() bool {
 	seg := s.data[s.pos:]
 	end := len(seg)
 	for i := 0; i < end; i++ {
-		if seg[i] == '<' {
+		c := seg[i]
+		if c == '<' {
 			end = i
 			break
 		}
-		if seg[i] == ']' && i+2 < len(seg) && seg[i+1] == ']' && seg[i+2] == '>' {
+		if !plainByte[c] || c == ']' && i+2 < len(seg) && seg[i+1] == ']' && seg[i+2] == '>' {
 			return false
 		}
 	}
@@ -231,6 +145,9 @@ func (s *scanner) procInst() bool {
 		}
 		if s.data[s.pos] == '?' && s.data[s.pos+1] == '>' {
 			break
+		}
+		if !plainByte[s.data[s.pos]] {
+			return false
 		}
 		s.pos++
 	}
@@ -320,7 +237,7 @@ func (s *scanner) skipSpace() {
 
 // endTag consumes </name>, allowing trailing whitespace before '>' as
 // the decoder does, and requires it to match the innermost open element
-// (the decoder auto-closes on mismatch — a bail).
+// (the decoder renames a mismatched one — a bail).
 func (s *scanner) endTag() bool {
 	s.pos += 2 // "</"
 	name := s.readName()
@@ -336,89 +253,19 @@ func (s *scanner) endTag() bool {
 		return false
 	}
 	s.stack = s.stack[:len(s.stack)-1]
-	if s.skipFrom > 0 {
-		if len(s.stack) < s.skipFrom {
-			s.skipFrom = 0 // closed the skipped subtree's own element
-		}
-		return true // suppressed, like tokens consumed by dec.Skip
-	}
-	s.closeElement(name)
+	s.r.end(name)
 	return true
 }
 
-// closeElement applies the tolerant parser's EndElement semantics.
-func (s *scanner) closeElement(name []byte) {
-	switch string(name) {
-	case "task":
-		s.finishTask()
-	case "region":
-		s.inRegion = false
-		s.regionName = nil
-	}
-}
-
-func (s *scanner) finishTask() {
-	if s.inTask {
-		s.tasks++
-		s.inTask = false
-		s.inRegion = false
-		s.regionName = nil
-		s.sink.TaskEnd()
-	}
-}
-
-// startTag consumes <name attr="v"...> or <name .../>, dispatching the
-// tolerant parser's StartElement semantics inline.
+// startTag consumes <name attr="v"...> or <name .../>, feeding the
+// rules as it goes.
 func (s *scanner) startTag() bool {
 	s.pos++ // '<'
 	name := s.readName()
 	if name == nil {
 		return false
 	}
-
-	suppressed := s.skipFrom > 0
-	kind := elOther
-	skipSubtree := false
-	if !suppressed {
-		switch string(name) {
-		case "ipm_log":
-			if s.seenRoot {
-				s.rep.warnf("nested ipm_log element ignored")
-			} else {
-				s.seenRoot = true
-				kind = elRoot
-				s.hdr = ScanHeader{}
-			}
-		case "task":
-			if !s.seenRoot {
-				s.rep.warnf("task element before ipm_log root, skipped")
-				skipSubtree = true
-			} else {
-				if s.inTask {
-					s.rep.warnf("task (rank %d) not closed before next task, kept partial", s.task.Rank)
-					s.finishTask()
-				}
-				kind = elTask
-				s.task = ScanTask{}
-			}
-		case "region":
-			if !s.inTask {
-				s.rep.warnf("region element outside task, skipped")
-				skipSubtree = true
-			} else {
-				kind = elRegion
-				s.regionName = nil
-			}
-		case "func":
-			if s.inRegion {
-				kind = elFunc
-				s.entry = ScanEntry{}
-			} else {
-				// Warned but not skipped: children are still processed.
-				s.rep.warnf("func element outside region, skipped")
-			}
-		}
-	}
+	kind := s.r.start(name)
 
 	// Attribute loop. Values must be quoted, free of '<' and '\r', with
 	// optional whitespace around '=' — exactly the subset on which the
@@ -466,7 +313,7 @@ func (s *scanner) startTag() bool {
 				if c == q {
 					break
 				}
-				if c == '<' || c == '\r' {
+				if c == '<' || c == '\r' || !plainByte[c] {
 					return false
 				}
 				s.pos++
@@ -474,192 +321,20 @@ func (s *scanner) startTag() bool {
 			val := s.data[vstart:s.pos]
 			s.pos++
 			if kind != elOther {
-				s.attr(kind, aname, val)
+				s.r.attr(kind, aname, val)
 			}
 			continue
 		}
 		break
 	}
 
-	if skipSubtree && !selfClosing {
-		// dec.Skip() equivalent: push and suppress until it closes.
+	s.r.open(kind)
+	if selfClosing {
+		s.r.end(name)
+	} else {
 		s.stack = append(s.stack, name)
-		s.skipFrom = len(s.stack)
-		return true
-	}
-	if !selfClosing {
-		s.stack = append(s.stack, name)
-	}
-	if !suppressed && !skipSubtree {
-		s.openElement(kind)
-		if selfClosing {
-			s.closeElement(name)
-		}
 	}
 	return true
-}
-
-// openElement applies the post-attribute StartElement semantics.
-func (s *scanner) openElement(kind int) {
-	switch kind {
-	case elRoot:
-		s.ntasks = s.hdr.NTasks
-		s.sink.Header(&s.hdr)
-	case elTask:
-		s.inTask = true
-		s.inRegion = false
-		s.regionName = nil
-		s.sink.TaskStart(&s.task)
-	case elRegion:
-		s.inRegion = true
-	case elFunc:
-		s.entry.Region = s.regionName
-		s.sink.Entry(&s.entry)
-	}
-}
-
-// attr applies one attribute to the current semantic element, mirroring
-// the tolerant parser's attribute switches (unknown names ignored,
-// repeated names overwrite, numeric corruption warns and yields zero).
-func (s *scanner) attr(kind int, name, val []byte) {
-	switch kind {
-	case elRoot:
-		switch string(name) {
-		case "version":
-			s.hdr.Version = val
-		case "command":
-			s.hdr.Command = val
-		case "ntasks":
-			s.hdr.NTasks = int(s.attrInt("ipm_log", name, val))
-		case "nhosts":
-			s.hdr.NHosts = int(s.attrInt("ipm_log", name, val))
-		case "start":
-			s.hdr.Start = val
-		case "stop":
-			s.hdr.Stop = val
-		case "wallclock":
-			s.hdr.Wallclock = s.attrFloat("ipm_log", name, val)
-		}
-	case elTask:
-		switch string(name) {
-		case "mpi_rank":
-			s.task.Rank = int(s.attrInt("task", name, val))
-		case "host":
-			s.task.Host = val
-		case "wallclock":
-			s.task.Wallclock = secsToDuration(s.attrFloat("task", name, val))
-		case "hashtable_load":
-			s.task.LoadFactor = s.attrFloat("task", name, val)
-		case "hashtable_overflow":
-			s.task.Overflow = int(s.attrInt("task", name, val))
-		case "hashtable_probes":
-			s.task.Probes = uint64(s.attrInt("task", name, val))
-		case "error_total":
-			s.task.Errors = s.attrInt("task", name, val)
-		case "submit_stall_total":
-			s.task.SubmitStall = secsToDuration(s.attrFloat("task", name, val))
-		case "energy_total":
-			s.task.Energy = joulesToEnergy(s.attrFloat("task", name, val))
-		case "device":
-			s.task.Device = val
-		case "monitor_errors":
-			s.task.MonitorErrors = s.attrInt("task", name, val)
-		case "status":
-			s.task.Lost = string(val) == "lost"
-		case "lost_at":
-			s.task.LostAt = secsToDuration(s.attrFloat("task", name, val))
-		case "lost_reason":
-			s.task.LostReason = val
-		}
-	case elRegion:
-		if string(name) == "name" {
-			s.regionName = val
-		}
-	case elFunc:
-		switch string(name) {
-		case "name":
-			s.entry.Name = val
-		case "bytes":
-			s.entry.Bytes = s.funcInt(name, val)
-		case "count":
-			s.entry.Count = s.funcInt(name, val)
-		case "ttot":
-			s.entry.Total = secsToDuration(s.funcFloat(name, val))
-		case "tmin":
-			s.entry.Min = secsToDuration(s.funcFloat(name, val))
-		case "tmax":
-			s.entry.Max = secsToDuration(s.funcFloat(name, val))
-		case "error_count":
-			s.entry.Errors = s.funcInt(name, val)
-		case "submit_count":
-			s.entry.Submits = s.funcInt(name, val)
-		case "submit_stall":
-			s.entry.SubmitStall = secsToDuration(s.funcFloat(name, val))
-		case "energy":
-			s.entry.Energy = joulesToEnergy(s.funcFloat(name, val))
-		}
-	}
-}
-
-// funcWhere rebuilds the tolerant parser's warning location for func
-// attributes: "func" until the name attribute is seen, then
-// "func <name>". Cold path only (a warning is being emitted).
-func (s *scanner) funcWhere() string {
-	if s.entry.Name == nil {
-		return "func"
-	}
-	return "func " + string(s.entry.Name)
-}
-
-func (s *scanner) funcInt(name, val []byte) int64 {
-	if v, ok := parseInt64(val); ok {
-		return v
-	}
-	return s.slowInt(s.funcWhere(), name, val)
-}
-
-func (s *scanner) funcFloat(name, val []byte) float64 {
-	if v, ok := parseFloat64(val); ok {
-		return v
-	}
-	return s.slowFloat(s.funcWhere(), name, val)
-}
-
-func (s *scanner) attrInt(where string, name, val []byte) int64 {
-	if v, ok := parseInt64(val); ok {
-		return v
-	}
-	return s.slowInt(where, name, val)
-}
-
-func (s *scanner) attrFloat(where string, name, val []byte) float64 {
-	if v, ok := parseFloat64(val); ok {
-		return v
-	}
-	return s.slowFloat(where, name, val)
-}
-
-// slowInt/slowFloat are the strconv-backed slow paths, shared so the
-// warning text stays byte-identical to the tolerant parser's. They
-// allocate (string conversion) but only run on inputs the fast parsers
-// reject: corrupt values about to warn, or float shapes outside the
-// exact-representation window.
-func (s *scanner) slowInt(where string, name, val []byte) int64 {
-	v, err := strconv.ParseInt(string(val), 10, 64)
-	if err != nil {
-		s.rep.warnf("%s: bad %s attribute %q, using 0", where, string(name), string(val))
-		return 0
-	}
-	return v
-}
-
-func (s *scanner) slowFloat(where string, name, val []byte) float64 {
-	v, err := strconv.ParseFloat(string(val), 64)
-	if err != nil {
-		s.rep.warnf("%s: bad %s attribute %q, using 0", where, string(name), string(val))
-		return 0
-	}
-	return v
 }
 
 // parseInt64 is an allocation-free strconv.ParseInt(s, 10, 64): it

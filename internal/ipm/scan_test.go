@@ -1,10 +1,15 @@
 package ipm
 
 import (
+	"bytes"
+	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"ipmgo/internal/alloctest"
 )
 
 // countSink counts scan events and records the last of each, enough to
@@ -44,6 +49,52 @@ func (c *countSink) Entry(e *ScanEntry) {
 }
 
 func (c *countSink) TaskEnd() { c.taskEnds++ }
+
+// traceSink records every event with all its fields, so the two
+// lexers' streams can be compared whole.
+type traceSink struct{ events []string }
+
+func (s *traceSink) Header(h *ScanHeader) {
+	s.events = append(s.events, fmt.Sprintf("header %q %q %q %q %d %d %v",
+		h.Version, h.Command, h.Start, h.Stop, h.NTasks, h.NHosts, h.Wallclock))
+}
+
+func (s *traceSink) TaskStart(t *ScanTask) {
+	s.events = append(s.events, fmt.Sprintf("task %q %q %q %+v", t.Host, t.Device, t.LostReason, *t))
+}
+
+func (s *traceSink) Entry(e *ScanEntry) {
+	s.events = append(s.events, fmt.Sprintf("entry %q %q %+v", e.Region, e.Name, *e))
+}
+
+func (s *traceSink) TaskEnd() { s.events = append(s.events, "end") }
+
+// lexersAgree reads doc with both lexers and, unless the scanner bails,
+// demands identical events, reports and errors. It returns whether the
+// scanner engaged and the decoder's report.
+func lexersAgree(t *testing.T, doc string) (bool, *ParseReport) {
+	t.Helper()
+	var dsink traceSink
+	var drep ParseReport
+	derr := DecodeXMLTolerant(strings.NewReader(doc), &dsink, &drep)
+	var ssink traceSink
+	var srep ParseReport
+	ok, serr := ScanXMLTolerant([]byte(doc), &ssink, &srep)
+	if !ok {
+		return false, &drep
+	}
+	if fmt.Sprint(serr) != fmt.Sprint(derr) {
+		t.Errorf("%q: scan error %v, decode error %v", doc, serr, derr)
+	}
+	if !slices.Equal(ssink.events, dsink.events) {
+		t.Errorf("%q: events differ\nscan:   %q\ndecode: %q", doc, ssink.events, dsink.events)
+	}
+	if !slices.Equal(srep.Warnings, drep.Warnings) || srep.Truncated != drep.Truncated ||
+		srep.TasksRecovered != drep.TasksRecovered || srep.TasksDeclared != drep.TasksDeclared {
+		t.Errorf("%q: reports differ\nscan:   %+v\ndecode: %+v", doc, srep, drep)
+	}
+	return true, &drep
+}
 
 func scan(t *testing.T, doc string) (*countSink, *ParseReport, bool, error) {
 	t.Helper()
@@ -104,79 +155,66 @@ func TestScanBailCases(t *testing.T) {
 		"<!-- c --><a/>",             // <! construct
 		"<!DOCTYPE a><a/>",           // directive
 		"<?xml version=\"1.0\" encoding=\"latin-1\"?><a/>", // non-UTF-8 PI
-		"</a>",         // stray end tag
-		"<a/ >",        // space after self-closing slash
-		"</a x=\"1\">", // junk in end tag
+		"</a>",                   // stray end tag
+		"<a/ >",                  // space after self-closing slash
+		"</a x=\"1\">",           // junk in end tag
+		"<a x=\"&amp;\"/>",       // entity in an attribute value
+		"<a>&lt;</a>",            // entity in character data
+		"<a x=\"caf\xc3\xa9\"/>", // non-ASCII in an attribute value
+		"<a>\x80</a>",            // non-ASCII in character data
+		"<?pi \x7f?><a/>",        // control byte in a processing instruction
+		"<a>\x0c</a>",            // control byte the decoder rejects
 	} {
 		sink := &countSink{}
 		var rep ParseReport
 		if ok, _ := ScanXMLTolerant([]byte(doc), sink, &rep); ok {
-			t.Errorf("scanner accepted %q, must bail to the DOM parser", doc)
+			t.Errorf("scanner accepted %q, must bail to DecodeXMLTolerant", doc)
 		}
 	}
 }
 
 func TestScanTolerance(t *testing.T) {
 	// Decoder-tolerated oddities the scanner must also accept, with the
-	// same salvage warnings ParseXMLTolerant emits.
+	// events, report and salvage warnings DecodeXMLTolerant produces.
 	for _, tc := range []struct {
 		doc      string
 		warnings int
 	}{
 		{`<ipm_log></ipm_log>`, 0},
-		{`<ipm_log/><ipm_log/>`, 1},                                                    // second root: nested-ignored warning
-		{`<ipm_log><unknown><deep/></unknown></ipm_log>`, 0},                           // unknown elements skipped
-		{`<ipm_log cmd = "x" ></ipm_log>`, 0},                                          // ws around '='
-		{`<ipm_log><task mpi_rank="0"><task mpi_rank="1"></task></task></ipm_log>`, 1}, // interleaved tasks
-		{`<ipm_log><region name="r"/></ipm_log>`, 1},                                   // region outside task
-		{`<ipm_log><func name="f"/></ipm_log>`, 1},                                     // func outside region
-		{`<ipm_log ntasks="4"></ipm_log>`, 1},                                          // declared > recovered
-		{`<ipm_log wallclock="bogus"></ipm_log>`, 1},                                   // bad numeric attribute
-		{`text<ipm_log></ipm_log>trailing`, 0},                                         // stray top-level text
-		{`<ipm_log cmd="a" cmd="b"></ipm_log>`, 0},                                     // duplicate attr, last wins
-		{`<ipm_log></ipm_log >`, 0},                                                    // ws before end-tag '>'
-		{`<?pi anything?><ipm_log/>`, 0},                                               // non-xml PI
+		{`<ipm_log/><ipm_log/>`, 1},                                                       // second root: nested-ignored warning
+		{`<ipm_log><unknown><deep/></unknown></ipm_log>`, 0},                              // unknown elements skipped
+		{`<ipm_log cmd = "x" ></ipm_log>`, 0},                                             // ws around '='
+		{`<ipm_log><task mpi_rank="0"><task mpi_rank="1"></task></task></ipm_log>`, 1},    // interleaved tasks
+		{`<ipm_log><region name="r"/></ipm_log>`, 1},                                      // region outside task
+		{`<ipm_log><region name="r"><task/></region><task/></ipm_log>`, 1},                // skipped subtree
+		{`<task><region/></task><ipm_log/>`, 1},                                           // task before root
+		{`<ipm_log><func name="f"/></ipm_log>`, 1},                                        // func outside region
+		{`<ipm_log ntasks="4"></ipm_log>`, 1},                                             // declared > recovered
+		{`<ipm_log wallclock="bogus"></ipm_log>`, 1},                                      // bad numeric attribute
+		{`<ipm_log><task><region><func name="" count="x"/></region></task></ipm_log>`, 1}, // empty name in the location
+		{`<ipm_log><task hashtable_probes="-1"/></ipm_log>`, 1},                           // signed unsigned attribute
+		{`text<ipm_log></ipm_log>trailing`, 0},                                            // stray top-level text
+		{`<ipm_log cmd="a" cmd="b"></ipm_log>`, 0},                                        // duplicate attr, last wins
+		{`<ipm_log></ipm_log >`, 0},                                                       // ws before end-tag '>'
+		{`<?pi anything?><ipm_log/>`, 0},                                                  // non-xml PI
 	} {
-		sink, rep, ok, err := scan(t, tc.doc)
+		ok, rep := lexersAgree(t, tc.doc)
 		if !ok {
 			t.Errorf("scanner bailed on tolerated input %q", tc.doc)
 			continue
 		}
-		if err != nil {
-			t.Errorf("scan(%q) error: %v", tc.doc, err)
-			continue
-		}
 		if len(rep.Warnings) != tc.warnings {
-			t.Errorf("scan(%q) warnings = %q, want %d", tc.doc, rep.Warnings, tc.warnings)
+			t.Errorf("%q: warnings = %q, want %d", tc.doc, rep.Warnings, tc.warnings)
 		}
-		// And the report must be exactly the DOM parser's.
-		_, drep, derr := ParseXMLTolerant(strings.NewReader(tc.doc))
-		if derr != nil {
-			t.Errorf("reference parser rejected %q: %v", tc.doc, derr)
-			continue
-		}
-		if len(rep.Warnings) != len(drep.Warnings) {
-			t.Errorf("scan(%q): %d warnings vs parser's %d", tc.doc, len(rep.Warnings), len(drep.Warnings))
-			continue
-		}
-		for i := range rep.Warnings {
-			if rep.Warnings[i] != drep.Warnings[i] {
-				t.Errorf("scan(%q) warning %d = %q, parser %q", tc.doc, i, rep.Warnings[i], drep.Warnings[i])
-			}
-		}
-		_ = sink
 	}
 }
 
 func TestScanNoRootError(t *testing.T) {
 	_, _, ok, err := scan(t, "<html>not ipm</html>")
-	if !ok {
-		t.Fatal("plain non-ipm XML should stay on the fast path")
+	if !ok || err == nil {
+		t.Fatalf("plain non-ipm XML: ok=%v err=%v, want the no-root error on the fast path", ok, err)
 	}
-	_, _, derr := ParseXMLTolerant(strings.NewReader("<html>not ipm</html>"))
-	if err == nil || derr == nil || err.Error() != derr.Error() {
-		t.Fatalf("no-root error mismatch: scan=%v parse=%v", err, derr)
-	}
+	lexersAgree(t, "<html>not ipm</html>")
 }
 
 // TestParseInt64MatchesStrconv pins the allocation-free integer fast
@@ -253,3 +291,67 @@ func TestScanReportReuse(t *testing.T) {
 		t.Errorf("stale warnings leaked: %q", rep.Warnings)
 	}
 }
+
+// benchLog is a 4-rank log of the shape the store ingests: call sites
+// in the global region and in a user region, per-stream and per-kernel
+// execution entries with submit and energy accounting, host idle.
+func benchLog(tb testing.TB) []byte {
+	tb.Helper()
+	var ranks []RankProfile
+	for r := 0; r < 4; r++ {
+		fc := &fakeClock{}
+		m := NewMonitor(r, fmt.Sprintf("node%d", r/2), "./bench", fc.clock, 0)
+		m.Start()
+		for i, name := range []string{"MPI_Allreduce", "MPI_Send", "MPI_Recv", "cudaMemcpy(H2D)", "cudaMemcpy(D2H)", "cudaLaunch"} {
+			m.Observe(name, int64(8<<i), time.Duration(r+i+1)*time.Millisecond)
+		}
+		m.EnterRegion("solve")
+		exec := Stats{Count: 10, Total: 2 * time.Second, Min: time.Millisecond, Max: time.Second,
+			Submits: 10, SubmitStall: time.Millisecond, Energy: 5e9}
+		m.ObserveN(ExecStreamName(0), 0, exec)
+		m.ObserveN(ExecKernelName(0, "dgemm"), 0, exec)
+		m.Observe("MPI_Allreduce", 64, time.Millisecond)
+		m.ExitRegion()
+		m.Observe(HostIdleName, 0, 200*time.Millisecond)
+		fc.now = 10 * time.Second
+		m.Stop()
+		ranks = append(ranks, Snapshot(m))
+	}
+	var buf bytes.Buffer
+	if err := WriteXML(&buf, NewJobProfile("./bench", 2, ranks)); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+type nopSink struct{}
+
+func (nopSink) Header(*ScanHeader)  {}
+func (nopSink) TaskStart(*ScanTask) {}
+func (nopSink) Entry(*ScanEntry)    {}
+func (nopSink) TaskEnd()            {}
+
+// scanXMLOp scans benchLog into a sink that keeps nothing.
+func scanXMLOp(tb testing.TB) func() {
+	doc := benchLog(tb)
+	return func() {
+		var rep ParseReport
+		if ok, err := ScanXMLTolerant(doc, nopSink{}, &rep); !ok || err != nil {
+			tb.Fatalf("scan: ok=%v err=%v", ok, err)
+		}
+	}
+}
+
+// parseXMLTolerantOp reads benchLog into a profile.
+func parseXMLTolerantOp(tb testing.TB) func() {
+	doc := benchLog(tb)
+	return func() {
+		if _, _, err := ParseXMLTolerant(bytes.NewReader(doc)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkScanXML(b *testing.B) { alloctest.Bench(b, scanXMLOp(b)) }
+
+func BenchmarkParseXMLTolerant(b *testing.B) { alloctest.Bench(b, parseXMLTolerantOp(b)) }

@@ -25,15 +25,6 @@ type XMLLog struct {
 	Tasks     []XMLTask `xml:"task"`
 }
 
-// NExpected returns the declared job size, falling back to the number of
-// task elements actually present (older or hand-built logs).
-func (doc *XMLLog) NExpected() int {
-	if doc.NTasks > len(doc.Tasks) {
-		return doc.NTasks
-	}
-	return len(doc.Tasks)
-}
-
 // XMLTask is one rank's profile. The hashtable_* attributes surface the
 // monitor's own fidelity (fill ratio, spilled signatures, probe steps),
 // so ipm_parse can report post-mortem whether the statistics were
@@ -176,72 +167,3 @@ func secsToDuration(s float64) time.Duration {
 func energyToJoules(nj int64) float64 { return float64(nj) / 1e9 }
 
 func joulesToEnergy(j float64) int64 { return int64(math.Round(j * 1e9)) }
-
-// FromXML converts a parsed XML document back to a JobProfile.
-func FromXML(doc *XMLLog) *JobProfile {
-	ranks := make([]RankProfile, 0, len(doc.Tasks))
-	for _, t := range doc.Tasks {
-		rp := RankProfile{
-			Rank: t.Rank, Host: t.Host, Wallclock: secsToDuration(t.Wallclock),
-			LoadFactor: t.HashLoad, Overflow: t.HashOverflow, Probes: t.HashProbes,
-			Errors: t.Errors, SubmitStall: secsToDuration(t.SubmitStall), MonitorErrors: t.MonitorErrs,
-			Energy: joulesToEnergy(t.Energy), Device: t.Device,
-			Lost: t.Status == "lost", LostAt: secsToDuration(t.LostAt), LostReason: t.LostReason,
-		}
-		for _, reg := range t.Regions {
-			for _, f := range reg.Funcs {
-				rp.Entries = append(rp.Entries, Entry{
-					Sig: Sig{Name: f.Name, Bytes: f.Bytes, Region: regionFromLabel(reg.Name)},
-					Stats: Stats{
-						Count:       f.Count,
-						Total:       secsToDuration(f.TTot),
-						Min:         secsToDuration(f.TMin),
-						Max:         secsToDuration(f.TMax),
-						Errors:      f.Errors,
-						Submits:     f.SubmitN,
-						SubmitStall: secsToDuration(f.SubmitStall),
-						Energy:      joulesToEnergy(f.Energy),
-					},
-				})
-			}
-		}
-		if rp.Errors == 0 {
-			// Logs without a rolled-up error_total still get the sum.
-			for _, e := range rp.Entries {
-				rp.Errors += e.Stats.Errors
-			}
-		}
-		if rp.SubmitStall == 0 {
-			// Likewise for logs predating submit_stall_total.
-			for _, e := range rp.Entries {
-				rp.SubmitStall += e.Stats.SubmitStall
-			}
-		}
-		if rp.Energy == 0 {
-			// Likewise for logs predating energy_total.
-			for _, e := range rp.Entries {
-				rp.Energy += e.Stats.Energy
-			}
-		}
-		ranks = append(ranks, rp)
-	}
-	jp := NewJobProfile(doc.Command, doc.NHosts, ranks)
-	jp.Start, jp.Stop = doc.Start, doc.Stop
-	if doc.NTasks > len(doc.Tasks) {
-		jp.ExpectedRanks = doc.NTasks
-	}
-	return jp
-}
-
-// ParseXML reads an IPM XML log.
-func ParseXML(r io.Reader) (*JobProfile, error) {
-	var doc XMLLog
-	dec := xml.NewDecoder(r)
-	if err := dec.Decode(&doc); err != nil {
-		return nil, fmt.Errorf("ipm: parsing XML log: %w", err)
-	}
-	if doc.XMLName.Local != "ipm_log" {
-		return nil, fmt.Errorf("ipm: unexpected root element %q", doc.XMLName.Local)
-	}
-	return FromXML(&doc), nil
-}

@@ -2,6 +2,7 @@ package ipmparse
 
 import (
 	"bytes"
+	"encoding/xml"
 	"io"
 	"os"
 	"path/filepath"
@@ -13,7 +14,8 @@ import (
 
 // Native fuzz targets for the two parser entry points. The contract
 // under test: the strict loader may reject anything but must never
-// panic, and the tolerant loader — which the profile store feeds with
+// panic or accept what encoding/xml's unmarshal into ipm.XMLLog
+// rejects, and the tolerant loader — which the profile store feeds with
 // arbitrary network input — must never panic AND must always hand back
 // a profile the downstream consumers (banner, XML re-encode) can
 // process without panicking. `make fuzz` runs a short pass as part of
@@ -64,6 +66,12 @@ func FuzzParse(f *testing.F) {
 		}
 		if jp == nil {
 			t.Fatal("strict Load returned nil profile and nil error")
+		}
+		// The strict reader accepts nothing encoding/xml's own strict
+		// unmarshal of the log rejects.
+		var doc ipm.XMLLog
+		if err := xml.NewDecoder(bytes.NewReader(data)).Decode(&doc); err != nil {
+			t.Fatalf("strict Load accepted a log the XMLLog unmarshal rejects: %v", err)
 		}
 		// Whatever the strict decoder accepted must survive the full
 		// downstream pipeline.

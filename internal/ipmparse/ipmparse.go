@@ -16,7 +16,10 @@ import (
 	"ipmgo/internal/ipm"
 )
 
-// Load reads an IPM XML profiling log, rejecting malformed input.
+// Load reads an IPM XML profiling log strictly: it rejects any XML
+// syntax error, a top-level element other than ipm_log, and anything
+// LoadTolerant would have to salvage or warn about. A log declaring more
+// tasks than it holds is data, not damage, and loads as a partial run.
 func Load(r io.Reader) (*ipm.JobProfile, error) { return ipm.ParseXML(r) }
 
 // LoadTolerant reads an IPM XML profiling log in salvage mode: truncated

@@ -105,13 +105,6 @@ func isTransfer(name string) bool {
 	return strings.Contains(name, "Memcpy") || strings.Contains(name, "Memset")
 }
 
-// isGPUExec matches the per-stream kernel-execution pseudo entries
-// (@CUDA_EXEC_STRMxx without a :kernel suffix), the basis of the paper's
-// GPU utilisation metric.
-func isGPUExec(name string) bool {
-	return strings.HasPrefix(name, "@CUDA_EXEC_STRM") && !strings.Contains(name, ":")
-}
-
 // kernelOf extracts the kernel name from a per-kernel pseudo entry
 // (@CUDA_EXEC_STRMxx:kernel), or "" when the entry is not one.
 func kernelOf(name string) string {

@@ -15,8 +15,8 @@ import (
 // retained raw copy of the document, the tag slice, the rollup's three
 // row slices and the scanner's four per-document allocations. The bound
 // is deliberately loose (the measured figure is 9) but far below the
-// ~1100 allocs/op of the DOM route — a regression back to per-token
-// boxing trips it immediately.
+// ~1100 allocs/op of reading through encoding/xml — a scanner that
+// bails on clean documents trips it immediately.
 //
 // Excluded under -race: the race runtime adds bookkeeping allocations
 // that would make the pin meaningless.

@@ -6,16 +6,69 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"ipmgo/internal/ipm"
 )
 
-// This file pins the streaming fast path to its semantic reference: for
-// every input the scanner accepts, the encoded rollup, the salvage
-// report and the store-level ingest result must be identical to the
-// ParseXMLTolerant + computeRollup route. The same harness backs
-// FuzzScanVsParse.
+// This file pins the store's rollup to its semantic reference: for
+// every input, the rollupSink fed by either of ipm's lexers must encode
+// to the same rollup as computeRollup's flat fold over
+// ParseXMLTolerant's profile, and wherever the scanner does not bail
+// its salvage report must be DecodeXMLTolerant's. The same harness
+// backs FuzzScanVsParse.
+
+// computeRollup is the reference reduction of one job profile to the
+// rollup fields of its wire image: one row per entry, folded by name.
+// jobID labels the imbalance rows.
+func computeRollup(jp *ipm.JobProfile, jobID string) WireJob {
+	var w WireJob
+	var sites, kernels []WireSite
+	for _, r := range jp.Ranks {
+		w.Wall += int64(r.Wallclock)
+		w.Stall += int64(r.SubmitStall)
+		w.Energy += r.Energy
+		if r.Lost {
+			w.Lost++
+		}
+		for _, e := range r.Entries {
+			name := e.Sig.Name
+			total := int64(e.Stats.Total)
+			switch {
+			case strings.HasPrefix(name, "@CUDA_EXEC_STRM") && !strings.Contains(name, ":"):
+				w.GPU += total
+			case name == ipm.HostIdleName:
+				w.Idle += total
+			case e.Sig.Pseudo():
+				// Per-kernel pseudo entries are tallied below; other
+				// pseudo entries only appear in the call-site table.
+			case isTransfer(name):
+				w.Xfer += total
+			}
+			if ipm.Classify(name) == ipm.DomainMPI {
+				w.MPI += total
+			}
+			row := WireSite{Name: name, WireStats: toWireStats(e.Stats)}
+			if k := kernelOf(name); k != "" {
+				row.Name = k
+				kernels = append(kernels, row)
+				continue // per-kernel entries double the stream totals; keep them out of call sites
+			}
+			sites = append(sites, row)
+		}
+	}
+	w.Sites, w.Kernels = slices.Clone(foldRows(sites)), slices.Clone(foldRows(kernels))
+	if len(jp.Ranks) > 1 {
+		for _, ft := range jp.FuncTotals() {
+			w.Imb = append(w.Imb, WireImb{
+				Name: ft.Name, MaxOverAvg: jp.Imbalance(ft.Name), WorstJob: jobID,
+			})
+		}
+	}
+	return w
+}
 
 // diffCorpus returns every XML fixture the repo carries, plus
 // truncations and point mutations of each — the inputs most likely to
@@ -57,47 +110,61 @@ func diffCorpus(t testing.TB) [][]byte {
 	return append(corpus, derived...)
 }
 
-// diffScan compares ScanXMLTolerant + rollupSink against
-// ParseXMLTolerant + computeRollup on one input. Returns whether the
-// fast path engaged.
+// diffScan holds both lexers to the reference on one input: the
+// rollupSink fed by DecodeXMLTolerant, and by ScanXMLTolerant unless it
+// bails, must match computeRollup over ParseXMLTolerant's profile, and
+// the scanner's report and error must be the decoder's. Returns whether
+// the scanner engaged.
 func diffScan(t testing.TB, data []byte) bool {
 	t.Helper()
-	if !prescanClean(data) {
-		return false // ingest would not offer this input to the scanner
+	jp, _, perr := ipm.ParseXMLTolerant(bytes.NewReader(data))
+	var want []byte
+	if perr == nil {
+		var err error
+		if want, err = EncodeWireJobs([]WireJob{computeRollup(jp, "j")}); err != nil {
+			t.Fatal(err)
+		}
 	}
+	// check compares one lexer's sink and error with the reference.
+	check := func(lexer string, sink *rollupSink, err error) {
+		t.Helper()
+		if (err == nil) != (perr == nil) || (err != nil && err.Error() != perr.Error()) {
+			t.Fatalf("%s error %v, parse error %v\ninput: %q", lexer, err, perr, data)
+		}
+		if err != nil {
+			return
+		}
+		if sink.command != jp.Command || sink.tasks != len(jp.Ranks) {
+			t.Fatalf("%s: command %q, %d tasks; profile %q, %d ranks\ninput: %q",
+				lexer, sink.command, sink.tasks, jp.Command, len(jp.Ranks), data)
+		}
+		got, gerr := EncodeWireJobs([]WireJob{sink.build("j")})
+		if gerr != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s rollup diverges (error %v)\nsink:      %s\nreference: %s\ninput: %q", lexer, gerr, got, want, data)
+		}
+	}
+
 	sink := newRollupSink()
+	sink.reset()
+	var drep ipm.ParseReport
+	derr := ipm.DecodeXMLTolerant(bytes.NewReader(data), sink, &drep)
+	check("decode", sink, derr)
+
 	sink.reset()
 	var rep ipm.ParseReport
 	ok, serr := ipm.ScanXMLTolerant(data, sink, &rep)
 	if !ok {
-		return false // bail-out: fallback handles it, nothing to compare
+		return false // bail-out: ingest decodes it, checked above
 	}
-	jp, drep, derr := ipm.ParseXMLTolerant(bytes.NewReader(data))
-	if (serr == nil) != (derr == nil) || (serr != nil && serr.Error() != derr.Error()) {
-		t.Fatalf("scan error %v, parse error %v\ninput: %q", serr, derr, data)
-	}
-	if serr != nil {
-		return true
-	}
+	check("scan", sink, serr)
 	if !reflect.DeepEqual(rep.Warnings, drep.Warnings) &&
 		!(len(rep.Warnings) == 0 && len(drep.Warnings) == 0) {
-		t.Fatalf("warnings diverge\nscan:  %q\nparse: %q\ninput: %q", rep.Warnings, drep.Warnings, data)
+		t.Fatalf("warnings diverge\nscan:   %q\ndecode: %q\ninput: %q", rep.Warnings, drep.Warnings, data)
 	}
 	if rep.Truncated != drep.Truncated ||
 		rep.TasksRecovered != drep.TasksRecovered ||
 		rep.TasksDeclared != drep.TasksDeclared {
-		t.Fatalf("report diverges\nscan:  %+v\nparse: %+v\ninput: %q", rep, *drep, data)
-	}
-	if sink.command != jp.Command {
-		t.Fatalf("command %q vs %q\ninput: %q", sink.command, jp.Command, data)
-	}
-	if sink.tasks != len(jp.Ranks) {
-		t.Fatalf("tasks %d vs %d ranks\ninput: %q", sink.tasks, len(jp.Ranks), data)
-	}
-	got, gerr := EncodeWireJobs([]WireJob{sink.build("j")})
-	want, werr := EncodeWireJobs([]WireJob{computeRollup(jp, "j")})
-	if gerr != nil || werr != nil || !bytes.Equal(got, want) {
-		t.Fatalf("rollup diverges (errors %v, %v)\nscan:  %s\nparse: %s\ninput: %q", gerr, werr, got, want, data)
+		t.Fatalf("report diverges\nscan:   %+v\ndecode: %+v\ninput: %q", rep, drep, data)
 	}
 	return true
 }
@@ -126,23 +193,23 @@ const mergeDoc = `<?xml version="1.0" encoding="UTF-8"?>
 </ipm_log>
 `
 
-// TestRollupMergesRows: on both ingest paths, a kernel seen on two
+// TestRollupMergesRows: through both lexers, a kernel seen on two
 // streams is one kernel row and a call site seen in two regions is one
 // site row, each carrying the merged stats.
 func TestRollupMergesRows(t *testing.T) {
 	if !diffScan(t, []byte(mergeDoc)) {
 		t.Fatal("scanner bailed on the merge document")
 	}
-	for _, forceDOM := range []bool{false, true} {
+	for _, forceDecode := range []bool{false, true} {
 		s := New()
-		s.forceDOM = forceDOM
+		s.forceDecode = forceDecode
 		job, err := s.Ingest([]byte(mergeDoc), "", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := WireStats{Count: 7, Total: 1150e6, Min: 50e6, Max: 300e6}
 		if len(job.Kernels) != 1 || job.Kernels[0] != (WireSite{Name: "k", WireStats: want}) {
-			t.Errorf("forceDOM=%v: kernel rows %+v, want one row k %+v", forceDOM, job.Kernels, want)
+			t.Errorf("forceDecode=%v: kernel rows %+v, want one row k %+v", forceDecode, job.Kernels, want)
 		}
 		var send []WireSite
 		for _, row := range job.Sites {
@@ -152,17 +219,18 @@ func TestRollupMergesRows(t *testing.T) {
 		}
 		want = WireStats{Count: 3, Total: 350e6, Min: 50e6, Max: 200e6}
 		if len(send) != 1 || send[0].WireStats != want {
-			t.Errorf("forceDOM=%v: MPI_Send rows %+v, want one row %+v", forceDOM, send, want)
+			t.Errorf("forceDecode=%v: MPI_Send rows %+v, want one row %+v", forceDecode, send, want)
 		}
 	}
 }
 
-// diffStore ingests the same document into a streaming store and a
-// forced-DOM store and demands identical jobs, errors and /agg output.
+// diffStore ingests the same document into a scanning store and a
+// forced-decode store and demands identical jobs, errors and /agg
+// output.
 func diffStore(t testing.TB, data []byte) {
 	t.Helper()
 	fast, slow := New(), New()
-	slow.forceDOM = true
+	slow.forceDecode = true
 	jf, errF := fast.Ingest(data, "", []string{"t"})
 	js, errS := slow.Ingest(data, "", []string{"t"})
 	if (errF == nil) != (errS == nil) || (errF != nil && errF.Error() != errS.Error()) {
@@ -215,7 +283,7 @@ func TestScanFastPathEngages(t *testing.T) {
 // to the exported DeriveID (part of the WAL/API contract).
 func TestFormatIDMatchesDeriveID(t *testing.T) {
 	for _, in := range []string{"", "ipm", "<ipm_log/>", string(fixture(t, "base.xml"))} {
-		h, _ := prescanHash([]byte(in))
+		h := prescanHash([]byte(in))
 		if got, want := formatID(h), DeriveID([]byte(in)); got != want {
 			t.Errorf("formatID(%q) = %s, DeriveID = %s", in, got, want)
 		}
@@ -237,6 +305,8 @@ func TestAppendWALRecordMatchesJSON(t *testing.T) {
 		{"ctl", nil, "a\x01b\x1fc\x7fd"},
 		{"amp", []string{"x&y"}, "<a b=\"1>2\"/>"},
 		{"", []string{}, ""},
+		{"bs", nil, "a\bb"},
+		{"ff", nil, "a\fb"},
 	}
 	for _, tc := range cases {
 		rec, ok := appendWALRecord(nil, tc.id, tc.tags, []byte(tc.xml))
@@ -257,9 +327,10 @@ func TestAppendWALRecordMatchesJSON(t *testing.T) {
 	}
 }
 
-// FuzzScanVsParse is the differential fuzzer: any input the scanner
-// accepts must produce the same rollup, warnings and store behavior as
-// the DOM route, and any ASCII input must WAL-encode identically to
+// FuzzScanVsParse is the differential fuzzer: through either lexer, any
+// input must produce the reference rollup, the scanner must report what
+// the decoder reports wherever it engages, both stores must behave
+// alike, and any ASCII input must WAL-encode identically to
 // encoding/json.
 func FuzzScanVsParse(f *testing.F) {
 	for _, doc := range diffCorpus(f) {
@@ -275,6 +346,8 @@ func FuzzScanVsParse(f *testing.F) {
 	f.Add([]byte(`<ipm_log cmd="a b"><func name="x"/><region></region></ipm_log>`))
 	f.Add([]byte(`<ipm_log ntasks="1"><task energy_total="1.5" device="X"><region><func name="k" t="1" energy="0.5"/></region></task></ipm_log>`))
 	f.Add([]byte(`<ipm_log ntasks="1"><task><region><func name="k" t="1" energy="2.25"/></region></task></ipm_log>`))
+	f.Add([]byte(`<ipm_log ntasks="1"><task><region><func name="" count="x"/></region></task></ipm_log>`))
+	f.Add([]byte("<ipm_log command=\"a\bb\"><task>\f</task></ipm_log>"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 16<<10 {
 			return

@@ -11,34 +11,19 @@ import (
 
 // This file is the streaming ingest hot path: one pass over the raw XML
 // computes the content-hash id, the per-job rollup and the WAL record,
-// with all scratch state pooled and reused across uploads. The
-// byte-level scan itself lives in ipm.ScanXMLTolerant; everything here
-// is the reduction that used to run over the JobProfile DOM
-// (computeRollup) re-expressed as a ScanSink, plus the cleanliness
-// prescan that decides whether the fast path applies at all.
+// with all scratch state pooled and reused across uploads. The reading
+// itself lives in internal/ipm: ScanXMLTolerant, or DecodeXMLTolerant
+// for the documents the scanner bails on, both feeding the same rules;
+// everything here is the reduction of their event stream to a rollup
+// (rollupSink).
 //
-// Correctness rests on two properties, both enforced by differential
-// tests and FuzzScanVsParse:
-//
-//  1. the scanner's event stream matches ParseXMLTolerant on every
-//     input it accepts (see scan.go for the bail-out contract), and
-//  2. folding entries per name first and merging the per-name subtotals
-//     afterwards yields the same rollup as computeRollup's flat fold —
-//     ipm.Stats.Merge is commutative and associative over non-empty
-//     operands, zero-count operands contribute nothing, and the
-//     unconditional duration sums are plain integer addition.
-
-// cleanByte marks the bytes on which the fast scanner is byte-exact
-// with encoding/xml: printable ASCII plus tab/LF/CR, minus '&' (entity
-// expansion rewrites the text).
-var cleanByte = func() (t [256]bool) {
-	for c := 0x20; c < 0x7f; c++ {
-		t[c] = true
-	}
-	t['\t'], t['\n'], t['\r'] = true, true, true
-	t['&'] = false
-	return
-}()
+// Correctness rests on one property: folding entries per name first and
+// merging the per-name subtotals afterwards yields the same rollup as a
+// flat fold over the profile's entries — ipm.Stats.Merge is commutative and
+// associative over non-empty operands, zero-count operands contribute
+// nothing, and the unconditional duration sums are plain integer
+// addition. The differential tests and FuzzScanVsParse hold rollupSink
+// to that flat fold over ParseXMLTolerant's profile.
 
 // fnv1aOffset/fnv1aPrime are the FNV-1a 64-bit parameters, matching
 // hash/fnv (and therefore DeriveID).
@@ -47,28 +32,14 @@ const (
 	fnv1aPrime  = 1099511628211
 )
 
-// prescanHash walks the document once, computing the FNV-1a content
-// hash (the derived job id) and the fast-path cleanliness verdict in
-// the same pass.
-func prescanHash(xml []byte) (hash uint64, clean bool) {
+// prescanHash computes the FNV-1a content hash of the document: the
+// derived job id.
+func prescanHash(xml []byte) uint64 {
 	h := uint64(fnv1aOffset)
-	clean = true
 	for _, b := range xml {
 		h = (h ^ uint64(b)) * fnv1aPrime
-		clean = clean && cleanByte[b]
 	}
-	return h, clean
-}
-
-// prescanClean is prescanHash without the hash, for ingests that supply
-// an id; it exits at the first disqualifying byte.
-func prescanClean(xml []byte) bool {
-	for _, b := range xml {
-		if !cleanByte[b] {
-			return false
-		}
-	}
-	return true
+	return h
 }
 
 // formatID renders a content hash as the derived job id, equal to
@@ -147,9 +118,8 @@ type rollupSink struct {
 	lostRanks int
 
 	// Submit-stall fold. The task-level attribute wins when present;
-	// logs predating it fall back to summing the entry attributes —
-	// mirroring FromXML's re-derivation, so scanning stays differential
-	// with the parse path.
+	// logs predating it fall back to summing the entry attributes, as
+	// ParseXMLTolerant's profile does.
 	stall          time.Duration
 	taskStall      time.Duration
 	taskEntryStall time.Duration
@@ -246,7 +216,6 @@ func (k *rollupSink) lookup(name []byte) *nameAcc {
 func (k *rollupSink) Entry(e *ipm.ScanEntry) {
 	name := e.Name
 	total := e.Total
-	// The classification switch of computeRollup, on raw bytes.
 	switch {
 	case isGPUExecB(name):
 		k.gpu += total
@@ -292,17 +261,19 @@ func containsB(b []byte, sub string) bool {
 	return false
 }
 
-// isTransferB / isGPUExecB are the byte-slice twins of agg.go's
-// classifiers.
+// isTransferB is the byte-slice twin of agg.go's isTransfer.
 func isTransferB(b []byte) bool { return containsB(b, "Memcpy") || containsB(b, "Memset") }
 
+// isGPUExecB matches the per-stream kernel-execution pseudo entries
+// (@CUDA_EXEC_STRMxx without a :kernel suffix), the basis of the paper's
+// GPU utilisation metric.
 func isGPUExecB(b []byte) bool {
 	return hasPrefixB(b, "@CUDA_EXEC_STRM") && !containsB(b, ":")
 }
 
 // build materializes the accumulated state into the rollup fields of a
-// wire image, byte-identical to computeRollup over the equivalent
-// JobProfile. It allocates the three row slices and nothing else.
+// wire image; the metadata fields are left zero. jobID labels the
+// imbalance rows. It allocates the three row slices and nothing else.
 func (k *rollupSink) build(jobID string) WireJob {
 	w := WireJob{
 		Lost: k.lostRanks,
@@ -400,7 +371,7 @@ func resetReport(rep *ipm.ParseReport) {
 
 // appendJSONBytes appends s as a JSON string literal, byte-identical
 // to how json.Marshal renders a Go string: the two-character escapes
-// for quote/backslash/\n\r\t, \u00xx for '<', '>', '&' (HTML escaping
+// for quote/backslash/\n\r\t\b\f, \u00xx for '<', '>', '&' (HTML escaping
 // is on for Marshal) and remaining control bytes, ASCII raw. ok=false
 // (buffer contents then unusable) for non-ASCII bytes, where Marshal's
 // UTF-8 validation takes over — callers fall back to json.Marshal for
@@ -421,6 +392,10 @@ func appendJSONBytes[T string | []byte](buf []byte, s T) ([]byte, bool) {
 			buf = append(buf, '\\', 'r')
 		case c == '\t':
 			buf = append(buf, '\\', 't')
+		case c == '\b':
+			buf = append(buf, '\\', 'b')
+		case c == '\f':
+			buf = append(buf, '\\', 'f')
 		case c == '<' || c == '>' || c == '&' || c < 0x20:
 			buf = append(buf, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
 		case c < 0x80:

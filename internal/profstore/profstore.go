@@ -67,28 +67,24 @@ type WriteSyncer interface {
 type Job struct {
 	WireJob
 
-	// The streaming ingest path never builds the JobProfile DOM; it
-	// retains the raw document instead and Profile() parses it lazily on
-	// first use (the /jobs and /job/{id} detail paths). The fallback
-	// DOM-parse path pre-sets prof and retains nothing.
+	// Ingest never builds the JobProfile; it retains the raw document
+	// instead and Profile() parses it lazily on first use (the /jobs and
+	// /job/{id} detail paths).
 	raw      []byte
 	profOnce sync.Once
 	prof     *ipm.JobProfile
 }
 
-// Profile returns the job's full DOM profile, parsing the retained
+// Profile returns the job's full profile, parsing the retained
 // document on first use. Safe for concurrent callers; the parse runs at
 // most once per job.
 func (j *Job) Profile() *ipm.JobProfile {
 	j.profOnce.Do(func() {
-		if j.prof != nil {
-			return
-		}
 		jp, _, err := ipm.ParseXMLTolerant(bytes.NewReader(j.raw))
 		if err != nil {
 			// A job rebuilt from its wire image has no document and
-			// gets an empty profile. Unreachable otherwise: the
-			// streaming scanner found the ipm_log root.
+			// gets an empty profile. Unreachable otherwise: ingest
+			// found the ipm_log root.
 			jp = ipm.NewJobProfile(j.Command, 0, nil)
 		}
 		j.prof = jp
@@ -153,10 +149,10 @@ type Store struct {
 	replaced atomic.Int64 // ingests that replaced an existing job id
 	bytesIn  atomic.Int64 // XML bytes successfully ingested
 
-	// forceDOM disables the streaming scan fast path so tests can drive
-	// the ParseXMLTolerant fallback on inputs the scanner would accept
-	// and compare the two end to end.
-	forceDOM bool
+	// forceDecode is a test hook: it skips the scanner, so every ingest
+	// reads through DecodeXMLTolerant and tests can compare the two
+	// lexers end to end on inputs the scanner would accept.
+	forceDecode bool
 
 	// epoch advances after every shard insert; the memo cache (memo.go)
 	// keys cached /agg and /regress reports by it.
@@ -466,13 +462,12 @@ func (s *Store) maybeCompact() {
 }
 
 // ingest is the one-pass streaming write path: a prescan settles the
-// content-hash id and whether the zero-copy scanner applies, then a
-// single scan over the bytes produces the rollup, the job metadata and
-// (via the pooled buffer) the WAL record. Documents off the scanner's
-// fast-path grammar — non-ASCII, entities, truncation, decoder
-// oddities — take the original ParseXMLTolerant + computeRollup route,
-// which is the semantic reference the scanner must agree with
-// (FuzzScanVsParse enforces exactly that).
+// content-hash id, then a single scan over the bytes produces the
+// rollup, the job metadata and (via the pooled buffer) the WAL record.
+// Documents off the scanner's fast-path grammar — non-ASCII, entities,
+// truncation, decoder oddities — are read again by DecodeXMLTolerant
+// into the same sink; both lexers share ipm's reading rules, so the
+// route changes the cost, never the rollup.
 func (s *Store) ingest(xml []byte, id string, tags []string, logIt bool) (*Job, error) {
 	if logIt {
 		// Shared lifecycle lock for the WAL-append + insert sequence;
@@ -490,53 +485,31 @@ func (s *Store) ingest(xml []byte, id string, tags []string, logIt bool) (*Job, 
 	sc := scratchPool.Get().(*ingestScratch)
 	defer scratchPool.Put(sc)
 
-	var clean bool
 	if id == "" {
-		var hash uint64
-		hash, clean = prescanHash(xml)
-		id = formatID(hash) // == DeriveID(xml)
-	} else {
-		clean = prescanClean(xml)
+		id = formatID(prescanHash(xml)) // == DeriveID(xml)
 	}
-	if s.forceDOM {
-		clean = false
+	sc.sink.reset()
+	resetReport(&sc.rep)
+	var ok bool
+	var err error
+	if !s.forceDecode {
+		ok, err = ipm.ScanXMLTolerant(xml, sc.sink, &sc.rep)
 	}
-
-	var (
-		w   WireJob
-		jp  *ipm.JobProfile
-		rep *ipm.ParseReport
-	)
-	if clean {
+	if !ok {
 		sc.sink.reset()
 		resetReport(&sc.rep)
-		if ok, serr := ipm.ScanXMLTolerant(xml, sc.sink, &sc.rep); ok {
-			if serr != nil {
-				return nil, fmt.Errorf("profstore: ingest: %w", serr)
-			}
-			w = sc.sink.build(id)
-			w.Command, w.Ranks = sc.sink.command, sc.sink.tasks
-			rep = &sc.rep
-		}
+		err = ipm.DecodeXMLTolerant(bytes.NewReader(xml), sc.sink, &sc.rep)
 	}
-	if rep == nil {
-		var err error
-		jp, rep, err = ipm.ParseXMLTolerant(bytes.NewReader(xml))
-		if err != nil {
-			return nil, fmt.Errorf("profstore: ingest: %w", err)
-		}
-		w = computeRollup(jp, id)
-		w.Command, w.Ranks = jp.Command, len(jp.Ranks)
+	if err != nil {
+		return nil, fmt.Errorf("profstore: ingest: %w", err)
 	}
+	w := sc.sink.build(id)
+	w.Command, w.Ranks = sc.sink.command, sc.sink.tasks
 	w.ID, w.Tags, w.Bytes = id, normTags(tags), len(xml)
-	w.Warnings = len(rep.Warnings)
-	w.Salvaged = rep.Truncated || w.Warnings > 0
+	w.Warnings = len(sc.rep.Warnings)
+	w.Salvaged = sc.rep.Truncated || w.Warnings > 0
 
-	job := &Job{WireJob: w, prof: jp}
-	if jp == nil {
-		// Streaming path: keep the raw bytes for the lazy DOM parse.
-		job.raw = append([]byte(nil), xml...)
-	}
+	job := &Job{WireJob: w, raw: append([]byte(nil), xml...)}
 
 	// WAL before store: a record that made it to the log is the ingest;
 	// the in-memory insert is recoverable from it but not vice versa.

@@ -79,16 +79,16 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 	}
 }
 
-// TestConcurrentStreamVsDOMIngest runs the same corpus through a
-// streaming store and a forced-DOM store, both under concurrent ingest
-// with live /agg readers, and demands byte-identical aggregates. Under
-// -race this doubles as the proof that the pooled scan scratch is safe
-// across goroutines.
-func TestConcurrentStreamVsDOMIngest(t *testing.T) {
+// TestConcurrentScanVsDecodeIngest runs the same corpus through a
+// scanning store and a forced-decode store, both under concurrent
+// ingest with live /agg readers, and demands byte-identical aggregates.
+// Under -race this doubles as the proof that the pooled scan scratch is
+// safe across goroutines.
+func TestConcurrentScanVsDecodeIngest(t *testing.T) {
 	const jobs, writers = 60, 8
-	build := func(forceDOM bool) []byte {
+	build := func(forceDecode bool) []byte {
 		s := New()
-		s.forceDOM = forceDOM
+		s.forceDecode = forceDecode
 		var wg sync.WaitGroup
 		work := make(chan int)
 		for w := 0; w < writers; w++ {
@@ -114,7 +114,7 @@ func TestConcurrentStreamVsDOMIngest(t *testing.T) {
 	fast := build(false)
 	slow := build(true)
 	if !bytes.Equal(fast, slow) {
-		t.Errorf("streaming and DOM ingest disagree:\nstream:\n%s\ndom:\n%s", fast, slow)
+		t.Errorf("scanning and decoding ingest disagree:\nscan:\n%s\ndecode:\n%s", fast, slow)
 	}
 }
 

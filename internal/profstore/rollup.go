@@ -20,59 +20,6 @@ import (
 // A rollup is immutable once built; concurrent aggregations may read it
 // without locking.
 
-// computeRollup reduces one job profile to the rollup fields of its wire
-// image; the metadata fields are left zero. jobID labels the imbalance
-// rows. It is ingest's DOM fallback and the reference the streaming
-// rollupSink is tested against.
-func computeRollup(jp *ipm.JobProfile, jobID string) WireJob {
-	var w WireJob
-	var sites, kernels []WireSite
-	for _, r := range jp.Ranks {
-		w.Wall += int64(r.Wallclock)
-		w.Stall += int64(r.SubmitStall)
-		w.Energy += r.Energy
-		if r.Lost {
-			w.Lost++
-		}
-		for _, e := range r.Entries {
-			name := e.Sig.Name
-			total := int64(e.Stats.Total)
-			switch {
-			case isGPUExec(name):
-				w.GPU += total
-			case name == ipm.HostIdleName:
-				w.Idle += total
-			case e.Sig.Pseudo():
-				// Per-kernel pseudo entries are tallied below; other
-				// pseudo entries only appear in the call-site table.
-			case isTransfer(name):
-				w.Xfer += total
-			}
-			if ipm.Classify(name) == ipm.DomainMPI {
-				w.MPI += total
-			}
-			row := WireSite{Name: name, WireStats: toWireStats(e.Stats)}
-			if k := kernelOf(name); k != "" {
-				row.Name = k
-				kernels = append(kernels, row)
-				continue // per-kernel entries double the stream totals; keep them out of call sites
-			}
-			sites = append(sites, row)
-		}
-	}
-	// One row per entry until folded: copy the folded rows out so the
-	// job does not keep the per-entry arrays.
-	w.Sites, w.Kernels = slices.Clone(foldRows(sites)), slices.Clone(foldRows(kernels))
-	if len(jp.Ranks) > 1 {
-		for _, ft := range jp.FuncTotals() {
-			w.Imb = append(w.Imb, WireImb{
-				Name: ft.Name, MaxOverAvg: jp.Imbalance(ft.Name), WorstJob: jobID,
-			})
-		}
-	}
-	return w
-}
-
 // foldRows merges the rows of each name into one, folding that name's
 // stats from zero in input order, and returns the merged rows sorted by
 // name, in place.

@@ -12,8 +12,8 @@ func near(got, want float64) bool { return math.Abs(got-want) < 1e-9 }
 
 // TestIngestSubmitStall proves command-queue submit accounting survives
 // store ingest: per-site Submits/SubmitStallSeconds and the report-level
-// total must surface in /agg, identically on the streaming and DOM
-// paths. The fixture's rank 0 carries the task-level submit_stall_total
+// total must surface in /agg, identically through the scanner and the
+// decoder. The fixture's rank 0 carries the task-level submit_stall_total
 // attribute (which wins), rank 1 only per-func submit attrs (summed).
 func TestIngestSubmitStall(t *testing.T) {
 	const (
@@ -21,12 +21,12 @@ func TestIngestSubmitStall(t *testing.T) {
 		rank1Stall = 0.0042 + 0.0031 + 0.0028 // entry-sum re-derive on rank 1
 	)
 	for _, tc := range []struct {
-		name     string
-		forceDOM bool
-	}{{"streaming", false}, {"dom", true}} {
+		name        string
+		forceDecode bool
+	}{{"streaming", false}, {"decode", true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := New()
-			s.forceDOM = tc.forceDOM
+			s.forceDecode = tc.forceDecode
 			if _, err := s.Ingest(fixture(t, "submit.xml"), "submit", nil); err != nil {
 				t.Fatal(err)
 			}

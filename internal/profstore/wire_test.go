@@ -180,9 +180,9 @@ func TestWireGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, forceDOM := range []bool{false, true} {
+	for _, forceDecode := range []bool{false, true} {
 		s := New()
-		s.forceDOM = forceDOM
+		s.forceDecode = forceDecode
 		for _, name := range []string{"base.xml", "head.xml", "energy.xml", "submit.xml"} {
 			if _, err := s.Ingest(fixture(t, name), "", []string{strings.TrimSuffix(name, ".xml")}); err != nil {
 				t.Fatal(err)
@@ -193,7 +193,7 @@ func TestWireGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("forceDOM=%v: wire image differs from testdata/wire.golden\ngot:  %s\nwant: %s", forceDOM, got, want)
+			t.Errorf("forceDecode=%v: wire image differs from testdata/wire.golden\ngot:  %s\nwant: %s", forceDecode, got, want)
 		}
 	}
 }
