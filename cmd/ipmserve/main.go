@@ -28,13 +28,13 @@
 //
 // With -peers the member joins a cluster: ingest is routed to the R
 // consistent-hash owners of each job id (acked at majority quorum).
-// /agg and /regress are served from the router's mirror of every
-// member's per-job rollups, revalidated with one conditional leg per
-// peer inside each query; /jobs is answered by parallel scatter-gather
-// and /job/{id} is forwarded to the job's ring owners when this member
-// holds no copy. Every answer is byte-identical to a single node holding
-// the whole corpus. Every member is a router; -self names this member's
-// own base URL within -peers.
+// /jobs, /agg and /regress are served from the router's mirror of every
+// member's jobs, revalidated with one conditional leg per peer inside
+// each query; /job/{id} (like any single-id selector) asks every peer
+// for that one job. Every answer is byte-identical to a single node
+// holding the whole corpus, and any unreachable member makes a read 503.
+// Every member is a router; -self names this member's own base URL
+// within -peers.
 //
 // With -selftest the command runs the built-in load generator instead
 // of serving; with -soak it runs the kill/restart durability harness,
@@ -176,9 +176,9 @@ func main() {
 	handler := srv.Handler()
 
 	// Cluster mode: wrap the single-node surface with the router. /ingest
-	// and /job/{id} go to the ring owners, /jobs scatters to every member,
-	// /agg and /regress are served from the router's revalidated rollup
-	// mirror; everything else still hits the local handler.
+	// goes to the ring owners, /jobs, /job/{id}, /agg and /regress are
+	// served from the router's revalidated mirror of every member's jobs;
+	// everything else still hits the local handler.
 	var recorder *telemetry.Recorder
 	if *peersFlag != "" {
 		members := strings.Split(*peersFlag, ",")

@@ -11,10 +11,10 @@ import (
 
 // TestIngestSteadyStateAllocs pins the streaming ingest allocation
 // budget. The scratch pool and interned-name cache make a warmed-up
-// ingest nearly allocation-free: what remains is the Job value, the
-// retained raw copy of the document, the tag slice, the rollup's three
-// row slices and the scanner's four per-document allocations. The bound
-// is deliberately loose (the measured figure is 9) but far below the
+// ingest nearly allocation-free: what remains is the Job value, the tag
+// slice (none here: the document is untagged), the rollup's three row
+// slices and the scanner's four per-document allocations. The bound is
+// deliberately loose (the measured figure is 8) but far below the
 // ~1100 allocs/op of reading through encoding/xml — a scanner that
 // bails on clean documents trips it immediately.
 //
@@ -37,12 +37,9 @@ func TestIngestSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-var wireJobSink *Job
-
 // TestRollupBuildAllocs pins a job's rollup to its three row slices:
 // building it from a scanned multi-rank document allocates the
-// call-site, kernel and imbalance rows and nothing else, and rebuilding a
-// job from its wire image allocates the Job alone.
+// call-site, kernel and imbalance rows and nothing else.
 func TestRollupBuildAllocs(t *testing.T) {
 	sink := newRollupSink()
 	sink.reset()
@@ -50,7 +47,7 @@ func TestRollupBuildAllocs(t *testing.T) {
 	if ok, err := ipm.ScanXMLTolerant(syntheticXML(t, 42, 0), sink, &rep); !ok || err != nil {
 		t.Fatalf("scan: ok=%v err=%v", ok, err)
 	}
-	var w WireJob
+	var w Job
 	build := func() { w = sink.build("j") }
 	build()
 	if sink.tasks < 2 || len(w.Sites) == 0 || len(w.Kernels) == 0 || len(w.Imb) == 0 {
@@ -59,9 +56,6 @@ func TestRollupBuildAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(200, build); got > 3 {
 		t.Errorf("rollupSink.build: %.1f allocs/job, want <= 3", got)
-	}
-	if got := testing.AllocsPerRun(200, func() { wireJobSink = w.Job() }); got != 1 {
-		t.Errorf("WireJob.Job: %.1f allocs/job, want 1", got)
 	}
 }
 
@@ -76,7 +70,7 @@ func TestAggCachedZeroAlloc(t *testing.T) {
 // when the pins were taken (the figures below), within 30 %.
 func TestStoreBenchmarkAllocs(t *testing.T) {
 	stream, _ := ingestStreamOp(t)
-	alloctest.Pin(t, "ProfstoreIngest", 1000, ingestOp(t), 11, 7098)
-	alloctest.Pin(t, "ProfstoreIngestStream", 20, stream, 577, 448034)
+	alloctest.Pin(t, "ProfstoreIngest", 1000, ingestOp(t), 10, 1959)
+	alloctest.Pin(t, "ProfstoreIngestStream", 20, stream, 512, 118283)
 	alloctest.Pin(t, "ProfstoreAgg", 200, aggOp(t), 37, 5872)
 }

@@ -21,10 +21,18 @@ import (
 // backs FuzzScanVsParse.
 
 // computeRollup is the reference reduction of one job profile to the
-// rollup fields of its wire image: one row per entry, folded by name.
-// jobID labels the imbalance rows.
-func computeRollup(jp *ipm.JobProfile, jobID string) WireJob {
-	var w WireJob
+// rollup fields of its job: one row per entry, folded by name, and each
+// job-level scalar from the JobProfile method that defines it. jobID
+// labels the imbalance rows.
+func computeRollup(jp *ipm.JobProfile, jobID string) Job {
+	w := Job{
+		WallMax:   int64(jp.Wallclock()),
+		Errors:    jp.TotalErrors(),
+		MonErrors: jp.MonitorErrors(),
+	}
+	if e := jp.Expected(); e > len(jp.Ranks) {
+		w.Declared = e
+	}
 	var sites, kernels []WireSite
 	for _, r := range jp.Ranks {
 		w.Wall += int64(r.Wallclock)
@@ -120,8 +128,9 @@ func diffScan(t testing.TB, data []byte) bool {
 	jp, _, perr := ipm.ParseXMLTolerant(bytes.NewReader(data))
 	var want []byte
 	if perr == nil {
+		ref := computeRollup(jp, "j")
 		var err error
-		if want, err = EncodeWireJobs([]WireJob{computeRollup(jp, "j")}); err != nil {
+		if want, err = EncodeWireJobs([]*Job{&ref}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -138,7 +147,8 @@ func diffScan(t testing.TB, data []byte) bool {
 			t.Fatalf("%s: command %q, %d tasks; profile %q, %d ranks\ninput: %q",
 				lexer, sink.command, sink.tasks, jp.Command, len(jp.Ranks), data)
 		}
-		got, gerr := EncodeWireJobs([]WireJob{sink.build("j")})
+		built := sink.build("j")
+		got, gerr := EncodeWireJobs([]*Job{&built})
 		if gerr != nil || !bytes.Equal(got, want) {
 			t.Fatalf("%s rollup diverges (error %v)\nsink:      %s\nreference: %s\ninput: %q", lexer, gerr, got, want, data)
 		}

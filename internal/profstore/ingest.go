@@ -108,9 +108,12 @@ type rollupSink struct {
 
 	// Per-run document state.
 	command   string
+	declared  int // the header's ntasks
 	taskIdx   int
 	tasks     int
 	wall      time.Duration
+	wallMax   time.Duration
+	monErrors int64
 	gpu       time.Duration
 	xfer      time.Duration
 	idle      time.Duration
@@ -124,10 +127,14 @@ type rollupSink struct {
 	taskStall      time.Duration
 	taskEntryStall time.Duration
 
-	// Energy fold, same task-attribute-wins contract as submit stall.
+	// Energy and error folds, same task-attribute-wins contract as
+	// submit stall.
 	energy          int64
 	taskEnergy      int64
 	taskEntryEnergy int64
+	errors          int64
+	taskErrors      int64
+	taskEntryErrors int64
 }
 
 func newRollupSink() *rollupSink {
@@ -143,12 +150,13 @@ func (k *rollupSink) reset() {
 	k.run++
 	k.list = k.list[:0]
 	k.command = ""
-	k.taskIdx = 0
-	k.tasks = 0
+	k.declared, k.taskIdx, k.tasks = 0, 0, 0
 	k.wall, k.gpu, k.xfer, k.idle, k.mpi = 0, 0, 0, 0, 0
+	k.wallMax, k.monErrors = 0, 0
 	k.lostRanks = 0
 	k.stall, k.taskStall, k.taskEntryStall = 0, 0, 0
 	k.energy, k.taskEnergy, k.taskEntryEnergy = 0, 0, 0
+	k.errors, k.taskErrors, k.taskEntryErrors = 0, 0, 0
 	if len(k.accs) > maxAccCache {
 		k.accs = make(map[string]*nameAcc)
 	}
@@ -164,15 +172,20 @@ func (k *rollupSink) Header(h *ipm.ScanHeader) {
 		k.cmds[cmd] = cmd
 	}
 	k.command = cmd
+	k.declared = h.NTasks
 }
 
 func (k *rollupSink) TaskStart(t *ipm.ScanTask) {
 	k.taskIdx++
 	k.wall += t.Wallclock
+	k.wallMax = max(k.wallMax, t.Wallclock)
+	k.monErrors += t.MonitorErrors
 	k.taskStall = t.SubmitStall
 	k.taskEntryStall = 0
 	k.taskEnergy = t.Energy
 	k.taskEntryEnergy = 0
+	k.taskErrors = t.Errors
+	k.taskEntryErrors = 0
 	if t.Lost {
 		k.lostRanks++
 	}
@@ -192,6 +205,12 @@ func (k *rollupSink) TaskEnd() {
 		k.energy += k.taskEntryEnergy
 	}
 	k.taskEnergy, k.taskEntryEnergy = 0, 0
+	if k.taskErrors != 0 {
+		k.errors += k.taskErrors
+	} else {
+		k.errors += k.taskEntryErrors
+	}
+	k.taskErrors, k.taskEntryErrors = 0, 0
 }
 
 // lookup returns the accumulator for name, interning it on first sight
@@ -239,6 +258,7 @@ func (k *rollupSink) Entry(e *ipm.ScanEntry) {
 	acc.raw += total
 	k.taskEntryStall += e.SubmitStall
 	k.taskEntryEnergy += e.Energy
+	k.taskEntryErrors += e.Errors
 	acc.merged.Merge(ipm.Stats{
 		Count: e.Count, Total: e.Total, Min: e.Min, Max: e.Max, Errors: e.Errors,
 		Submits: e.Submits, SubmitStall: e.SubmitStall, Energy: e.Energy,
@@ -272,14 +292,18 @@ func isGPUExecB(b []byte) bool {
 }
 
 // build materializes the accumulated state into the rollup fields of a
-// wire image; the metadata fields are left zero. jobID labels the
-// imbalance rows. It allocates the three row slices and nothing else.
-func (k *rollupSink) build(jobID string) WireJob {
-	w := WireJob{
+// job; the metadata fields are left zero. jobID labels the imbalance
+// rows. It allocates the three row slices and nothing else.
+func (k *rollupSink) build(jobID string) Job {
+	w := Job{
 		Lost: k.lostRanks,
 		Wall: int64(k.wall), GPU: int64(k.gpu), Xfer: int64(k.xfer),
 		Idle: int64(k.idle), MPI: int64(k.mpi), Stall: int64(k.stall),
-		Energy: k.energy,
+		Energy:  k.energy,
+		WallMax: int64(k.wallMax), Errors: k.errors, MonErrors: k.monErrors,
+	}
+	if k.declared > k.tasks {
+		w.Declared = k.declared
 	}
 	// Call sites (kernel "") first, by name; then the per-kernel entries.
 	slices.SortFunc(k.list, func(a, b *nameAcc) int {

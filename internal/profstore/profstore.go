@@ -61,38 +61,6 @@ type WriteSyncer interface {
 	Sync() error
 }
 
-// Job is one ingested profile: its wire image — the store metadata and
-// the rollup, computed once at ingest and immutable afterwards (see
-// rollup.go and wire.go) — and the document behind Profile.
-type Job struct {
-	WireJob
-
-	// Ingest never builds the JobProfile; it retains the raw document
-	// instead and Profile() parses it lazily on first use (the /jobs and
-	// /job/{id} detail paths).
-	raw      []byte
-	profOnce sync.Once
-	prof     *ipm.JobProfile
-}
-
-// Profile returns the job's full profile, parsing the retained
-// document on first use. Safe for concurrent callers; the parse runs at
-// most once per job.
-func (j *Job) Profile() *ipm.JobProfile {
-	j.profOnce.Do(func() {
-		jp, _, err := ipm.ParseXMLTolerant(bytes.NewReader(j.raw))
-		if err != nil {
-			// A job rebuilt from its wire image has no document and
-			// gets an empty profile. Unreachable otherwise: ingest
-			// found the ipm_log root.
-			jp = ipm.NewJobProfile(j.Command, 0, nil)
-		}
-		j.prof = jp
-		j.raw = nil
-	})
-	return j.prof
-}
-
 // shard is one lock-striped partition of the corpus.
 type shard struct {
 	mu   sync.RWMutex
@@ -503,13 +471,12 @@ func (s *Store) ingest(xml []byte, id string, tags []string, logIt bool) (*Job, 
 	if err != nil {
 		return nil, fmt.Errorf("profstore: ingest: %w", err)
 	}
-	w := sc.sink.build(id)
-	w.Command, w.Ranks = sc.sink.command, sc.sink.tasks
-	w.ID, w.Tags, w.Bytes = id, normTags(tags), len(xml)
-	w.Warnings = len(sc.rep.Warnings)
-	w.Salvaged = sc.rep.Truncated || w.Warnings > 0
-
-	job := &Job{WireJob: w, raw: append([]byte(nil), xml...)}
+	job := new(Job)
+	*job = sc.sink.build(id)
+	job.Command, job.Ranks = sc.sink.command, sc.sink.tasks
+	job.ID, job.Tags, job.Bytes = id, normTags(tags), len(xml)
+	job.Warnings = len(sc.rep.Warnings)
+	job.Salvaged = sc.rep.Truncated || job.Warnings > 0
 
 	// WAL before store: a record that made it to the log is the ingest;
 	// the in-memory insert is recoverable from it but not vice versa.

@@ -8,9 +8,9 @@ import (
 )
 
 // A job's rollup is the per-job pre-aggregation computed once at ingest:
-// every quantity Aggregate and Regress need from a job, reduced from the
-// per-rank entry walk to the rollup fields of its WireJob — the scalar
-// sums, the call-site and kernel rows sorted by name and the imbalance
+// every quantity the queries need from a job, reduced from the per-rank
+// entry walk to the rollup fields of its Job — the scalar sums and
+// maxima, the call-site and kernel rows sorted by name and the imbalance
 // rows in FuncTotals order. Because ipm.Stats.Merge is commutative and
 // associative (integer sums plus zero-count-guarded min/max) and every
 // float in a report is derived only after the final integer merge,

@@ -128,11 +128,13 @@ func boolGauge(b bool) float64 {
 // complete against the live mux.
 func (s *Server) SetDraining(d bool) { s.draining.Store(d) }
 
-// JobSource answers the two corpus-wide queries: the server's own store,
-// or (see QueryHandler) a cluster router's mirror of every member, whose
+// JobSource answers the corpus-wide queries: the server's own store, or
+// (see QueryHandler) a cluster router's mirror of every member, whose
 // revalidation can fail — any error is answered 503 with Retry-After,
-// never with a partial report.
+// never with a partial answer.
 type JobSource interface {
+	// Jobs resolves a job selector (see Store.Select), sorted by id.
+	Jobs(sel string) ([]*Job, error)
 	Aggregate(AggOptions) (*AggReport, error)
 	Regress(RegressOptions) (*RegressReport, error)
 }
@@ -140,6 +142,7 @@ type JobSource interface {
 // localSource is the single-node JobSource.
 type localSource struct{ s *Store }
 
+func (l localSource) Jobs(sel string) ([]*Job, error)            { return l.s.Select(sel), nil }
 func (l localSource) Aggregate(o AggOptions) (*AggReport, error) { return l.s.Aggregate(o), nil }
 func (l localSource) Regress(o RegressOptions) (*RegressReport, error) {
 	return l.s.Regress(o), nil
@@ -153,21 +156,29 @@ func (s *Server) observe(q int, start time.Time) {
 }
 
 // QuerySurface is the dynamic type of Server.Handler(): the single-node
-// routes, plus the means to serve the two corpus-wide queries from
-// somewhere else.
+// routes, plus the means to serve the corpus-wide queries from somewhere
+// else.
 type QuerySurface struct {
 	http.Handler
 	s *Server
 }
 
-// QueryHandler returns the server's GET /agg and GET /regress handlers —
-// same parameter parsing, same counters and latency histogram, same
-// renderers — answering from src instead of the server's store.
+// QueryHandler returns the server's GET /jobs, /job/{id}, /agg and
+// /regress handlers — same parameter parsing, same counters and latency
+// histogram, same renderers — answering from src instead of the server's
+// store.
 func (q *QuerySurface) QueryHandler(src JobSource) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /agg", q.s.handleAgg(src))
-	mux.HandleFunc("GET /regress", q.s.handleRegress(src))
+	q.s.routeQueries(mux, src)
 	return mux
+}
+
+// routeQueries registers the corpus-wide query routes over src.
+func (s *Server) routeQueries(mux *http.ServeMux, src JobSource) {
+	mux.HandleFunc("GET /jobs", func(w http.ResponseWriter, r *http.Request) { s.serveJobs(src, w, r) })
+	mux.HandleFunc("GET /job/{id}", func(w http.ResponseWriter, r *http.Request) { s.serveJob(src, w, r) })
+	mux.HandleFunc("GET /agg", func(w http.ResponseWriter, r *http.Request) { s.serveAgg(src, w, r) })
+	mux.HandleFunc("GET /regress", func(w http.ResponseWriter, r *http.Request) { s.serveRegress(src, w, r) })
 }
 
 // Handler returns the route mux (a *QuerySurface): the query surface plus
@@ -175,10 +186,7 @@ func (q *QuerySurface) QueryHandler(src JobSource) http.Handler {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /ingest", s.handleIngest)
-	mux.HandleFunc("GET /jobs", s.handleJobs)
-	mux.HandleFunc("GET /job/{id}", s.handleJob)
-	mux.HandleFunc("GET /agg", s.handleAgg(localSource{s.store}))
-	mux.HandleFunc("GET /regress", s.handleRegress(localSource{s.store}))
+	s.routeQueries(mux, localSource{s.store})
 	mux.HandleFunc("POST /compact", s.handleCompact)
 	// /healthz: liveness — the process is up and serving queries.
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -291,34 +299,37 @@ type JobMeta struct {
 }
 
 func metaOf(j *Job) JobMeta {
-	p := j.Profile()
 	return JobMeta{
 		ID: j.ID, Command: j.Command, Tags: j.Tags, Ranks: j.Ranks,
-		LostRanks:        len(p.LostRanks()),
-		WallclockSeconds: p.Wallclock().Seconds(),
-		GPUPercent:       p.GPUPercent(),
-		CommPercent:      p.CommPercent(),
+		LostRanks:        j.Lost,
+		WallclockSeconds: time.Duration(j.WallMax).Seconds(),
+		GPUPercent:       percentOfWall(j.GPU, j.Wall),
+		CommPercent:      percentOfWall(j.MPI, j.Wall),
 		Salvaged:         j.Salvaged,
 	}
 }
 
-// JobMetas returns the GET /jobs rows for a selector — the member-side
-// payload of the cluster /shard/jobs scatter (metadata requires the
-// owning member's raw documents, so the router gathers rows rather than
-// recomputing them).
-func (s *Store) JobMetas(sel string) []JobMeta {
-	jobs := s.Select(sel)
-	metas := make([]JobMeta, 0, len(jobs))
-	for _, j := range jobs {
-		metas = append(metas, metaOf(j))
+// percentOfWall is ipm.JobProfile's GPUPercent/CommPercent formula over
+// rollup sums: 100·t/wall, 0 for a job without wallclock.
+func percentOfWall(t, wall int64) float64 {
+	if wall == 0 {
+		return 0
 	}
-	return metas
+	return 100 * float64(t) / float64(wall)
 }
 
-func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
+func (s *Server) serveJobs(src JobSource, w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer s.observe(qJobs, start)
-	metas := s.store.JobMetas(r.URL.Query().Get("sel"))
+	jobs, err := src.Jobs(r.URL.Query().Get("sel"))
+	if err != nil {
+		s.unavailable(w, err)
+		return
+	}
+	metas := make([]JobMeta, len(jobs))
+	for i, j := range jobs {
+		metas[i] = metaOf(j)
+	}
 	if wantsHTML(r) {
 		renderHTML(w, jobsTmpl, metas)
 		return
@@ -335,32 +346,31 @@ type JobDetail struct {
 	CallSites     []CallSiteAgg `json:"call_sites"`
 }
 
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
+func (s *Server) serveJob(src JobSource, w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer s.observe(qJob, start)
 	id := r.PathValue("id")
-	job := s.store.Get(id)
-	if job == nil {
+	var jobs []*Job
+	if IsIDSelector(id) {
+		var err error
+		if jobs, err = src.Jobs(id); err != nil {
+			s.unavailable(w, err)
+			return
+		}
+	}
+	if len(jobs) == 0 {
 		s.fail(w, http.StatusNotFound, "no job %q", id)
 		return
 	}
-	agg := aggregateJobs([]*Job{job}, AggOptions{})
-	p := job.Profile()
+	job := jobs[0]
+	expected := max(job.Declared, job.Ranks) // ipm.JobProfile.Expected
 	s.writeJSON(w, JobDetail{
 		JobMeta:       metaOf(job),
-		ExpectedRanks: p.Expected(),
-		Degraded:      p.Degraded(),
-		Errors:        p.TotalErrors(),
-		CallSites:     agg.CallSites,
+		ExpectedRanks: expected,
+		Degraded:      job.Lost > 0 || expected > job.Ranks || job.MonErrors > 0,
+		Errors:        job.Errors,
+		CallSites:     aggregateJobs(jobs[:1], AggOptions{}).CallSites,
 	})
-}
-
-func (s *Server) handleAgg(src JobSource) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) { s.serveAgg(src, w, r) }
-}
-
-func (s *Server) handleRegress(src JobSource) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) { s.serveRegress(src, w, r) }
 }
 
 func (s *Server) serveAgg(src JobSource, w http.ResponseWriter, r *http.Request) {
@@ -451,11 +461,6 @@ func renderHTML(w http.ResponseWriter, t *template.Template, data any) {
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	t.Execute(w, data)
 }
-
-// WriteJobsHTML renders the same HTML table view the single-node /jobs
-// handler serves with format=html — shared with the cluster router so a
-// scattered listing's HTML matches too.
-func WriteJobsHTML(w http.ResponseWriter, metas []JobMeta) { renderHTML(w, jobsTmpl, metas) }
 
 const htmlStyle = `<style>
 body { font-family: sans-serif; margin: 2em; }

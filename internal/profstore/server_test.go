@@ -166,6 +166,48 @@ func TestJobsAndJobEndpoints(t *testing.T) {
 	}
 }
 
+// degradedDoc carries every /job/{id} rule the fixtures lack: it
+// declares three tasks and holds two; rank 0's error_total (5) wins over
+// its entries' sum (1), while rank 1 has none and falls back to its
+// entries' (3); rank 0 recovered two monitor-internal errors.
+const degradedDoc = `<?xml version="1.0" encoding="UTF-8"?>
+<ipm_log version="2.0" command="./degraded" ntasks="3" nhosts="2" wallclock="2.5">
+  <task mpi_rank="0" host="n1" wallclock="1.5" error_total="5" monitor_errors="2">
+    <region name="ipm_global">
+      <func name="MPI_Send" bytes="8" count="4" ttot="0.3" tmin="0.05" tmax="0.1" error_count="1"></func>
+      <func name="@CUDA_EXEC_STRM00" bytes="0" count="2" ttot="0.6" tmin="0.2" tmax="0.4"></func>
+    </region>
+  </task>
+  <task mpi_rank="1" host="n2" wallclock="2.5">
+    <region name="ipm_global">
+      <func name="MPI_Send" bytes="8" count="4" ttot="0.7" tmin="0.1" tmax="0.3" error_count="3"></func>
+    </region>
+  </task>
+</ipm_log>
+`
+
+// TestJobViewsGolden pins the /jobs rows and /job/{id} details, JSON and
+// HTML, over jobs that between them carry lost ranks, missing snapshots,
+// task and entry error totals and monitor errors.
+func TestJobViewsGolden(t *testing.T) {
+	ts, store := newTestServer(t)
+	truncated, err := os.ReadFile(filepath.Join("..", "ipmparse", "testdata", "truncated_midtag.xml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, doc := range map[string][]byte{"truncated": truncated, "degraded": []byte(degradedDoc)} {
+		if _, err := store.Ingest(doc, id, []string{"damaged"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var out bytes.Buffer
+	for _, q := range []string{"/jobs", "/jobs?sel=tag:damaged&format=html", "/job/base", "/job/head", "/job/truncated", "/job/degraded"} {
+		code, body := get(t, ts.URL+q)
+		fmt.Fprintf(&out, "== GET %s: %d\n%s", q, code, body)
+	}
+	checkGolden(t, "jobs.golden.txt", out.Bytes())
+}
+
 func TestHTMLViews(t *testing.T) {
 	ts, _ := newTestServer(t)
 	for _, url := range []string{"/agg?format=html", "/jobs?format=html", "/regress?base=base&head=head&format=html", "/"} {

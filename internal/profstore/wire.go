@@ -9,21 +9,22 @@ import (
 	"ipmgo/internal/ipm"
 )
 
-// The wire image: the one shape a job's store metadata and rollup (see
-// rollup.go) take, in a member's memory and on the wire alike. Every
-// Job embeds its WireJob; every duration is an integer nanosecond count,
-// every energy an integer nanojoule count, and the call-site and kernel
-// rows are sorted by name, so a job has exactly one encoding. A member
-// ships its jobs to a scatter-gather router as these rows and never as
-// raw XML; decoding one back into a *Job is a single allocation, and a
-// router that merges decoded jobs with AggregateJobs/RegressJobs
-// produces byte-identical output to a single node holding the whole
-// corpus (FuzzRollupWire enforces exactly that).
+// The wire image: a Job is its store metadata plus its rollup (see
+// rollup.go), one shape in a member's memory and on the wire alike. The
+// store keeps no document beside it — everything /jobs, /job/{id}, /agg
+// and /regress print is derived from these fields. Every duration is an
+// integer nanosecond count, every energy an integer nanojoule count, and
+// the call-site and kernel rows are sorted by name, so a job has exactly
+// one encoding. A member ships its jobs to a router as these rows and
+// never as raw XML; decoding one is a single allocation, and a router
+// that serves decoded jobs through AggregateJobs, RegressJobs and the
+// /jobs renderers produces byte-identical output to a single node holding
+// the whole corpus (FuzzRollupWire enforces exactly that).
 //
 // Because job ids are content hashes, replicas of the same job on
-// different members serialise to identical WireJobs; the router dedups
-// by id, which makes the merge independent of replication factor,
-// member count and which replica answered first.
+// different members serialise to identical Jobs; the router dedups by
+// id, which makes the merge independent of replication factor, member
+// count and which replica answered first.
 
 // WireStats is ipm.Stats on the wire: field-for-field, durations as
 // integer nanoseconds. Short keys keep a member's rollup payload small
@@ -70,8 +71,9 @@ type WireImb struct {
 	WorstJob   string  `json:"j"`
 }
 
-// WireJob is one job's store metadata plus its ingest-time rollup.
-type WireJob struct {
+// Job is one ingested profile: its store metadata plus its ingest-time
+// rollup, immutable once built.
+type Job struct {
 	ID       string   `json:"id"`              // deterministic: caller-supplied or content hash
 	Command  string   `json:"cmd,omitempty"`   // from the profile header
 	Tags     []string `json:"tags,omitempty"`  // sorted, deduplicated
@@ -92,6 +94,13 @@ type WireJob struct {
 	// ranks; zero for jobs from unpowered runs.
 	Energy int64 `json:"en,omitempty"`
 
+	// The job-level scalars of /jobs and /job/{id}, each the value of the
+	// ipm.JobProfile method named.
+	WallMax   int64 `json:"wm,omitempty"`   // longest rank wallclock (Wallclock)
+	Declared  int   `json:"decl,omitempty"` // ntasks, kept only when it exceeds Ranks (Expected)
+	Errors    int64 `json:"err,omitempty"`  // task error totals, else their entries' sums (TotalErrors)
+	MonErrors int64 `json:"merr,omitempty"` // monitor-internal recovered panics (MonitorErrors)
+
 	// Sites holds the per call-site stats with the per-kernel pseudo
 	// entries excluded — the exact filter Aggregate's call-site table and
 	// Regress's siteTotals share. Kernels holds those pseudo entries
@@ -105,20 +114,8 @@ type WireJob struct {
 	Imb     []WireImb  `json:"imb,omitempty"`
 }
 
-// Job rebuilds a job from its wire image. The job carries no raw
-// document: it can be selected, aggregated and regressed, and Profile()
-// yields an empty profile — exactly what a router needs and nothing more.
-func (w WireJob) Job() *Job { return &Job{WireJob: w} }
-
 // WireJobs returns the wire image of the whole corpus, sorted by job id.
-func (s *Store) WireJobs() []WireJob {
-	jobs := s.Select("")
-	out := make([]WireJob, len(jobs))
-	for i, j := range jobs {
-		out[i] = j.WireJob
-	}
-	return out
-}
+func (s *Store) WireJobs() []*Job { return s.Select("") }
 
 // RollupKind says how a Rollups reply relates to the epoch it was asked
 // about.
@@ -153,7 +150,7 @@ func ParseRollupKind(s string) (RollupKind, error) {
 type Rollups struct {
 	Epoch uint64 // the store's epoch, captured before Jobs was selected
 	Kind  RollupKind
-	Jobs  []WireJob // sorted by id
+	Jobs  []*Job // sorted by id
 }
 
 // RollupsSince answers a router holding this store's rollups as of epoch
@@ -180,9 +177,9 @@ func (s *Store) RollupsSince(since uint64) Rollups {
 	s.logMu.Unlock()
 	sort.Strings(ids)
 	ids = slicesCompact(ids)
-	jobs := make([]WireJob, len(ids))
+	jobs := make([]*Job, len(ids))
 	for i, id := range ids {
-		jobs[i] = s.Get(id).WireJob // inserted before its epoch bump, and jobs are never removed
+		jobs[i] = s.Get(id) // inserted before its epoch bump, and jobs are never removed
 	}
 	return Rollups{Epoch: ep, Kind: RollupDelta, Jobs: jobs}
 }
@@ -204,8 +201,8 @@ func (m *RollupMirror) Apply(r Rollups) {
 	if r.Kind == RollupFull || m.jobs == nil {
 		m.jobs = make(map[string]*Job, len(r.Jobs))
 	}
-	for _, w := range r.Jobs {
-		m.jobs[w.ID] = w.Job()
+	for _, j := range r.Jobs {
+		m.jobs[j.ID] = j
 	}
 	m.Epoch = r.Epoch
 }
@@ -221,26 +218,17 @@ func (m *RollupMirror) Jobs() []*Job {
 
 // EncodeWireJobs renders the compact one-line JSON body of a
 // /shard/rollups response.
-func EncodeWireJobs(jobs []WireJob) ([]byte, error) {
+func EncodeWireJobs(jobs []*Job) ([]byte, error) {
 	return json.Marshal(jobs)
 }
 
 // DecodeWireJobs parses a /shard/rollups body.
-func DecodeWireJobs(data []byte) ([]WireJob, error) {
-	var out []WireJob
+func DecodeWireJobs(data []byte) ([]*Job, error) {
+	var out []*Job
 	if err := json.Unmarshal(data, &out); err != nil {
 		return nil, fmt.Errorf("profstore: decoding wire rollups: %w", err)
 	}
 	return out, nil
-}
-
-// JobsOf reconstructs the jobs of a decoded /shard/rollups body.
-func JobsOf(wire []WireJob) []*Job {
-	out := make([]*Job, len(wire))
-	for i, w := range wire {
-		out[i] = w.Job()
-	}
-	return out
 }
 
 // MergeJobs unions job sets by id (the first set holding an id wins —

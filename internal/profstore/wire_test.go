@@ -3,6 +3,8 @@ package profstore
 import (
 	"bytes"
 	"encoding/json"
+	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +12,7 @@ import (
 	"testing"
 
 	"ipmgo/internal/ipm"
+	"ipmgo/internal/telemetry"
 )
 
 // fixedSyntheticXML renders one deterministic synthetic profile — the
@@ -47,12 +50,44 @@ func overWire(t *testing.T, r Rollups) Rollups {
 	return r
 }
 
+// sliceSource is a router's JobSource over a fixed, id-sorted job list.
+type sliceSource []*Job
+
+func (js sliceSource) Jobs(sel string) ([]*Job, error) { return FilterJobs(js, sel), nil }
+func (js sliceSource) Aggregate(o AggOptions) (*AggReport, error) {
+	return AggregateJobs(FilterJobs(js, o.Sel), o), nil
+}
+func (js sliceSource) Regress(o RegressOptions) (*RegressReport, error) {
+	return RegressJobs(FilterJobs(js, o.Base), FilterJobs(js, o.Head), o), nil
+}
+
+// checkJobViews holds the router's /jobs rows and /job/{id} details —
+// the single-node handlers over jobs decoded from the wire — to the
+// single node's bytes, for every job single holds and one it does not.
+func checkJobViews(t *testing.T, single *Store, jobs []*Job) {
+	t.Helper()
+	want := NewServer(single, telemetry.NewRegistry()).Handler()
+	got := NewServer(New(), telemetry.NewRegistry()).Handler().(*QuerySurface).QueryHandler(sliceSource(jobs))
+	queries := []string{"/jobs", "/jobs?sel=tag:fuzz&format=html", "/job/unknown"}
+	for _, j := range single.List() {
+		queries = append(queries, "/job/"+url.PathEscape(j.ID))
+	}
+	for _, q := range queries {
+		w, g := httptest.NewRecorder(), httptest.NewRecorder()
+		want.ServeHTTP(w, httptest.NewRequest("GET", q, nil))
+		got.ServeHTTP(g, httptest.NewRequest("GET", q, nil))
+		if g.Code != w.Code || g.Body.String() != w.Body.String() {
+			t.Errorf("router %s differs from the single node's\ngot:  %d %s\nwant: %d %s", q, g.Code, g.Body, w.Code, w.Body)
+		}
+	}
+}
+
 // FuzzRollupWire proves the shard rollup wire format faithful: for any
 // ingestible document, splitting the corpus across two stores, shipping
 // both halves through EncodeWireJobs/DecodeWireJobs and merging at a
-// router produces the identical /agg (and /regress) reports as one
-// store holding everything — the byte-identity contract cluster mode
-// rests on. It then proves the delta protocol a fixed point: a mirror
+// router produces the identical /agg, /regress, /jobs and /job/{id}
+// answers as one store holding everything — the byte-identity contract
+// cluster mode rests on. It then proves the delta protocol a fixed point: a mirror
 // that applied full(E₀) and then the since= replies to any interleaving
 // of replacing ingests holds exactly what full(Eₙ) would give it.
 func FuzzRollupWire(f *testing.F) {
@@ -109,6 +144,7 @@ func FuzzRollupWire(f *testing.F) {
 		if got := reportJSON(t, RegressJobs(base, head, RegressOptions{Base: "tag:fuzz", Head: "tag:fixed"})); got != wantRegress {
 			t.Errorf("merged /regress differs from single-store comparison\ngot:  %s\nwant: %s", got, wantRegress)
 		}
+		checkJobViews(t, single, merged)
 
 		// Delta fixed point. The document's first bytes script an
 		// interleaving: each one either replaces one of three ids on one
@@ -138,10 +174,12 @@ func FuzzRollupWire(f *testing.F) {
 				}
 			}
 		}
-		deltaAgg := reportJSON(t, AggregateJobs(merge(), AggOptions{}))
+		merged = merge()
+		deltaAgg := reportJSON(t, AggregateJobs(merged, AggOptions{}))
 		if want := reportJSON(t, single.Aggregate(AggOptions{})); deltaAgg != want {
 			t.Errorf("mirror kept by deltas differs from single-store aggregation\ngot:  %s\nwant: %s", deltaAgg, want)
 		}
+		checkJobViews(t, single, merged)
 		for i, s := range stores {
 			// An epoch the store never had, as after a restart: full(Eₙ).
 			mirrors[i].Epoch = s.Epoch() + 1
@@ -155,21 +193,27 @@ func FuzzRollupWire(f *testing.F) {
 	})
 }
 
-// TestWireJobRoundTripFields: the reconstructed job preserves the store
-// metadata /jobs-independent queries read.
+// TestWireJobRoundTripFields: a job decoded from its wire image is the
+// stored job, field for field.
 func TestWireJobRoundTripFields(t *testing.T) {
 	s := New()
 	job, err := s.Ingest(fixedSyntheticXML(t, 4), "", []string{"b", "a"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := job.WireJob.Job()
-	if got.ID != job.ID || got.Command != job.Command || got.Ranks != job.Ranks ||
-		got.Salvaged != job.Salvaged || got.Warnings != job.Warnings || got.Bytes != job.Bytes {
-		t.Errorf("round-tripped job metadata differs: %+v vs %+v", got, job)
+	enc, err := EncodeWireJobs([]*Job{job})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(got.Tags) != 2 || got.Tags[0] != "a" || got.Tags[1] != "b" {
-		t.Errorf("round-tripped tags = %v", got.Tags)
+	got, err := DecodeWireJobs(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || !reflect.DeepEqual(got[0], job) {
+		t.Errorf("round-tripped job differs:\ngot:  %+v\nwant: %+v", got, job)
+	}
+	if len(job.Tags) != 2 || job.Tags[0] != "a" || job.Tags[1] != "b" {
+		t.Errorf("stored tags = %v, want [a b]", job.Tags)
 	}
 }
 
@@ -195,19 +239,6 @@ func TestWireGolden(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("forceDecode=%v: wire image differs from testdata/wire.golden\ngot:  %s\nwant: %s", forceDecode, got, want)
 		}
-	}
-}
-
-// TestWireJobProfileEmpty: a job rebuilt from its wire image has no
-// document, and Profile() gives the empty profile of its command.
-func TestWireJobProfileEmpty(t *testing.T) {
-	s := New()
-	job, err := s.Ingest(fixedSyntheticXML(t, 4), "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := job.WireJob.Job().Profile(), (&ipm.JobProfile{Command: job.Command}); !reflect.DeepEqual(got, want) {
-		t.Errorf("mirrored job's profile = %+v, want %+v", got, want)
 	}
 }
 

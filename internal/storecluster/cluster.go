@@ -2,12 +2,9 @@ package storecluster
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -57,9 +54,9 @@ type Config struct {
 	Store *profstore.Store
 	// Local is the single-node HTTP surface over Store: it must be what
 	// profstore.Server.Handler() returned (a *profstore.QuerySurface). The
-	// cluster handler intercepts the routed endpoints, serves /agg and
-	// /regress through Local's own handlers over the mirror, and delegates
-	// everything else to it.
+	// cluster handler intercepts the routed ingest, serves /jobs,
+	// /job/{id}, /agg and /regress through Local's own handlers over the
+	// mirror, and delegates everything else to it.
 	Local http.Handler
 	// Registry receives the cluster metrics; also used by Local for
 	// /metrics.
@@ -80,9 +77,8 @@ type Config struct {
 	FanOut int
 }
 
-// Cluster is one member's router: it owns the ring, the peer clients,
-// the scatter-gather query surface and the mirror behind /agg and
-// /regress (mirror.go).
+// Cluster is one member's router: it owns the ring, the peer clients
+// and the mirror the corpus-wide queries are served from (mirror.go).
 type Cluster struct {
 	cfg     Config
 	ring    *Ring
@@ -92,7 +88,7 @@ type Cluster struct {
 	posters map[string]*profstore.Poster
 	start   time.Time
 	mirror  *mirror
-	queries http.Handler // Local's /agg and /regress handlers over mirror
+	queries http.Handler // Local's query handlers over mirror
 
 	peerLat     *telemetry.HistogramVec
 	peerErr     *telemetry.Vec
@@ -200,27 +196,25 @@ func (c *Cluster) span(track, name string, start time.Time, bytes int64) {
 	})
 }
 
-// Handler returns the cluster route mux: routed /ingest, scatter-gather
-// queries, the member-local /shard/* surface, and delegation to the
-// single-node handler for everything else.
+// Handler returns the cluster route mux: routed /ingest, the queries
+// served from the mirror, the member-local /shard/* surface, and
+// delegation to the single-node handler for everything else.
 func (c *Cluster) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /ingest", c.handleIngest)
-	// /agg and /regress are the single-node handlers (same parsing, same
-	// counters, same renderer) over the mirror instead of the local store.
-	mux.Handle("GET /agg", c.queries)
-	mux.Handle("GET /regress", c.queries)
-	mux.HandleFunc("GET /jobs", c.handleJobs)
-	mux.HandleFunc("GET /job/{id}", c.handleJob)
-	// The local-only shard surface. /shard/ingest and /shard/job/{id}
-	// are path rewrites onto the single-node handler: same parsing, same
-	// counters, same response bytes — just exempt from routing.
+	// The corpus-wide queries are the single-node handlers (same parsing,
+	// same counters, same renderers) over the mirror instead of the local
+	// store.
+	for _, route := range []string{"GET /jobs", "GET /job/{id}", "GET /agg", "GET /regress"} {
+		mux.Handle(route, c.queries)
+	}
+	// The local-only shard surface. /shard/ingest is a path rewrite onto
+	// the single-node handler: same parsing, same counters, same response
+	// bytes — just exempt from routing.
 	mux.HandleFunc("GET /shard/rollups", c.handleShardRollups)
-	mux.HandleFunc("GET /shard/jobs", c.handleShardJobs)
-	mux.HandleFunc("POST /shard/ingest", c.rewriteLocal("/ingest"))
-	mux.HandleFunc("GET /shard/job/{id}", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /shard/ingest", func(w http.ResponseWriter, r *http.Request) {
 		r2 := r.Clone(r.Context())
-		r2.URL.Path = "/job/" + r.PathValue("id")
+		r2.URL.Path = "/ingest"
 		c.cfg.Local.ServeHTTP(w, r2)
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -229,14 +223,6 @@ func (c *Cluster) Handler() http.Handler {
 	})
 	mux.Handle("/", c.cfg.Local)
 	return mux
-}
-
-func (c *Cluster) rewriteLocal(path string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		r2 := r.Clone(r.Context())
-		r2.URL.Path = path
-		c.cfg.Local.ServeHTTP(w, r2)
-	}
 }
 
 // publish pushes the cluster counters into the registry (the Vec and
@@ -402,7 +388,7 @@ func isRetryable(err error) bool {
 	return profstore.IsLifecycleErr(err)
 }
 
-// ---- scatter-gather queries ----
+// ---- peer reads ----
 
 // peerStatus is a peer's non-2xx answer.
 type peerStatus struct {
@@ -487,79 +473,4 @@ func (c *Cluster) scatter(op, path string) ([][]byte, error) {
 		return err
 	})
 	return bodies, err
-}
-
-func (c *Cluster) handleShardJobs(w http.ResponseWriter, r *http.Request) {
-	body, err := json.Marshal(c.cfg.Store.JobMetas(r.URL.Query().Get("sel")))
-	if err != nil {
-		fail(w, http.StatusInternalServerError, "encoding jobs: %v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body)
-}
-
-func (c *Cluster) handleJobs(w http.ResponseWriter, r *http.Request) {
-	sel := r.URL.Query().Get("sel")
-	metas := c.cfg.Store.JobMetas(sel)
-	if len(c.peers) > 0 {
-		bodies, err := c.scatter("jobs", "/shard/jobs?sel="+url.QueryEscape(sel))
-		if err != nil {
-			failUnavailable(w, "scatter failed: %v", err)
-			return
-		}
-		seen := make(map[string]bool, len(metas))
-		for _, m := range metas {
-			seen[m.ID] = true
-		}
-		for i, peer := range c.peers {
-			var peerMetas []profstore.JobMeta
-			if err := json.Unmarshal(bodies[i], &peerMetas); err != nil {
-				failUnavailable(w, "scatter failed: %s: %v", peer, err)
-				return
-			}
-			for _, m := range peerMetas {
-				if !seen[m.ID] {
-					seen[m.ID] = true
-					metas = append(metas, m)
-				}
-			}
-		}
-		sort.Slice(metas, func(i, j int) bool { return metas[i].ID < metas[j].ID })
-	}
-	if r.URL.Query().Get("format") == "html" {
-		profstore.WriteJobsHTML(w, metas)
-		return
-	}
-	writeJSON(w, metas)
-}
-
-func (c *Cluster) handleJob(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if c.cfg.Store.Get(id) != nil {
-		c.cfg.Local.ServeHTTP(w, r)
-		return
-	}
-	// Not local: ask the owners that aren't us.
-	var lastErr error
-	for _, owner := range c.ring.Owners(id, c.cfg.Replicas) {
-		if owner == c.cfg.Self {
-			continue
-		}
-		start := time.Now()
-		body, _, err := c.peerGet(owner, "/shard/job/"+id)
-		c.span("cluster/job", owner, start, int64(len(body)))
-		if err == nil {
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(body)
-			return
-		}
-		lastErr = err
-	}
-	var status *peerStatus
-	if lastErr != nil && !(errors.As(lastErr, &status) && status.code == http.StatusNotFound) {
-		failUnavailable(w, "forward failed: %v", lastErr)
-		return
-	}
-	fail(w, http.StatusNotFound, "no job %q", id)
 }

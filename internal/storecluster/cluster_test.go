@@ -125,9 +125,17 @@ func mustGet(t *testing.T, url string) string {
 	return body
 }
 
+// statusBody is a response as the identity checks compare it: the
+// status code, then the body.
+func statusBody(t *testing.T, url string) string {
+	t.Helper()
+	code, body := get(t, url)
+	return fmt.Sprintf("%d %s", code, body)
+}
+
 // referenceAnswers ingests the corpus into a plain single store and
-// renders the reference response bodies through the single-node
-// handler's own renderer (an httptest-free in-process server).
+// renders the reference responses through the single-node handler's own
+// renderer (an httptest-free in-process server).
 func referenceAnswers(t *testing.T, docs [][]byte, tags []string, queries []string) map[string]string {
 	t.Helper()
 	tc := startCluster(t, 1, 1, nil)
@@ -136,27 +144,37 @@ func referenceAnswers(t *testing.T, docs [][]byte, tags []string, queries []stri
 	}
 	out := make(map[string]string, len(queries))
 	for _, q := range queries {
-		out[q] = mustGet(t, tc.urls[0]+q)
+		out[q] = statusBody(t, tc.urls[0]+q)
 	}
 	return out
 }
 
-var clusterQueries = []string{
-	"/agg",
-	"/agg?sel=tag:clu&top=3",
-	"/agg?sel=tag:batch:0",
-	"/jobs",
-	"/jobs?sel=tag:batch:1",
-	"/regress?base=tag:batch:0&head=tag:batch:1&threshold=5",
+// clusterQueries are the routed reads held to single-node bytes: every
+// query endpoint, one /job/{id} per tag batch of docs (see corpusDocs)
+// and an unknown id.
+func clusterQueries(docs [][]byte) []string {
+	return []string{
+		"/agg",
+		"/agg?sel=tag:clu&top=3",
+		"/agg?sel=tag:batch:0",
+		"/jobs",
+		"/jobs?sel=tag:batch:1",
+		"/jobs?format=html",
+		"/job/" + profstore.DeriveID(docs[0]),
+		"/job/" + profstore.DeriveID(docs[1]),
+		"/job/unknown",
+		"/regress?base=tag:batch:0&head=tag:batch:1&threshold=5",
+	}
 }
 
 // TestClusterByteIdentity is the tentpole acceptance test: /agg,
-// /regress and /jobs answer byte-identically on 1-, 2- and 4-member
-// clusters, for every router choice, replication factor 1 and 2, and a
-// reversed ingest order.
+// /regress, /jobs and /job/{id} answer byte-identically on 1-, 2- and
+// 4-member clusters, for every router choice, replication factor 1 to 3,
+// and a reversed ingest order.
 func TestClusterByteIdentity(t *testing.T) {
 	docs, tags := corpusDocs(12)
-	want := referenceAnswers(t, docs, tags, clusterQueries)
+	queries := clusterQueries(docs)
+	want := referenceAnswers(t, docs, tags, queries)
 
 	for _, tt := range []struct {
 		members, replicas int
@@ -180,9 +198,9 @@ func TestClusterByteIdentity(t *testing.T) {
 				// accepted the write.
 				postDoc(t, tc.urls[k%len(tc.urls)], docs[k], tags[k])
 			}
-			for _, q := range clusterQueries {
+			for _, q := range queries {
 				for ri, router := range tc.urls {
-					got := mustGet(t, router+q)
+					got := statusBody(t, router+q)
 					if got != want[q] {
 						t.Errorf("%s via router %d: response differs from single-node reference\ngot:  %.200s\nwant: %.200s", q, ri, got, want[q])
 					}

@@ -13,9 +13,9 @@ import (
 	"ipmgo/internal/telemetry"
 )
 
-// The router's warm read path. Each router mirrors every peer's per-job
-// rollups and, inside every /agg or /regress, revalidates the mirror
-// with one conditional leg per peer: /shard/rollups?since=<epoch>
+// The router's read path. Each router mirrors every peer's jobs and,
+// inside every /jobs, /agg or /regress, revalidates the mirror with one
+// conditional leg per peer: /shard/rollups?since=<epoch>
 // answers "unchanged", "the jobs ingested since" or the full corpus
 // (profstore.Store.RollupsSince). The mirror is never served without
 // this query's successful revalidation of every peer, so reads stay as
@@ -32,9 +32,9 @@ const (
 	hdrRollupKind  = "X-Ipm-Rollup-Kind"
 )
 
-// mirror is this router's copy of the cluster's rollups: the profstore
-// JobSource the routed /agg and /regress are served from, and the Corpus
-// its memo runs over.
+// mirror is this router's copy of the cluster's jobs: the profstore
+// JobSource the routed queries are served from, and the Corpus its memo
+// runs over.
 type mirror struct {
 	c    *Cluster
 	memo profstore.Memo
@@ -158,7 +158,7 @@ func (m *mirror) revalidate(op string) error {
 // the wire image of one selection (sel=).
 func (c *Cluster) handleShardRollups(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	var jobs []profstore.WireJob
+	var jobs []*profstore.Job
 	if q.Has("since") {
 		since, err := strconv.ParseUint(q.Get("since"), 10, 64)
 		if err != nil {
@@ -173,11 +173,7 @@ func (c *Cluster) handleShardRollups(w http.ResponseWriter, r *http.Request) {
 		}
 		jobs = reply.Jobs
 	} else {
-		sel := c.cfg.Store.Select(q.Get("sel"))
-		jobs = make([]profstore.WireJob, len(sel))
-		for i, j := range sel {
-			jobs[i] = j.WireJob
-		}
+		jobs = c.cfg.Store.Select(q.Get("sel"))
 	}
 	body, err := profstore.EncodeWireJobs(jobs)
 	if err != nil {
@@ -201,32 +197,44 @@ func decodeRollups(hdr http.Header, body []byte) (r profstore.Rollups, err error
 	return r, err
 }
 
-// pointRead resolves /agg?sel=<id> with one /shard/rollups?sel= leg per
-// peer and no mirror: dragging the deltas of unrelated jobs through
-// decode to answer for one job cost the publish probe more than the
-// mirror saved it.
-func (m *mirror) pointRead(id string) ([]*profstore.Job, error) {
+// pointRead resolves one job id — /job/{id}, /jobs?sel=<id> and
+// /agg?sel=<id> — with one /shard/rollups?sel= leg per peer and no
+// mirror: dragging the deltas of unrelated jobs through decode to answer
+// for one job cost the publish probe more than the mirror saved it. Like
+// every routed read it is strict: a peer that cannot be asked fails it.
+func (m *mirror) pointRead(op, id string) ([]*profstore.Job, error) {
 	sets := [][]*profstore.Job{m.c.cfg.Store.Select(id)}
 	if len(m.c.peers) > 0 {
-		bodies, err := m.c.scatter("agg", "/shard/rollups?sel="+url.QueryEscape(id))
+		bodies, err := m.c.scatter(op, "/shard/rollups?sel="+url.QueryEscape(id))
 		if err != nil {
 			return nil, err
 		}
 		for i, peer := range m.c.peers {
-			wire, err := profstore.DecodeWireJobs(bodies[i])
+			jobs, err := profstore.DecodeWireJobs(bodies[i])
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", peer, err)
 			}
-			sets = append(sets, profstore.JobsOf(wire))
+			sets = append(sets, jobs)
 		}
 	}
 	return profstore.MergeJobs(sets...), nil
 }
 
+// Jobs implements profstore.JobSource.
+func (m *mirror) Jobs(sel string) ([]*profstore.Job, error) {
+	if profstore.IsIDSelector(sel) {
+		return m.pointRead("jobs", sel)
+	}
+	if err := m.revalidate("jobs"); err != nil {
+		return nil, err
+	}
+	return m.Select(sel), nil
+}
+
 // Aggregate implements profstore.JobSource.
 func (m *mirror) Aggregate(opts profstore.AggOptions) (*profstore.AggReport, error) {
 	if profstore.IsIDSelector(opts.Sel) {
-		jobs, err := m.pointRead(opts.Sel)
+		jobs, err := m.pointRead("agg", opts.Sel)
 		if err != nil {
 			return nil, err
 		}

@@ -180,10 +180,13 @@ var mirrorQueries = []string{
 	"/agg",
 	"/agg?sel=tag:batch:0&top=3",
 	"/regress?base=tag:batch:0&head=tag:batch:1&threshold=5",
+	"/jobs",
+	"/job/job-04",
 }
 
 // reference answers queries from one plain store holding writes, an
-// id-keyed last-write-wins corpus.
+// id-keyed last-write-wins corpus: each answer is the status code and
+// the body.
 type refWrite struct {
 	doc  []byte
 	tags string
@@ -202,13 +205,12 @@ func reference(t *testing.T, writes map[string]refWrite, queries []string) map[s
 	for _, q := range queries {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("GET", q, nil))
-		if rec.Code != 200 {
-			t.Fatalf("reference %s: %d: %s", q, rec.Code, rec.Body)
-		}
-		out[q] = rec.Body.String()
+		out[q] = answer(rec)
 	}
 	return out
 }
+
+func answer(rec *httptest.ResponseRecorder) string { return fmt.Sprintf("%d %s", rec.Code, rec.Body) }
 
 // checkAllRouters compares every router's answers with the reference.
 func (mc *memCluster) checkAllRouters(writes map[string]refWrite, queries []string) {
@@ -216,7 +218,7 @@ func (mc *memCluster) checkAllRouters(writes map[string]refWrite, queries []stri
 	want := reference(mc.t, writes, queries)
 	for i := range mc.members {
 		for _, q := range queries {
-			if got := mc.mustGet(i, q); got != want[q] {
+			if got := answer(mc.do(i, "GET", q, nil)); got != want[q] {
 				mc.t.Errorf("%s via router %d differs from the single-node reference\ngot:  %.300s\nwant: %.300s", q, i, got, want[q])
 			}
 		}
@@ -279,15 +281,31 @@ func TestMirrorWarmDeltaFull(t *testing.T) {
 		t.Errorf("%v full resyncs, want only the first contact's 2 on a cluster that never restarted", got)
 	}
 
-	// Bugfix pin: a routed /agg is a profstore query like any other.
-	before := mc.metric(0, profstore.MetricQueries+`{endpoint="agg"}`)
-	lat := mc.metric(0, profstore.MetricQuerySecs+"_count")
-	mc.mustGet(0, "/agg")
-	if got := mc.metric(0, profstore.MetricQueries+`{endpoint="agg"}`); got != before+1 {
-		t.Errorf("routed /agg moved %s{endpoint=agg} %v -> %v, want +1", profstore.MetricQueries, before, got)
+	// Bugfix pin: a routed /agg, /jobs, and /job/{id} of a job only peers
+	// hold are profstore queries like any other.
+	peerOnly := ""
+	for id := range writes {
+		if mc.members[0].store.Get(id) == nil {
+			peerOnly = id
+			break
+		}
 	}
-	if got := mc.metric(0, profstore.MetricQuerySecs+"_count"); got != lat+1 {
-		t.Errorf("routed /agg moved %s_count %v -> %v, want +1", profstore.MetricQuerySecs, lat, got)
+	if peerOnly == "" {
+		t.Fatal("member 0 holds the whole corpus; pick other ids")
+	}
+	for _, q := range []struct{ path, endpoint string }{
+		{"/agg", "agg"}, {"/jobs", "jobs"}, {"/job/" + peerOnly, "job"},
+	} {
+		counter := profstore.MetricQueries + `{endpoint="` + q.endpoint + `"}`
+		before := mc.metric(0, counter)
+		lat := mc.metric(0, profstore.MetricQuerySecs+"_count")
+		mc.mustGet(0, q.path)
+		if got := mc.metric(0, counter); got != before+1 {
+			t.Errorf("routed %s moved %s %v -> %v, want +1", q.path, counter, before, got)
+		}
+		if got := mc.metric(0, profstore.MetricQuerySecs+"_count"); got != lat+1 {
+			t.Errorf("routed %s moved %s_count %v -> %v, want +1", q.path, profstore.MetricQuerySecs, lat, got)
+		}
 	}
 }
 
@@ -480,7 +498,7 @@ func TestMirrorReadYourWrites(t *testing.T) {
 				continue
 			}
 			q := queries[(k+i)%len(queries)]
-			if got := mc.mustGet(i, q); got != want[q] {
+			if got := answer(mc.do(i, "GET", q, nil)); got != want[q] {
 				t.Errorf("write %d via router %d: router %d's next %s does not reflect it", k, router, i, q)
 			}
 		}

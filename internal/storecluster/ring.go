@@ -1,9 +1,9 @@
 // Package storecluster shards the profile store across N ipmserve
 // members: a deterministic consistent-hash ring places each
 // content-hash job id on R members, any member routes /ingest to the
-// owners and answers /agg, /regress and /jobs by parallel
-// scatter-gather over compact per-job rollups — never raw XML — and the
-// merge is the store's own count-independent rollup merge, so a cluster
+// owners and answers /jobs, /job/{id}, /agg and /regress from its
+// mirror of every member's compact per-job rollups — never raw XML — and
+// the merge is the store's own count-independent rollup merge, so a cluster
 // of any size answers byte-identically to a single node holding the
 // whole corpus (see DESIGN.md "Cluster mode").
 package storecluster
