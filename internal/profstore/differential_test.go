@@ -300,48 +300,10 @@ func TestFormatIDMatchesDeriveID(t *testing.T) {
 	}
 }
 
-// TestAppendWALRecordMatchesJSON pins the hand-rolled WAL encoder to
-// encoding/json byte for byte, including the HTML escaping Marshal
-// applies, and its refusal on non-ASCII input.
-func TestAppendWALRecordMatchesJSON(t *testing.T) {
-	cases := []struct {
-		id   string
-		tags []string
-		xml  string
-	}{
-		{"j1", nil, "<ipm_log/>"},
-		{"j2", []string{"a", "b"}, "<a x=\"1\">text</a>"},
-		{"quote\"back\\slash", []string{"<tag>"}, "line1\nline2\r\ttab"},
-		{"ctl", nil, "a\x01b\x1fc\x7fd"},
-		{"amp", []string{"x&y"}, "<a b=\"1>2\"/>"},
-		{"", []string{}, ""},
-		{"bs", nil, "a\bb"},
-		{"ff", nil, "a\fb"},
-	}
-	for _, tc := range cases {
-		rec, ok := appendWALRecord(nil, tc.id, tc.tags, []byte(tc.xml))
-		if !ok {
-			t.Errorf("fast encoder refused ASCII input %+v", tc)
-			continue
-		}
-		m, err := json.Marshal(walRecord{ID: tc.id, Tags: tc.tags, XML: tc.xml})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(rec, m) {
-			t.Errorf("WAL encoding diverges\nfast: %s\njson: %s", rec, m)
-		}
-	}
-	if _, ok := appendWALRecord(nil, "j", nil, []byte("caf\xc3\xa9")); ok {
-		t.Error("fast encoder accepted non-ASCII input; Marshal's UTF-8 handling differs")
-	}
-}
-
 // FuzzScanVsParse is the differential fuzzer: through either lexer, any
 // input must produce the reference rollup, the scanner must report what
-// the decoder reports wherever it engages, both stores must behave
-// alike, and any ASCII input must WAL-encode identically to
-// encoding/json.
+// the decoder reports wherever it engages, and both stores must behave
+// alike.
 func FuzzScanVsParse(f *testing.F) {
 	for _, doc := range diffCorpus(f) {
 		if len(doc) <= 8<<10 {
@@ -364,14 +326,5 @@ func FuzzScanVsParse(f *testing.F) {
 		}
 		diffScan(t, data)
 		diffStore(t, data)
-		if rec, ok := appendWALRecord(nil, "j", []string{"t"}, data); ok {
-			m, err := json.Marshal(walRecord{ID: "j", Tags: []string{"t"}, XML: string(data)})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(rec, m) {
-				t.Errorf("WAL encoding diverges\nfast: %s\njson: %s", rec, m)
-			}
-		}
 	})
 }

@@ -10,12 +10,11 @@ import (
 )
 
 // This file is the streaming ingest hot path: one pass over the raw XML
-// computes the content-hash id, the per-job rollup and the WAL record,
-// with all scratch state pooled and reused across uploads. The reading
-// itself lives in internal/ipm: ScanXMLTolerant, or DecodeXMLTolerant
-// for the documents the scanner bails on, both feeding the same rules;
-// everything here is the reduction of their event stream to a rollup
-// (rollupSink).
+// computes the per-job rollup, with all scratch state pooled and reused
+// across uploads. The reading itself lives in internal/ipm:
+// ScanXMLTolerant, or DecodeXMLTolerant for the documents the scanner
+// bails on, both feeding the same rules; everything here is the
+// reduction of their event stream to a rollup (rollupSink).
 //
 // Correctness rests on one property: folding entries per name first and
 // merging the per-name subtotals afterwards yields the same rollup as a
@@ -391,71 +390,4 @@ func resetReport(rep *ipm.ParseReport) {
 	rep.Truncated = false
 	rep.TasksRecovered = 0
 	rep.TasksDeclared = 0
-}
-
-// appendJSONBytes appends s as a JSON string literal, byte-identical
-// to how json.Marshal renders a Go string: the two-character escapes
-// for quote/backslash/\n\r\t\b\f, \u00xx for '<', '>', '&' (HTML escaping
-// is on for Marshal) and remaining control bytes, ASCII raw. ok=false
-// (buffer contents then unusable) for non-ASCII bytes, where Marshal's
-// UTF-8 validation takes over — callers fall back to json.Marshal for
-// the whole record.
-func appendJSONBytes[T string | []byte](buf []byte, s T) ([]byte, bool) {
-	const hex = "0123456789abcdef"
-	buf = append(buf, '"')
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c == '"':
-			buf = append(buf, '\\', '"')
-		case c == '\\':
-			buf = append(buf, '\\', '\\')
-		case c == '\n':
-			buf = append(buf, '\\', 'n')
-		case c == '\r':
-			buf = append(buf, '\\', 'r')
-		case c == '\t':
-			buf = append(buf, '\\', 't')
-		case c == '\b':
-			buf = append(buf, '\\', 'b')
-		case c == '\f':
-			buf = append(buf, '\\', 'f')
-		case c == '<' || c == '>' || c == '&' || c < 0x20:
-			buf = append(buf, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
-		case c < 0x80:
-			buf = append(buf, c)
-		default:
-			return buf, false
-		}
-	}
-	return append(buf, '"'), true
-}
-
-// appendWALRecord renders walRecord{id, tags, xml} exactly as
-// json.Marshal would, without the reflection walk or the intermediate
-// string(xml) copy — the frame payload for finishFrame. ok=false means
-// some field needs encoding/json's full escaping.
-func appendWALRecord(buf []byte, id string, tags []string, xml []byte) ([]byte, bool) {
-	var ok bool
-	buf = append(buf, `{"id":`...)
-	if buf, ok = appendJSONBytes(buf, id); !ok {
-		return buf, false
-	}
-	if len(tags) > 0 { // tags,omitempty
-		buf = append(buf, `,"tags":[`...)
-		for i, t := range tags {
-			if i > 0 {
-				buf = append(buf, ',')
-			}
-			if buf, ok = appendJSONBytes(buf, t); !ok {
-				return buf, false
-			}
-		}
-		buf = append(buf, ']')
-	}
-	buf = append(buf, `,"xml":`...)
-	if buf, ok = appendJSONBytes(buf, xml); !ok {
-		return buf, false
-	}
-	return append(buf, '}'), true
 }

@@ -143,7 +143,7 @@ func SelfTest(opts SelfTestOptions) (*SelfTestReport, error) {
 	}
 	walPath := filepath.Join(dir, "profstore.wal")
 
-	store, _, _, err := Open(walPath)
+	store, _, err := OpenStore(walPath, StoreOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -286,12 +286,12 @@ func SelfTest(opts SelfTestOptions) (*SelfTestReport, error) {
 	if err := store.Close(); err != nil {
 		return rep, err
 	}
-	store2, recovered, skipped, err := Open(walPath)
+	store2, st, err := OpenStore(walPath, StoreOptions{})
 	if err != nil {
 		return rep, err
 	}
 	defer store2.Close()
-	rep.WALRecovered, rep.WALSkipped = recovered, skipped
+	rep.WALRecovered, rep.WALSkipped = st.Recovered, st.Skipped
 	if store2.Len() != opts.Jobs {
 		return rep, fmt.Errorf("selftest: WAL recovery yielded %d jobs, want %d", store2.Len(), opts.Jobs)
 	}
@@ -319,7 +319,7 @@ func SelfTest(opts SelfTestOptions) (*SelfTestReport, error) {
 		return rep, fmt.Errorf("selftest: /regress differs after WAL recovery")
 	}
 	logf("selftest: %d jobs (%d ranks, %.1f MB) ingested in %v (%.1f MB/s end to end), %d queries served concurrently, /agg deterministic (%d bytes) incl. after WAL recovery of %d records",
-		rep.Jobs, rep.Ranks, float64(rep.IngestBytes)/1e6, rep.IngestElapsed.Round(time.Millisecond), rep.IngestMBPerSec(), rep.Queries, rep.AggBytes, recovered)
+		rep.Jobs, rep.Ranks, float64(rep.IngestBytes)/1e6, rep.IngestElapsed.Round(time.Millisecond), rep.IngestMBPerSec(), rep.Queries, rep.AggBytes, rep.WALRecovered)
 	return rep, nil
 }
 

@@ -22,7 +22,6 @@ package profstore
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -186,7 +185,7 @@ type StoreOptions struct {
 	OnSnapshot func(SnapshotInfo, error)
 }
 
-// RecoveryStats describes what Open/OpenStore rebuilt the corpus from.
+// RecoveryStats describes what OpenStore rebuilt the corpus from.
 type RecoveryStats struct {
 	Recovered    int    // records re-ingested (snapshot + WAL)
 	Skipped      int    // torn, corrupt or unparseable records dropped
@@ -195,21 +194,12 @@ type RecoveryStats struct {
 	WALRecords   int    // structurally valid records seen in the WAL
 }
 
-// Open returns a store backed by the write-ahead log at path, loading
-// the newest snapshot and replaying the log first. A torn final record
-// (a crash mid-append) is skipped, mirroring how the tolerant parser
-// treats a torn XML log; the number of records recovered and skipped is
-// returned.
-func Open(path string) (s *Store, recovered, skipped int, err error) {
-	s, st, err := OpenStore(path, StoreOptions{})
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	return s, st.Recovered, st.Skipped, nil
-}
-
-// OpenStore opens the durable store at path with explicit durability,
-// compaction and fault-injection options.
+// OpenStore opens the durable store at path, loading the newest
+// snapshot and replaying the write-ahead log first. A torn final record
+// (a crash mid-append) is skipped and counted, mirroring how the
+// tolerant parser treats a torn XML log. A snapshot or WAL holding a
+// version-1 frame fails the open, naming the file and leaving it as it
+// is. opts sets durability, compaction and fault injection.
 func OpenStore(path string, opts StoreOptions) (*Store, RecoveryStats, error) {
 	s := New()
 	s.walPath = path
@@ -228,7 +218,10 @@ func OpenStore(path string, opts StoreOptions) (*Store, RecoveryStats, error) {
 		if err != nil {
 			return nil, st, fmt.Errorf("profstore: reading snapshot: %w", err)
 		}
-		rec, skip, _ := s.replayImage(data)
+		rec, skip, _, err := s.replayImage(data)
+		if err != nil {
+			return nil, st, fmt.Errorf("profstore: snapshot %s %w", snapPath, err)
+		}
 		st.SnapshotSeq, st.SnapshotJobs = seq, rec
 		st.Recovered += rec
 		st.Skipped += skip
@@ -244,7 +237,11 @@ func OpenStore(path string, opts StoreOptions) (*Store, RecoveryStats, error) {
 		f.Close()
 		return nil, st, fmt.Errorf("profstore: reading WAL: %w", err)
 	}
-	rec, skip, records := s.replayImage(data)
+	rec, skip, records, err := s.replayImage(data)
+	if err != nil {
+		f.Close()
+		return nil, st, fmt.Errorf("profstore: WAL %s %w", path, err)
+	}
 	st.Recovered += rec
 	st.Skipped += skip
 	st.WALRecords = records
@@ -321,16 +318,6 @@ func (s *Store) ReadOnly() (bool, string) {
 	return true, reason
 }
 
-// walRecord is one record of the write-ahead log (the JSON payload of a
-// frame, or one line of the legacy JSONL format). The raw XML is the
-// durable form: replay re-ingests it through the same tolerant parse, so
-// a recovered store is bit-for-bit the store that wrote the log.
-type walRecord struct {
-	ID   string   `json:"id"`
-	Tags []string `json:"tags,omitempty"`
-	XML  string   `json:"xml"`
-}
-
 // walAppend writes one framed record and applies the fsync policy. Any
 // write or sync failure flips the store read-only: the record may be
 // torn on disk (replay detects and skips it via the CRC) and nothing
@@ -396,8 +383,8 @@ func (s *Store) shardFor(id string) *shard {
 // Ingest parses one IPM XML document tolerantly and adds it to the
 // corpus (and WAL). An empty id derives one from the content. Returns
 // the stored job; the errors are an unrecoverable parse (no ipm_log
-// root at all), ErrClosed after Close, and ErrReadOnly once a WAL
-// failure has degraded the store.
+// root at all), a WAL record over maxWALPayload bytes, ErrClosed after
+// Close, and ErrReadOnly once a WAL failure has degraded the store.
 func (s *Store) Ingest(xml []byte, id string, tags []string) (*Job, error) {
 	job, err := s.ingest(xml, id, tags, true)
 	if err == nil {
@@ -430,8 +417,8 @@ func (s *Store) maybeCompact() {
 }
 
 // ingest is the one-pass streaming write path: a prescan settles the
-// content-hash id, then a single scan over the bytes produces the
-// rollup, the job metadata and (via the pooled buffer) the WAL record.
+// content-hash id, the WAL record is encoded into the pooled buffer, then
+// a single scan over the bytes produces the rollup and the job metadata.
 // Documents off the scanner's fast-path grammar — non-ASCII, entities,
 // truncation, decoder oddities — are read again by DecodeXMLTolerant
 // into the same sink; both lexers share ipm's reading rules, so the
@@ -456,6 +443,17 @@ func (s *Store) ingest(xml []byte, id string, tags []string, logIt bool) (*Job, 
 	if id == "" {
 		id = formatID(prescanHash(xml)) // == DeriveID(xml)
 	}
+	tags = normTags(tags)
+	// The record is encoded before the read: one larger than replay
+	// accepts is refused up front, and the store stays writable.
+	var frame []byte
+	if logIt && s.wal != nil {
+		frame = appendRecord(append(sc.walBuf[:0], make([]byte, walHeaderSize)...), id, tags, xml)
+		if n := len(frame) - walHeaderSize; n > maxWALPayload {
+			return nil, fmt.Errorf("profstore: ingest: WAL record of %d bytes exceeds %d", n, maxWALPayload)
+		}
+		sc.walBuf = frame[:0] // keep the grown buffer for the next ingest
+	}
 	sc.sink.reset()
 	resetReport(&sc.rep)
 	var ok bool
@@ -474,29 +472,14 @@ func (s *Store) ingest(xml []byte, id string, tags []string, logIt bool) (*Job, 
 	job := new(Job)
 	*job = sc.sink.build(id)
 	job.Command, job.Ranks = sc.sink.command, sc.sink.tasks
-	job.ID, job.Tags, job.Bytes = id, normTags(tags), len(xml)
+	job.ID, job.Tags, job.Bytes = id, tags, len(xml)
 	job.Warnings = len(sc.rep.Warnings)
 	job.Salvaged = sc.rep.Truncated || job.Warnings > 0
 
 	// WAL before store: a record that made it to the log is the ingest;
 	// the in-memory insert is recoverable from it but not vice versa.
-	if logIt && s.wal != nil {
-		var hdr [walHeaderSize]byte
-		buf := append(sc.walBuf[:0], hdr[:]...)
-		buf, fastOK := appendWALRecord(buf, id, job.Tags, xml)
-		sc.walBuf = buf[:0] // keep the grown buffer for the next ingest
-		var rec []byte
-		if fastOK {
-			rec = finishFrame(buf)
-			sc.walBuf = rec[:0]
-		} else {
-			m, err := json.Marshal(walRecord{ID: id, Tags: job.Tags, XML: string(xml)})
-			if err != nil {
-				return nil, fmt.Errorf("profstore: encoding WAL record: %w", err)
-			}
-			rec = appendFrame(nil, m)
-		}
-		if err := s.walAppend(rec); err != nil {
+	if frame != nil {
+		if err := s.walAppend(sealFrame(frame)); err != nil {
 			return nil, err
 		}
 	}
@@ -559,7 +542,7 @@ func (s *Store) SnapshotSeq() uint64   { return s.snapSeq.Load() }
 // (records appended or replayed since the last snapshot).
 func (s *Store) PendingWALRecords() int64 { return s.walAppends.Load() }
 
-// RecoveryCounts reports what Open rebuilt this store from.
+// RecoveryCounts reports what OpenStore rebuilt this store from.
 func (s *Store) RecoveryCounts() (recovered, skipped int) {
 	return s.recoveredAtOpen, s.skippedAtOpen
 }

@@ -123,12 +123,12 @@ func TestWALRecoveryRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	wal := filepath.Join(dir, "store.wal")
 
-	s, recovered, skipped, err := Open(wal)
+	s, st, err := OpenStore(wal, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if recovered != 0 || skipped != 0 {
-		t.Fatalf("fresh WAL reported %d/%d records", recovered, skipped)
+	if st.Recovered != 0 || st.Skipped != 0 {
+		t.Fatalf("fresh WAL reported %d/%d records", st.Recovered, st.Skipped)
 	}
 	if _, err := s.Ingest(fixture(t, "base.xml"), "base", []string{"nightly"}); err != nil {
 		t.Fatal(err)
@@ -142,13 +142,13 @@ func TestWALRecoveryRoundTrip(t *testing.T) {
 	}
 
 	// Kill/reload: the recovered corpus must answer byte-identically.
-	s2, recovered, skipped, err := Open(wal)
+	s2, st, err := OpenStore(wal, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if recovered != 2 || skipped != 0 {
-		t.Fatalf("recovered %d skipped %d, want 2/0", recovered, skipped)
+	if st.Recovered != 2 || st.Skipped != 0 {
+		t.Fatalf("recovered %d skipped %d, want 2/0", st.Recovered, st.Skipped)
 	}
 	if got := s2.Get("head"); got == nil || len(got.Tags) != 1 || got.Tags[0] != "today" {
 		t.Fatalf("job metadata lost across recovery: %+v", got)
@@ -162,7 +162,7 @@ func TestWALRecoveryRoundTrip(t *testing.T) {
 func TestWALSkipsTornRecord(t *testing.T) {
 	dir := t.TempDir()
 	wal := filepath.Join(dir, "store.wal")
-	s, _, _, err := Open(wal)
+	s, _, err := OpenStore(wal, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,23 +172,24 @@ func TestWALSkipsTornRecord(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a crash mid-append: a torn, non-JSON tail.
+	// Simulate a crash mid-append: the first half of a frame.
 	f, err := os.OpenFile(wal, os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"id":"torn","xml":"<ipm_`); err != nil {
+	torn := sealFrame(appendRecord(make([]byte, walHeaderSize), "torn", nil, []byte("<ipm_log/>")))
+	if _, err := f.Write(torn[:len(torn)/2]); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
 
-	s2, recovered, skipped, err := Open(wal)
+	s2, st, err := OpenStore(wal, StoreOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if recovered != 1 || skipped != 1 {
-		t.Errorf("recovered %d skipped %d, want 1 recovered and 1 torn record skipped", recovered, skipped)
+	if st.Recovered != 1 || st.Skipped != 1 {
+		t.Errorf("recovered %d skipped %d, want 1 recovered and 1 torn record skipped", st.Recovered, st.Skipped)
 	}
 	if s2.Len() != 1 || s2.Get("base") == nil {
 		t.Errorf("intact record lost: len=%d", s2.Len())

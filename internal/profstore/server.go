@@ -247,20 +247,21 @@ type IngestResponse struct {
 	Tags     []string `json:"tags,omitempty"`
 }
 
-// maxIngestBytes bounds one ingest body (a center-wide store must not be
-// OOM-able by a single malformed client).
-const maxIngestBytes = 64 << 20
+// MaxIngestBytes bounds one ingest body (a center-wide store must not be
+// OOM-able by a single malformed client). Cluster routers apply the same
+// cap.
+const MaxIngestBytes = 64 << 20
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer s.observe(qIngest, start)
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxIngestBytes+1))
+	body, err := io.ReadAll(io.LimitReader(r.Body, MaxIngestBytes+1))
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
-	if len(body) > maxIngestBytes {
-		s.fail(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", maxIngestBytes)
+	if len(body) > MaxIngestBytes {
+		s.fail(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", MaxIngestBytes)
 		return
 	}
 	var tags []string

@@ -275,7 +275,7 @@ func TestIngestEndpointAndMetrics(t *testing.T) {
 
 func TestIngestBodyLimit(t *testing.T) {
 	ts, _ := newTestServer(t)
-	huge := bytes.Repeat([]byte("x"), maxIngestBytes+2)
+	huge := bytes.Repeat([]byte("x"), MaxIngestBytes+2)
 	resp, err := http.Post(ts.URL+"/ingest", "application/xml", bytes.NewReader(huge))
 	if err != nil {
 		t.Fatal(err)

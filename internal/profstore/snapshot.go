@@ -87,9 +87,9 @@ func (s *Store) Snapshot() (SnapshotInfo, error) {
 		return info, fmt.Errorf("profstore: snapshot: syncing WAL: %v: %w", err, ErrReadOnly)
 	}
 
-	// Fold previous snapshot + WAL: last record per id wins, and only
-	// ids still live in the store are kept (records whose XML failed
-	// replay, for instance, compact away).
+	// Fold previous snapshot + WAL into unsealed frames: last record per
+	// id wins, and only ids still live in the store are kept (records
+	// whose XML failed replay, for instance, compact away).
 	recs := make(map[string][]byte)
 	total := 0
 	fold := func(path string) error {
@@ -100,11 +100,11 @@ func (s *Store) Snapshot() (SnapshotInfo, error) {
 			}
 			return err
 		}
-		walScan(data, func(rec *walRecord, payload []byte) {
+		_, err = walScan(data, func(rec *walRecord, payload []byte) {
 			total++
-			recs[rec.ID] = append([]byte(nil), payload...)
+			recs[rec.ID] = append(make([]byte, walHeaderSize, walHeaderSize+len(payload)), payload...)
 		})
-		return nil
+		return err
 	}
 	if prev := s.snapSeq.Load(); prev != 0 {
 		if err := fold(snapshotPath(s.walPath, prev)); err != nil {
@@ -132,10 +132,8 @@ func (s *Store) Snapshot() (SnapshotInfo, error) {
 			return err
 		}
 		w := bufio.NewWriterSize(f, 1<<20)
-		var frame []byte
 		for _, id := range ids {
-			frame = appendFrame(frame[:0], recs[id])
-			if _, err := w.Write(frame); err != nil {
+			if _, err := w.Write(sealFrame(recs[id])); err != nil {
 				f.Close()
 				return err
 			}

@@ -32,10 +32,6 @@ const (
 	MetricMirrorMemo          = "ipm_cluster_mirror_memo_lookups_total"
 )
 
-// maxIngestBytes mirrors the single-node ingest body cap: the router is
-// OOM-safe against the same malformed client a member is.
-const maxIngestBytes = 64 << 20
-
 // retryAfterSeconds mirrors the single-node 503 backoff hint.
 const retryAfterSeconds = 5
 
@@ -281,13 +277,15 @@ type ownerResult struct {
 }
 
 func (c *Cluster) handleIngest(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxIngestBytes+1))
+	// A member's body cap: the router is OOM-safe against the same
+	// malformed client a member is.
+	body, err := io.ReadAll(io.LimitReader(r.Body, profstore.MaxIngestBytes+1))
 	if err != nil {
 		fail(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
-	if len(body) > maxIngestBytes {
-		fail(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", maxIngestBytes)
+	if len(body) > profstore.MaxIngestBytes {
+		fail(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", profstore.MaxIngestBytes)
 		return
 	}
 	var tags []string
