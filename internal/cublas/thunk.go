@@ -27,8 +27,11 @@ func F64ToBytes(xs []float64) []byte {
 func BytesToF64(b []byte, out []float64) { gpusim.Float64s(b).CopyOut(out) }
 
 // C128ToBytes converts host complex128 data to its device byte
-// representation.
+// representation; nil, a cost-only operand, stays nil.
 func C128ToBytes(xs []complex128) []byte {
+	if xs == nil {
+		return nil
+	}
 	b := make([]byte, gpusim.C128Bytes(len(xs)))
 	gpusim.Complex128s(b).CopyIn(xs)
 	return b
@@ -92,6 +95,8 @@ func DgemmThunk(h BLAS, ta, tb byte, m, n, k int, alpha float64, a []float64, ld
 }
 
 // ZgemmThunk is the double-complex thunking gemm, PARATEC's workhorse.
+// Nil host operands make it a cost-only run: the same call sequence with
+// payload-free transfers.
 func ZgemmThunk(h BLAS, ta, tb byte, m, n, k int, alpha complex128, a []complex128, lda int,
 	b []complex128, ldb int, beta complex128, c []complex128, ldc int) error {
 	arows, brows := m, k
@@ -135,6 +140,9 @@ func ZgemmThunk(h BLAS, ta, tb byte, m, n, k int, alpha complex128, a []complex1
 	}
 	if err := h.Zgemm(ta, tb, m, n, k, alpha, da, arows, db, brows, beta, dc, m); err != nil {
 		return err
+	}
+	if c == nil {
+		return h.GetMatrix(m, n, 16, dc, m, nil, ldc)
 	}
 	out := make([]byte, gpusim.C128Bytes(m*n))
 	if err := h.GetMatrix(m, n, 16, dc, m, out, ldc); err != nil {

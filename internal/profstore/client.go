@@ -2,6 +2,7 @@ package profstore
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -196,14 +197,39 @@ func retryableStatus(code int) bool {
 // degraded store. It returns the attempts made alongside the final
 // error, so the caller can log how hard the post had to try.
 func (p *Poster) PostXML(xml []byte, id string, tags []string) (attempts int, err error) {
-	attempts, _, err = p.PostXMLResult(xml, id, tags)
+	attempts, _, err = p.post(xml, id, tags)
 	return attempts, err
 }
 
-// PostXMLResult is PostXML returning the server's response body as well
-// — the cluster router forwards a replica's IngestResponse verbatim so
-// a routed ingest answers byte-identically to a direct one.
-func (p *Poster) PostXMLResult(xml []byte, id string, tags []string) (attempts int, body []byte, err error) {
+// Ingest is PostXML for a writer that wants the stored job back (a
+// cluster router landing a document on a peer owner), which makes a
+// Poster an Ingester like the Store it posts to. The job carries the
+// answer's ranks, salvage flag and warning count under the id and tags
+// the server stores: the id sent (DeriveID when empty) and the
+// normalised tags, taken from the request because the answer's JSON
+// rewrites invalid UTF-8. A permanent rejection (4xx) fails with the
+// server's own error text; any other failure wraps ErrUnavailable.
+func (p *Poster) Ingest(xml []byte, id string, tags []string) (*Job, error) {
+	if id == "" {
+		id = DeriveID(xml)
+	}
+	_, body, err := p.post(xml, id, tags)
+	var resp IngestResponse
+	if err == nil {
+		err = json.Unmarshal(body, &resp)
+	}
+	if err != nil {
+		var se *statusError
+		if errors.As(err, &se) && !retryableStatus(se.code) {
+			return nil, errors.New(se.body)
+		}
+		return nil, fmt.Errorf("%w: %w", ErrUnavailable, err)
+	}
+	return &Job{ID: id, Tags: normTags(tags), Ranks: resp.Ranks, Salvaged: resp.Salvaged, Warnings: resp.Warnings}, nil
+}
+
+// post is PostXML returning the server's response body as well.
+func (p *Poster) post(xml []byte, id string, tags []string) (attempts int, body []byte, err error) {
 	target, err := p.ingestURL(id, tags)
 	if err != nil {
 		return 0, nil, err
@@ -276,25 +302,6 @@ func (p *Poster) PostProfile(jp *ipm.JobProfile, id string, tags []string) (stri
 	return id, attempts, err
 }
 
-// HTTPStatus returns the HTTP status a PostXML failure carried, or 0
-// when the failure never got a response (transport error). Cluster
-// routers use it to tell a permanent peer rejection (relay the 4xx)
-// from a retryable outage (answer 503).
-func HTTPStatus(err error) int {
-	var se *statusError
-	if errors.As(err, &se) {
-		return se.code
-	}
-	return 0
-}
-
-// IsLifecycleErr reports whether an ingest failure is the store's fault
-// (closed or degraded read-only — retryable against a replica or after
-// an operator fix) rather than the document's.
-func IsLifecycleErr(err error) bool {
-	return errors.Is(err, ErrReadOnly) || errors.Is(err, ErrClosed)
-}
-
 // statusError is a non-2xx ingest response.
 type statusError struct {
 	code       int
@@ -330,15 +337,16 @@ func postOnce(client *http.Client, target string, xml []byte) ([]byte, error) {
 		return nil, err
 	}
 	defer resp.Body.Close()
+	// An error body is read as far as an answer is: a cluster router
+	// relays a peer's rejection text whole.
+	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	if resp.StatusCode/100 != 2 {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return nil, &statusError{
 			code:       resp.StatusCode,
 			body:       strings.TrimSpace(string(body)),
 			retryAfter: parseRetryAfter(resp.Header.Get("Retry-After")),
 		}
 	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	if err != nil {
 		return nil, err
 	}

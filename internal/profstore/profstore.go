@@ -41,15 +41,26 @@ import (
 // the ingest benchmarks run on.
 const numShards = 16
 
-// Store lifecycle errors. Both are sentinel-wrapped so callers (the
-// HTTP layer, the soak harness) can map them with errors.Is.
+// Write failures that are not the document's fault. All are
+// sentinel-wrapped so callers (the HTTP layer, the soak harness) can map
+// them with errors.Is; IsUnavailable matches any of them.
 var (
 	// ErrClosed is returned by Ingest and Snapshot after Close.
 	ErrClosed = errors.New("profstore: store is closed")
 	// ErrReadOnly is returned once a WAL append or fsync has failed:
 	// the corpus stays queryable, but nothing further is acknowledged.
 	ErrReadOnly = errors.New("profstore: store is read-only")
+	// ErrUnavailable is a write that may succeed on retry: an owner that
+	// could not be reached, a cluster write below its quorum.
+	ErrUnavailable = errors.New("profstore: unavailable")
 )
+
+// IsUnavailable reports whether an ingest failure is the store's (or the
+// cluster's) fault rather than the document's: POST /ingest answers it
+// 503 with Retry-After, any other failure 400.
+func IsUnavailable(err error) bool {
+	return errors.Is(err, ErrUnavailable) || errors.Is(err, ErrReadOnly) || errors.Is(err, ErrClosed)
+}
 
 // WriteSyncer is the append surface of the WAL: writes plus fsync.
 // *os.File satisfies it, and so does faultsim.FaultyWriter — the

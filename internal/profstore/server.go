@@ -2,7 +2,6 @@ package profstore
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"html/template"
 	"io"
@@ -129,7 +128,7 @@ func boolGauge(b bool) float64 {
 func (s *Server) SetDraining(d bool) { s.draining.Store(d) }
 
 // JobSource answers the corpus-wide queries: the server's own store, or
-// (see QueryHandler) a cluster router's mirror of every member, whose
+// (see Routes) a cluster router's mirror of every member, whose
 // revalidation can fail — any error is answered 503 with Retry-After,
 // never with a partial answer.
 type JobSource interface {
@@ -137,6 +136,15 @@ type JobSource interface {
 	Jobs(sel string) ([]*Job, error)
 	Aggregate(AggOptions) (*AggReport, error)
 	Regress(RegressOptions) (*RegressReport, error)
+}
+
+// Ingester is the write twin of JobSource: where POST /ingest lands a
+// document. The server's own *Store is one; a cluster router's quorum
+// write (see Routes) and a Poster are the others. A failure that
+// IsUnavailable is answered 503 with Retry-After, any other as the
+// document's fault: 400 with the error's own text.
+type Ingester interface {
+	Ingest(xml []byte, id string, tags []string) (*Job, error)
 }
 
 // localSource is the single-node JobSource.
@@ -156,25 +164,27 @@ func (s *Server) observe(q int, start time.Time) {
 }
 
 // QuerySurface is the dynamic type of Server.Handler(): the single-node
-// routes, plus the means to serve the corpus-wide queries from somewhere
-// else.
+// routes, plus the means to serve the corpus routes (ingest and the
+// corpus-wide queries) over somewhere else.
 type QuerySurface struct {
 	http.Handler
 	s *Server
 }
 
-// QueryHandler returns the server's GET /jobs, /job/{id}, /agg and
-// /regress handlers — same parameter parsing, same counters and latency
-// histogram, same renderers — answering from src instead of the server's
-// store.
-func (q *QuerySurface) QueryHandler(src JobSource) http.Handler {
+// Routes returns the server's POST /ingest and GET /jobs, /job/{id},
+// /agg and /regress handlers — same parameter parsing, same counters and
+// latency histogram, same renderers — writing to ing and answering from
+// src instead of the server's store.
+func (q *QuerySurface) Routes(src JobSource, ing Ingester) http.Handler {
 	mux := http.NewServeMux()
-	q.s.routeQueries(mux, src)
+	q.s.routeCorpus(mux, src, ing)
 	return mux
 }
 
-// routeQueries registers the corpus-wide query routes over src.
-func (s *Server) routeQueries(mux *http.ServeMux, src JobSource) {
+// routeCorpus registers the corpus routes: ingest into ing, queries over
+// src.
+func (s *Server) routeCorpus(mux *http.ServeMux, src JobSource, ing Ingester) {
+	mux.HandleFunc("POST /ingest", func(w http.ResponseWriter, r *http.Request) { s.serveIngest(ing, w, r) })
 	mux.HandleFunc("GET /jobs", func(w http.ResponseWriter, r *http.Request) { s.serveJobs(src, w, r) })
 	mux.HandleFunc("GET /job/{id}", func(w http.ResponseWriter, r *http.Request) { s.serveJob(src, w, r) })
 	mux.HandleFunc("GET /agg", func(w http.ResponseWriter, r *http.Request) { s.serveAgg(src, w, r) })
@@ -185,8 +195,7 @@ func (s *Server) routeQueries(mux *http.ServeMux, src JobSource) {
 // /metrics.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /ingest", s.handleIngest)
-	s.routeQueries(mux, localSource{s.store})
+	s.routeCorpus(mux, localSource{s.store}, s.store)
 	mux.HandleFunc("POST /compact", s.handleCompact)
 	// /healthz: liveness — the process is up and serving queries.
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -248,11 +257,10 @@ type IngestResponse struct {
 }
 
 // MaxIngestBytes bounds one ingest body (a center-wide store must not be
-// OOM-able by a single malformed client). Cluster routers apply the same
-// cap.
+// OOM-able by a single malformed client).
 const MaxIngestBytes = 64 << 20
 
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
+func (s *Server) serveIngest(ing Ingester, w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer s.observe(qIngest, start)
 	body, err := io.ReadAll(io.LimitReader(r.Body, MaxIngestBytes+1))
@@ -268,11 +276,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if t := r.URL.Query().Get("tags"); t != "" {
 		tags = strings.Split(t, ",")
 	}
-	job, err := s.store.Ingest(body, r.URL.Query().Get("id"), tags)
+	job, err := ing.Ingest(body, r.URL.Query().Get("id"), tags)
 	if err != nil {
-		// Lifecycle errors are the store's problem, not the client's:
+		// The store's (or the cluster's) problem, not the client's:
 		// answer 503 with a retry hint instead of blaming the document.
-		if errors.Is(err, ErrReadOnly) || errors.Is(err, ErrClosed) {
+		if IsUnavailable(err) {
 			s.unavailable(w, err)
 			return
 		}
@@ -438,13 +446,12 @@ func (s *Server) handleCompact(w http.ResponseWriter, _ *http.Request) {
 	start := time.Now()
 	defer s.observe(qCompact, start)
 	info, err := s.store.Snapshot()
+	if IsUnavailable(err) {
+		s.unavailable(w, err)
+		return
+	}
 	if err != nil {
-		code := http.StatusInternalServerError
-		if errors.Is(err, ErrReadOnly) || errors.Is(err, ErrClosed) {
-			code = http.StatusServiceUnavailable
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-		}
-		s.fail(w, code, "%v", err)
+		s.fail(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	s.writeJSON(w, info)

@@ -67,7 +67,7 @@ func (js sliceSource) Regress(o RegressOptions) (*RegressReport, error) {
 func checkJobViews(t *testing.T, single *Store, jobs []*Job) {
 	t.Helper()
 	want := NewServer(single, telemetry.NewRegistry()).Handler()
-	got := NewServer(New(), telemetry.NewRegistry()).Handler().(*QuerySurface).QueryHandler(sliceSource(jobs))
+	got := NewServer(New(), telemetry.NewRegistry()).Handler().(*QuerySurface).Routes(sliceSource(jobs), nil)
 	queries := []string{"/jobs", "/jobs?sel=tag:fuzz&format=html", "/job/unknown"}
 	for _, j := range single.List() {
 		queries = append(queries, "/job/"+url.PathEscape(j.ID))

@@ -1,11 +1,9 @@
 package storecluster
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -32,9 +30,6 @@ const (
 	MetricMirrorMemo          = "ipm_cluster_mirror_memo_lookups_total"
 )
 
-// retryAfterSeconds mirrors the single-node 503 backoff hint.
-const retryAfterSeconds = 5
-
 // Config wires one ipmserve member into a cluster.
 type Config struct {
 	// Self is this member's base URL; must be one of Members.
@@ -50,9 +45,10 @@ type Config struct {
 	Store *profstore.Store
 	// Local is the single-node HTTP surface over Store: it must be what
 	// profstore.Server.Handler() returned (a *profstore.QuerySurface). The
-	// cluster handler intercepts the routed ingest, serves /jobs,
-	// /job/{id}, /agg and /regress through Local's own handlers over the
-	// mirror, and delegates everything else to it.
+	// cluster handler serves POST /ingest through Local's own handler over
+	// the quorum write (Cluster.Ingest), /jobs, /job/{id}, /agg and
+	// /regress through Local's own handlers over the mirror, and
+	// delegates everything else to it.
 	Local http.Handler
 	// Registry receives the cluster metrics; also used by Local for
 	// /metrics.
@@ -84,7 +80,7 @@ type Cluster struct {
 	posters map[string]*profstore.Poster
 	start   time.Time
 	mirror  *mirror
-	queries http.Handler // Local's query handlers over mirror
+	routes  http.Handler // Local's corpus handlers over the quorum write and the mirror
 
 	peerLat     *telemetry.HistogramVec
 	peerErr     *telemetry.Vec
@@ -168,7 +164,7 @@ func New(cfg Config) (*Cluster, error) {
 		}
 	}
 	c.mirror = &mirror{c: c, peers: make([]profstore.RollupMirror, len(c.peers))}
-	c.queries = local.QueryHandler(c.mirror)
+	c.routes = local.Routes(c.mirror, c)
 	revalidations := cfg.Registry.CounterVec(MetricMirrorRevalidations,
 		"Conditional /shard/rollups?since= legs applied to the mirror, by reply kind (unchanged, delta, full).", "result")
 	for k := range c.mirror.revalidations {
@@ -192,17 +188,16 @@ func (c *Cluster) span(track, name string, start time.Time, bytes int64) {
 	})
 }
 
-// Handler returns the cluster route mux: routed /ingest, the queries
-// served from the mirror, the member-local /shard/* surface, and
+// Handler returns the cluster route mux: the routed ingest and the
+// queries served from the mirror, the member-local /shard/* surface, and
 // delegation to the single-node handler for everything else.
 func (c *Cluster) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /ingest", c.handleIngest)
-	// The corpus-wide queries are the single-node handlers (same parsing,
-	// same counters, same renderers) over the mirror instead of the local
-	// store.
-	for _, route := range []string{"GET /jobs", "GET /job/{id}", "GET /agg", "GET /regress"} {
-		mux.Handle(route, c.queries)
+	// Ingest and the corpus-wide queries are the single-node handlers
+	// (same parsing, same counters, same renderers) over the quorum write
+	// and the mirror instead of the local store.
+	for _, route := range []string{"POST /ingest", "GET /jobs", "GET /job/{id}", "GET /agg", "GET /regress"} {
+		mux.Handle(route, c.routes)
 	}
 	// The local-only shard surface. /shard/ingest is a path rewrite onto
 	// the single-node handler: same parsing, same counters, same response
@@ -247,54 +242,23 @@ func (c *Cluster) publish() {
 	})
 }
 
-// writeJSON mirrors the single-node renderer byte for byte: indented
-// two-space JSON, trailing newline, application/json.
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func fail(w http.ResponseWriter, code int, format string, args ...any) {
-	http.Error(w, fmt.Sprintf(format, args...), code)
-}
-
-func failUnavailable(w http.ResponseWriter, format string, args ...any) {
-	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds))
-	fail(w, http.StatusServiceUnavailable, format, args...)
-}
-
 // ---- routed ingest ----
 
 // ownerResult is one owner's outcome for a routed ingest.
 type ownerResult struct {
-	owner  string
-	body   []byte // successful IngestResponse bytes (peers), nil for self
-	local  *profstore.Job
-	status int // HTTP status of a peer rejection, 0 otherwise
-	err    error
+	job *profstore.Job
+	err error
 }
 
-func (c *Cluster) handleIngest(w http.ResponseWriter, r *http.Request) {
-	// A member's body cap: the router is OOM-safe against the same
-	// malformed client a member is.
-	body, err := io.ReadAll(io.LimitReader(r.Body, profstore.MaxIngestBytes+1))
-	if err != nil {
-		fail(w, http.StatusBadRequest, "reading body: %v", err)
-		return
-	}
-	if len(body) > profstore.MaxIngestBytes {
-		fail(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", profstore.MaxIngestBytes)
-		return
-	}
-	var tags []string
-	if t := r.URL.Query().Get("tags"); t != "" {
-		tags = strings.Split(t, ",")
-	}
-	id := r.URL.Query().Get("id")
+// Ingest is the router's write, the profstore.Ingester behind its POST
+// /ingest: the document lands on every owner of its id and acks at the
+// majority quorum with the first acking owner's job. Below quorum it
+// fails with profstore.ErrUnavailable — unless no owner acked and one
+// rejected the document, whose own error text is then the answer: every
+// replica of an unparseable document rejects it identically.
+func (c *Cluster) Ingest(xml []byte, id string, tags []string) (*profstore.Job, error) {
 	if id == "" {
-		id = profstore.DeriveID(body)
+		id = profstore.DeriveID(xml)
 	}
 	owners := c.ring.Owners(id, c.cfg.Replicas)
 
@@ -308,82 +272,52 @@ func (c *Cluster) handleIngest(w http.ResponseWriter, r *http.Request) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			results[i] = c.ingestOne(owner, body, id, tags)
+			results[i] = c.ingestOne(owner, xml, id, tags)
 		}(i, owner)
 	}
 	wg.Wait()
-	c.span("cluster/ingest", id, start, int64(len(body)))
+	c.span("cluster/ingest", id, start, int64(len(xml)))
 
 	acked := 0
-	var success *ownerResult
-	var rejected *ownerResult // non-retryable 4xx from a peer or parse failure
-	for i := range results {
-		res := &results[i]
-		if res.err == nil {
+	var job *profstore.Job
+	var rejection error
+	for _, res := range results {
+		switch {
+		case res.err == nil:
 			acked++
-			if success == nil {
-				success = res
+			if job == nil {
+				job = res.job
 			}
-			continue
-		}
-		if res.status >= 400 && res.status < 500 {
-			rejected = res
+		case !profstore.IsUnavailable(res.err):
+			rejection = res.err
 		}
 	}
 	if acked >= c.quorum {
-		if success.local != nil {
-			writeJSON(w, profstore.IngestResponse{
-				ID: success.local.ID, Ranks: success.local.Ranks,
-				Salvaged: success.local.Salvaged, Warnings: success.local.Warnings,
-				Tags: success.local.Tags,
-			})
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(success.body)
-		return
+		return job, nil
 	}
 	c.quorumFails.Add(1)
-	// Every replica of an unparseable document rejects it identically;
-	// relay the permanent rejection instead of a retryable 503.
-	if acked == 0 && rejected != nil {
-		fail(w, rejected.status, "%v", rejected.err)
-		return
+	if acked == 0 && rejection != nil {
+		return nil, rejection
 	}
-	failUnavailable(w, "write quorum not reached: %d/%d owners acked (need %d)", acked, len(owners), c.quorum)
+	return nil, fmt.Errorf("%w: write quorum not reached: %d/%d owners acked (need %d)",
+		profstore.ErrUnavailable, acked, len(owners), c.quorum)
 }
 
 // ingestOne lands the document on one owner: directly into the local
 // store for self, via the retrying Poster for a peer.
-func (c *Cluster) ingestOne(owner string, body []byte, id string, tags []string) ownerResult {
-	res := ownerResult{owner: owner}
+func (c *Cluster) ingestOne(owner string, xml []byte, id string, tags []string) ownerResult {
 	if owner == c.cfg.Self {
-		job, err := c.cfg.Store.Ingest(body, id, tags)
-		res.local, res.err = job, err
-		if err != nil && !isRetryable(err) {
-			res.status = http.StatusBadRequest
-		}
-		return res
+		job, err := c.cfg.Store.Ingest(xml, id, tags)
+		return ownerResult{job, err}
 	}
 	start := time.Now()
 	c.peerReq.With(owner).Add(1)
-	_, respBody, err := c.posters[owner].PostXMLResult(body, id, tags)
+	job, err := c.posters[owner].Ingest(xml, id, tags)
 	c.peerLat.With(owner).Observe(float64(time.Since(start).Nanoseconds()))
 	if err != nil {
 		c.peerErr.With(owner).Add(1)
-		res.err = err
-		res.status = profstore.HTTPStatus(err)
-		return res
 	}
-	res.body = respBody
-	return res
-}
-
-// isRetryable classifies a local ingest failure the way the HTTP layer
-// does: lifecycle errors are the store's fault (503), parse errors the
-// client's (400).
-func isRetryable(err error) bool {
-	return profstore.IsLifecycleErr(err)
+	return ownerResult{job, err}
 }
 
 // ---- peer reads ----

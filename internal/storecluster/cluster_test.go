@@ -93,16 +93,30 @@ func corpusDocs(nDocs int) (docs [][]byte, tags []string) {
 
 func postDoc(t *testing.T, base string, doc []byte, tags string) string {
 	t.Helper()
-	resp, err := http.Post(base+"/ingest?tags="+tags, "application/xml", bytes.NewReader(doc))
+	code, body := post(t, base, doc, "tags="+tags)
+	if code != 200 {
+		t.Fatalf("ingest: %d: %s", code, body)
+	}
+	return body
+}
+
+func post(t *testing.T, base string, doc []byte, query string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(base+"/ingest?"+query, "application/xml", bytes.NewReader(doc))
 	if err != nil {
 		t.Fatalf("ingest: %v", err)
 	}
 	defer resp.Body.Close()
 	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != 200 {
-		t.Fatalf("ingest: %d: %s", resp.StatusCode, body)
-	}
-	return string(body)
+	return resp.StatusCode, string(body)
+}
+
+// postAnswer is an ingest answer as the identity checks compare it: the
+// status code, then the body.
+func postAnswer(t *testing.T, base string, doc []byte, query string) string {
+	t.Helper()
+	code, body := post(t, base, doc, query)
+	return fmt.Sprintf("%d %s", code, body)
 }
 
 func get(t *testing.T, url string) (int, string) {
@@ -133,20 +147,21 @@ func statusBody(t *testing.T, url string) string {
 	return fmt.Sprintf("%d %s", code, body)
 }
 
-// referenceAnswers ingests the corpus into a plain single store and
-// renders the reference responses through the single-node handler's own
-// renderer (an httptest-free in-process server).
-func referenceAnswers(t *testing.T, docs [][]byte, tags []string, queries []string) map[string]string {
+// referenceAnswers ingests the corpus into a plain single node, doc i
+// under the ingest query params[i], and returns its answer to each
+// ingest and to each query.
+func referenceAnswers(t *testing.T, docs [][]byte, params []string, queries []string) (ingests []string, answers map[string]string) {
 	t.Helper()
-	tc := startCluster(t, 1, 1, nil)
+	ts := httptest.NewServer(profstore.NewServer(profstore.New(), telemetry.NewRegistry()).Handler())
+	t.Cleanup(ts.Close)
 	for i, doc := range docs {
-		postDoc(t, tc.urls[0], doc, tags[i])
+		ingests = append(ingests, postAnswer(t, ts.URL, doc, params[i]))
 	}
-	out := make(map[string]string, len(queries))
+	answers = make(map[string]string, len(queries))
 	for _, q := range queries {
-		out[q] = statusBody(t, tc.urls[0]+q)
+		answers[q] = statusBody(t, ts.URL+q)
 	}
-	return out
+	return ingests, answers
 }
 
 // clusterQueries are the routed reads held to single-node bytes: every
@@ -170,11 +185,37 @@ func clusterQueries(docs [][]byte) []string {
 // TestClusterByteIdentity is the tentpole acceptance test: /agg,
 // /regress, /jobs and /job/{id} answer byte-identically on 1-, 2- and
 // 4-member clusters, for every router choice, replication factor 1 to 3,
-// and a reversed ingest order.
+// and a reversed ingest order. So does POST /ingest: every corpus
+// document through its router, and through every router, owner or not,
+// a salvaged (truncated) document, one no reader accepts, and one whose
+// id and tag are not UTF-8.
 func TestClusterByteIdentity(t *testing.T) {
 	docs, tags := corpusDocs(12)
 	queries := clusterQueries(docs)
-	want := referenceAnswers(t, docs, tags, queries)
+	var params []string
+	for _, tag := range tags {
+		params = append(params, "tags="+tag)
+	}
+	probes := []struct {
+		doc   []byte
+		query string
+	}{
+		{docs[0][:len(docs[0])*2/3], "tags=probe"},
+		{[]byte("not an ipm log"), "tags=probe"},
+	}
+	all := append([][]byte(nil), docs...)
+	for _, p := range probes {
+		all, params = append(all, p.doc), append(params, p.query)
+	}
+	wantIngest, want := referenceAnswers(t, all, params, queries)
+	if !strings.Contains(wantIngest[len(docs)], `"salvaged": true`) || !strings.HasPrefix(wantIngest[len(docs)+1], "400 ") {
+		t.Fatalf("probes are not one salvaged and one rejected document: %q", wantIngest[len(docs):])
+	}
+	// The wire image carries ids and tags as JSON strings, which cannot
+	// hold invalid UTF-8, so this probe stays out of the queried corpus:
+	// it is posted after the queries and answered by its own reference.
+	const notUTF8 = "id=j%FF&tags=t%FE"
+	wantNotUTF8, _ := referenceAnswers(t, docs[1:2], []string{notUTF8}, nil)
 
 	for _, tt := range []struct {
 		members, replicas int
@@ -196,7 +237,16 @@ func TestClusterByteIdentity(t *testing.T) {
 				}
 				// Rotate the router so placement does not depend on who
 				// accepted the write.
-				postDoc(t, tc.urls[k%len(tc.urls)], docs[k], tags[k])
+				if got := postAnswer(t, tc.urls[k%len(tc.urls)], docs[k], params[k]); got != wantIngest[k] {
+					t.Errorf("ingest of doc %d: answer differs from single-node reference\ngot:  %s\nwant: %s", k, got, wantIngest[k])
+				}
+			}
+			for pi, p := range probes {
+				for ri, router := range tc.urls {
+					if got, want := postAnswer(t, router, p.doc, p.query), wantIngest[len(docs)+pi]; got != want {
+						t.Errorf("ingest of probe %d via router %d: answer differs from single-node reference\ngot:  %s\nwant: %s", pi, ri, got, want)
+					}
+				}
 			}
 			for _, q := range queries {
 				for ri, router := range tc.urls {
@@ -204,6 +254,11 @@ func TestClusterByteIdentity(t *testing.T) {
 					if got != want[q] {
 						t.Errorf("%s via router %d: response differs from single-node reference\ngot:  %.200s\nwant: %.200s", q, ri, got, want[q])
 					}
+				}
+			}
+			for ri, router := range tc.urls {
+				if got := postAnswer(t, router, docs[1], notUTF8); got != wantNotUTF8[0] {
+					t.Errorf("ingest of %s via router %d: answer differs from single-node reference\ngot:  %q\nwant: %q", notUTF8, ri, got, wantNotUTF8[0])
 				}
 			}
 		})
@@ -266,6 +321,25 @@ func doReq(t *testing.T, h http.Handler, method, path string, body []byte) *http
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	return rec
+}
+
+// metricOf reads one sample off h's /metrics, 0 if absent.
+func metricOf(t *testing.T, h http.Handler, sample string) float64 {
+	t.Helper()
+	rec := doReq(t, h, "GET", "/metrics", nil)
+	if rec.Code != 200 {
+		t.Fatalf("GET /metrics: %d: %s", rec.Code, rec.Body)
+	}
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, sample+" "); ok {
+			var v float64
+			if _, err := fmt.Sscan(rest, &v); err != nil {
+				t.Fatalf("metric line %q: %v", line, err)
+			}
+			return v
+		}
+	}
+	return 0
 }
 
 // TestClusterIngestIdempotent: re-posting the same document through a
@@ -335,11 +409,15 @@ func TestClusterQuorum(t *testing.T) {
 		t.Fatal(err)
 	}
 	faulty2 := startClusterWithTransportOn(t, tc, 0, 3, plan2.Wrap(nil))
+	httpErrs := metricOf(t, faulty2, profstore.MetricHTTPErrors)
 	resp = doReq(t, faulty2, "POST", "/ingest", docs[1])
 	if resp.Code != 503 {
 		t.Fatalf("ingest with 2 dead owners: %d, want 503: %s", resp.Code, resp.Body.String())
 	}
 	if resp.Header().Get("Retry-After") == "" {
 		t.Error("quorum failure 503 without Retry-After")
+	}
+	if got := metricOf(t, faulty2, profstore.MetricHTTPErrors); got != httpErrs+1 {
+		t.Errorf("quorum failure moved %s %v -> %v, want +1", profstore.MetricHTTPErrors, httpErrs, got)
 	}
 }

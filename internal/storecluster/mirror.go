@@ -162,7 +162,7 @@ func (c *Cluster) handleShardRollups(w http.ResponseWriter, r *http.Request) {
 	if q.Has("since") {
 		since, err := strconv.ParseUint(q.Get("since"), 10, 64)
 		if err != nil {
-			fail(w, http.StatusBadRequest, "bad since=%q", q.Get("since"))
+			http.Error(w, fmt.Sprintf("bad since=%q", q.Get("since")), http.StatusBadRequest)
 			return
 		}
 		reply := c.cfg.Store.RollupsSince(since)
@@ -177,7 +177,7 @@ func (c *Cluster) handleShardRollups(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := profstore.EncodeWireJobs(jobs)
 	if err != nil {
-		fail(w, http.StatusInternalServerError, "encoding rollups: %v", err)
+		http.Error(w, "encoding rollups: "+err.Error(), http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

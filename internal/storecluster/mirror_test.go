@@ -160,16 +160,7 @@ func (mc *memCluster) post(i int, doc []byte, query string) error {
 // metric reads one sample off member i's /metrics, 0 if absent.
 func (mc *memCluster) metric(i int, sample string) float64 {
 	mc.t.Helper()
-	for _, line := range strings.Split(mc.mustGet(i, "/metrics"), "\n") {
-		if rest, ok := strings.CutPrefix(line, sample+" "); ok {
-			var v float64
-			if _, err := fmt.Sscan(rest, &v); err != nil {
-				mc.t.Fatalf("metric line %q: %v", line, err)
-			}
-			return v
-		}
-	}
-	return 0
+	return metricOf(mc.t, mc.members[i].h, sample)
 }
 
 func revalidations(kind string) string {
@@ -281,8 +272,8 @@ func TestMirrorWarmDeltaFull(t *testing.T) {
 		t.Errorf("%v full resyncs, want only the first contact's 2 on a cluster that never restarted", got)
 	}
 
-	// Bugfix pin: a routed /agg, /jobs, and /job/{id} of a job only peers
-	// hold are profstore queries like any other.
+	// Bugfix pin: a routed /agg, /jobs, /job/{id} and POST /ingest of a
+	// job only peers hold are profstore queries like any other.
 	peerOnly := ""
 	for id := range writes {
 		if mc.members[0].store.Get(id) == nil {
@@ -293,19 +284,37 @@ func TestMirrorWarmDeltaFull(t *testing.T) {
 	if peerOnly == "" {
 		t.Fatal("member 0 holds the whole corpus; pick other ids")
 	}
-	for _, q := range []struct{ path, endpoint string }{
-		{"/agg", "agg"}, {"/jobs", "jobs"}, {"/job/" + peerOnly, "job"},
+	for _, q := range []struct {
+		method, path, endpoint string
+		body                   []byte
+	}{
+		{"GET", "/agg", "agg", nil}, {"GET", "/jobs", "jobs", nil}, {"GET", "/job/" + peerOnly, "job", nil},
+		{"POST", "/ingest?id=" + peerOnly + "&tags=" + writes[peerOnly].tags, "ingest", writes[peerOnly].doc},
 	} {
 		counter := profstore.MetricQueries + `{endpoint="` + q.endpoint + `"}`
 		before := mc.metric(0, counter)
 		lat := mc.metric(0, profstore.MetricQuerySecs+"_count")
-		mc.mustGet(0, q.path)
+		if rec := mc.do(0, q.method, q.path, q.body); rec.Code != 200 {
+			t.Fatalf("%s %s via member 0: %d: %s", q.method, q.path, rec.Code, rec.Body)
+		}
 		if got := mc.metric(0, counter); got != before+1 {
 			t.Errorf("routed %s moved %s %v -> %v, want +1", q.path, counter, before, got)
 		}
 		if got := mc.metric(0, profstore.MetricQuerySecs+"_count"); got != lat+1 {
 			t.Errorf("routed %s moved %s_count %v -> %v, want +1", q.path, profstore.MetricQuerySecs, lat, got)
 		}
+	}
+	// A garbage body rejected by both owners is the router's own parse
+	// and HTTP error.
+	parse, httpErrs := mc.metric(0, profstore.MetricParseErrors), mc.metric(0, profstore.MetricHTTPErrors)
+	if rec := mc.do(0, "POST", "/ingest?id="+peerOnly, []byte("not an ipm log")); rec.Code != 400 {
+		t.Errorf("garbage ingest via member 0: %d, want 400: %s", rec.Code, rec.Body)
+	}
+	if got := mc.metric(0, profstore.MetricParseErrors); got != parse+1 {
+		t.Errorf("routed garbage moved %s %v -> %v, want +1", profstore.MetricParseErrors, parse, got)
+	}
+	if got := mc.metric(0, profstore.MetricHTTPErrors); got != httpErrs+1 {
+		t.Errorf("routed garbage moved %s %v -> %v, want +1", profstore.MetricHTTPErrors, httpErrs, got)
 	}
 }
 

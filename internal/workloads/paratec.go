@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"ipmgo/internal/cluster"
+	"ipmgo/internal/cublas"
 	"ipmgo/internal/mpisim"
 )
 
@@ -127,7 +128,9 @@ func Paratec(env *cluster.Env, cfg ParatecConfig) error {
 		pcontrol(1, "subspace_rotation")
 		for c := 0; c < cfg.ZgemmCalls; c++ {
 			if cfg.UseCUBLAS {
-				if err := paratecZgemmThunk(env, m, nb); err != nil {
+				// Cost-only (nil host operands): simulation cost stays
+				// independent of the problem size.
+				if err := cublas.ZgemmThunk(env.BLAS, 'N', 'N', m, nb, nb, 1, nil, m, nil, nb, 0, nil, m); err != nil {
 					return err
 				}
 			} else {
@@ -160,40 +163,4 @@ func Paratec(env *cluster.Env, cfg ParatecConfig) error {
 		}
 	}
 	return nil
-}
-
-// paratecZgemmThunk performs one thunking zgemm: the call sequence of the
-// CUBLAS Fortran thunking wrappers, with cost-only transfers (nil host
-// buffers) so simulation cost stays independent of the problem size.
-func paratecZgemmThunk(env *cluster.Env, m, nb int) error {
-	b := env.BLAS
-	da, err := b.Alloc(m*nb, 16)
-	if err != nil {
-		return err
-	}
-	defer b.Free(da)
-	db, err := b.Alloc(nb*nb, 16)
-	if err != nil {
-		return err
-	}
-	defer b.Free(db)
-	dc, err := b.Alloc(m*nb, 16)
-	if err != nil {
-		return err
-	}
-	defer b.Free(dc)
-
-	if err := b.SetMatrix(m, nb, 16, nil, m, da, m); err != nil {
-		return err
-	}
-	if err := b.SetMatrix(nb, nb, 16, nil, nb, db, nb); err != nil {
-		return err
-	}
-	if err := b.SetMatrix(m, nb, 16, nil, m, dc, m); err != nil {
-		return err
-	}
-	if err := b.Zgemm('N', 'N', m, nb, nb, 1, da, m, db, nb, 0, dc, m); err != nil {
-		return err
-	}
-	return b.GetMatrix(m, nb, 16, dc, m, nil, m)
 }
