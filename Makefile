@@ -12,7 +12,7 @@
 GO ?= go
 BENCH_PATTERN ?= BenchmarkObserveHot|BenchmarkTableUpdate|BenchmarkMapUpdateManyKeys|BenchmarkAblationHashTable|BenchmarkEnsembleParallel|BenchmarkObserveTelemetry|BenchmarkProfstoreIngest|BenchmarkProfstoreAgg|BenchmarkDESScheduleRun|BenchmarkProcContextSwitch|BenchmarkProcHandoff|BenchmarkProcSleepPastCallback|BenchmarkSpanRecord|BenchmarkQueueSubmit|BenchmarkClusterIngest|BenchmarkClusterAgg|BenchmarkScanXML|BenchmarkParseXMLTolerant
 
-.PHONY: build vet test race results-check serve serve-load serve-e2e soak soak-short soak-cluster soak-cluster-short fuzz verify bench bench-e2e profile experiments trace faults clean
+.PHONY: build vet test race results-check serve serve-load serve-e2e soak soak-short soak-cluster soak-cluster-short fuzz verify bench bench-e2e bench-pair profile experiments trace faults clean
 
 build:
 	$(GO) build ./...
@@ -124,6 +124,18 @@ bench:
 bench-e2e:
 	$(GO) test ./bench
 	bash bench/run.sh --workload cluster_read --seed 1 --seconds 12 --trace 0
+
+# Paired runs of the repo benchmark for a timing claim: REV (archived into
+# a temporary tree) against the working tree, on one workload, PAIRS
+# pairs alternating which side runs first, seed i for pair i. Prints, for
+# each end-to-end metric of BENCHMARK.json, both medians, REV's IQR, the
+# working tree's wins and whether it is worse than the metric's bound;
+# every run's JSON line is kept in the temporary directory it names.
+REV ?= HEAD
+WORKLOAD ?= sim_ensemble
+PAIRS ?= 10
+bench-pair:
+	bash scripts/bench-pair.sh '$(REV)' '$(WORKLOAD)' '$(PAIRS)'
 
 # Capture CPU + allocation profiles of the call-dense bundled workload
 # (a monitored Amber run: ~10^5 wrapped CUDA/MPI calls per rank, the job

@@ -2,31 +2,34 @@
 // with virtual time and cooperatively scheduled processes.
 //
 // The engine owns a monotone virtual clock and a priority queue of events.
-// Simulated actors (MPI ranks, host threads) run as processes: goroutines
-// scheduled cooperatively so that exactly one of them — or the caller of
-// Run — executes at any moment. This gives race-free, fully deterministic
-// simulations whose outcome depends only on the event timestamps (with
-// FIFO sequence numbers breaking ties), never on wall-clock timing.
+// Simulated actors (MPI ranks, host threads) run as processes: coroutines
+// (iter.Pull) that Run's goroutine resumes one at a time, so that exactly
+// one of them — or Run itself — executes at any moment. This gives
+// race-free, fully deterministic simulations whose outcome depends only on
+// the event timestamps (with FIFO sequence numbers breaking ties), never
+// on wall-clock timing.
 //
-// There is no engine goroutine. Control is a baton: whoever holds it is
-// the only goroutine touching the engine. Run holds it first and runs the
-// event loop on the caller's goroutine until the first process resume,
-// hands the baton to that process and waits for the loop to end. A process
-// that blocks (Sleep, Wait) or finishes runs the event loop itself, on its
-// own goroutine: it pops (at, seq)-ordered entries and runs plain
-// callbacks (Schedule, ScheduleRunner, FireAt, OnFire) inline until the
-// next process resume. If that resume is its own it simply returns — no
-// goroutine switch; otherwise it wakes the target and parks — one switch.
-// Whoever finds the loop over (queue drained, horizon reached, a process
-// panicked) wakes Run, which reports. Because pop order is a pure function
-// of (at, seq) and not of which goroutine pops, virtual-time behaviour is
-// exactly that of a single dispatcher loop.
+// There is no engine goroutine, and Run is the only code that resumes a
+// process. Run runs the event loop until the first process resume and
+// resumes that process. A process that blocks (Sleep, Wait) or finishes
+// runs the event loop itself, inside its own coroutine: it pops (at,
+// seq)-ordered entries and runs plain callbacks (Schedule, ScheduleRunner,
+// FireAt, OnFire) inline until the next process resume. If that resume is
+// its own it simply returns; otherwise it names the next process and
+// yields to Run, which resumes it — a coroutine switch, not a trip through
+// the Go scheduler. A process that finds the loop over (queue drained,
+// horizon reached, a process panicked) yields naming no one, and Run
+// reports. Because pop order is a pure function of (at, seq) and not of
+// which coroutine pops, virtual-time behaviour is exactly that of a single
+// dispatcher loop.
 //
-// Consequently event callbacks run on whichever goroutine holds the baton
-// — the caller of Run or any process goroutine, including one whose
-// function has already returned. They must not depend on goroutine
-// identity: no t.FailNow/t.Fatal, no runtime.Goexit. A callback that
-// panics is re-raised from Run on the caller's goroutine.
+// Consequently event callbacks run inside whichever of them runs the loop
+// — Run or any process, including one whose function has already
+// returned. They must not depend on goroutine identity: no
+// t.FailNow/t.Fatal, no runtime.Goexit. A callback that panics is
+// re-raised from Run on the caller's goroutine. A process body may call
+// runtime.Goexit (t.FailNow in a test): iter.Pull passes it on, so it ends
+// the goroutine that called Run, and Run does not return.
 //
 // All timestamps are time.Duration offsets from the start of the run.
 //
@@ -50,7 +53,7 @@ import (
 //
 // An Engine is not safe for concurrent use from multiple goroutines.
 // Processes spawned on the engine, and the callbacks scheduled on it, may
-// freely use the engine because only the goroutine holding the baton runs.
+// freely use the engine because only one of them, or Run, runs at a time.
 type Engine struct {
 	now     time.Duration
 	seq     uint64
@@ -63,19 +66,17 @@ type Engine struct {
 	err     error // first process panic, sticky
 
 	// Set by run for the duration of one Run/RunFor, read by whichever
-	// goroutine holds the baton.
+	// process runs the event loop.
 	horizon time.Duration // < 0: none
-	ended   chan struct{} // a process goroutine found the loop over
+	handoff *Proc         // the process Run resumes next; nil: loop over
 	endErr  error         // why: nil, *HorizonError, *DeadlockError or err
-	cbPanic any           // callback panic caught on a process goroutine
+	cbPanic any           // callback panic caught inside a process
 
 	procs []*Proc // every spawned process, for deadlock reports
 }
 
 // NewEngine returns an empty engine with the clock at zero.
-func NewEngine() *Engine {
-	return &Engine{ended: make(chan struct{})}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
@@ -270,7 +271,7 @@ func (h *HorizonError) Error() string {
 // finished. It returns a *DeadlockError if processes remain blocked with no
 // pending events, or the panic value of the first process that panicked.
 // A panic in an event callback panics out of Run, on the caller's
-// goroutine, whichever goroutine the callback ran on.
+// goroutine, whichever process the callback ran in.
 func (e *Engine) Run() error { return e.run(-1) }
 
 // RunFor executes events like Run but stops with a *HorizonError once the
@@ -279,26 +280,27 @@ func (e *Engine) Run() error { return e.run(-1) }
 // is a safety net for workloads under test.
 func (e *Engine) RunFor(horizon time.Duration) error { return e.run(horizon) }
 
-// run holds the baton until the first process resume, passes it on and
-// waits for whichever goroutine ends the loop.
+// run runs the event loop until the first process resume, then resumes
+// processes one at a time: each runs until it yields, naming in e.handoff
+// the process to resume next, or no one when the loop is over.
 func (e *Engine) run(horizon time.Duration) error {
 	e.horizon = horizon
-	if p := e.dispatch(); p != nil {
-		p.resume <- struct{}{}
-		<-e.ended
-		if r := e.cbPanic; r != nil {
-			e.cbPanic = nil
-			panic(r)
-		}
+	for p := e.dispatch(); p != nil; p = e.handoff {
+		e.handoff = nil
+		p.next()
+	}
+	if r := e.cbPanic; r != nil {
+		e.cbPanic = nil
+		panic(r)
 	}
 	return e.endErr
 }
 
-// dispatch is the event loop. It runs on the goroutine holding the baton:
-// callbacks run inline, and the first resume of a live process ends it —
-// dispatch returns that process, marked runnable, and the caller passes
-// the baton on (or keeps it, if the process is itself). A nil return means
-// the loop is over and e.endErr says why.
+// dispatch is the event loop. It runs in Run or in the process that just
+// blocked or finished: callbacks run inline, and the first resume of a
+// live process ends it — dispatch returns that process, marked runnable,
+// to be resumed by Run (or to carry on, if it is the caller itself). A nil
+// return means the loop is over and e.endErr says why.
 func (e *Engine) dispatch() *Proc {
 	for e.err == nil && len(e.heap) > 0 {
 		root := e.heap[0]

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -461,38 +462,6 @@ func scheduleRunOp(tb testing.TB) func() {
 	return round
 }
 
-// TestScheduleFireZeroAllocSteadyState pins the headline property of the
-// slot-pool engine: once the pool and heap have grown to working size,
-// Schedule + fire allocates nothing.
-func TestScheduleFireZeroAllocSteadyState(t *testing.T) {
-	if allocs := testing.AllocsPerRun(50, scheduleRunOp(t)); allocs != 0 {
-		t.Errorf("schedule+fire steady state = %v allocs/round, want 0", allocs)
-	}
-}
-
-// TestCancelZeroAllocSteadyState: cancelling recycles through the free
-// list without allocating either.
-func TestCancelZeroAllocSteadyState(t *testing.T) {
-	e := NewEngine()
-	fn := func() {}
-	round := func() {
-		base := e.Now()
-		for j := 0; j < 256; j++ {
-			ev := e.Schedule(base+time.Duration(j)*time.Microsecond, fn)
-			if j%2 == 1 {
-				ev.Cancel()
-			}
-		}
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	round()
-	if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
-		t.Errorf("schedule+cancel steady state = %v allocs/round, want 0", allocs)
-	}
-}
-
 // BenchmarkDESScheduleRun measures the steady-state schedule+fire round
 // trip on a warm engine (1000 events per op); allocs/op must stay 0.
 func BenchmarkDESScheduleRun(b *testing.B) { alloctest.Bench(b, scheduleRunOp(b)) }
@@ -597,6 +566,25 @@ func BenchmarkProcSleepPastCallback(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// spawnRunOp returns BenchmarkProcSpawn's op on a warm engine: spawn one
+// process that sleeps once, and run it to completion.
+func spawnRunOp(tb testing.TB) func() {
+	e := NewEngine()
+	body := func(p *Proc) { p.Sleep(time.Nanosecond) }
+	op := func() {
+		e.Spawn("p", body)
+		if err := e.Run(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	op()
+	return op
+}
+
+// BenchmarkProcSpawn is the cost of a process's whole life: Spawn, its
+// first resume, one Sleep and its exit.
+func BenchmarkProcSpawn(b *testing.B) { alloctest.Bench(b, spawnRunOp(b)) }
 
 // The tests below pin the control-transfer semantics: what must hold no
 // matter which goroutine runs the event loop.
@@ -703,7 +691,7 @@ type panicRunner struct{ v any }
 
 func (r panicRunner) Run() { panic(r.v) }
 
-// A callback that panics while a process goroutine holds the baton — in a
+// A callback that panics while a process runs the event loop — in a
 // blocked process's Sleep, or in the epilogue of one that has returned —
 // panics out of Run on the calling goroutine, not into the process.
 func TestCallbackPanicReraisedFromRun(t *testing.T) {
@@ -751,7 +739,7 @@ func TestCallbackPanicReraisedFromRun(t *testing.T) {
 	}
 }
 
-// A deadlock is found by whoever holds the baton when the queue drains —
+// A deadlock is found by whoever runs the event loop when the queue drains —
 // the last process to block, or one that has just returned — and Run
 // reports it with every blocked process named.
 func TestDeadlockFoundByProcessGoroutine(t *testing.T) {
@@ -781,23 +769,52 @@ func TestDeadlockFoundByProcessGoroutine(t *testing.T) {
 	}
 }
 
-// Control transfer allocates nothing: neither a Sleep (next in line or
-// through the queue) nor a cross-process signal round trip — the ops of
-// the three BenchmarkProc* benchmarks.
-func TestControlTransferZeroAlloc(t *testing.T) {
-	const runs = 200
+// A process body that calls runtime.Goexit — t.FailNow in a test — ends
+// the goroutine that called Run: iter.Pull passes the Goexit on once the
+// process's own defers have run, and Run does not return.
+func TestProcGoexitEndsRunCaller(t *testing.T) {
 	e := NewEngine()
-	roundTrip := spawnEcho(e, 1+runs)
-	var sleep, queued, handoff float64
+	var deferred bool
 	e.Spawn("p", func(p *Proc) {
-		sleep = testing.AllocsPerRun(runs, func() { sleepNextInLine(p) })
-		queued = testing.AllocsPerRun(runs, func() { sleepPastCallback(p) })
-		handoff = testing.AllocsPerRun(runs, func() { roundTrip(p) })
+		defer func() { deferred = true }()
+		p.Sleep(time.Millisecond)
+		runtime.Goexit()
 	})
+	returned := make(chan bool)
+	go func() {
+		ok := false
+		defer func() { returned <- ok }()
+		_ = e.Run() // never returns: its goroutine exits inside
+		ok = true
+	}()
+	if <-returned {
+		t.Error("Run returned after a process called runtime.Goexit")
+	}
+	if !deferred {
+		t.Error("the process's defers did not run")
+	}
+	if e.Now() != time.Millisecond {
+		t.Errorf("Now = %v, want 1ms", e.Now())
+	}
+}
+
+// Each process is one coroutine, a goroutine that exists from Spawn until
+// the process's function returns: 64 processes that all finish leave the
+// goroutine count where it started.
+func TestFinishedProcessesLeaveNoGoroutines(t *testing.T) {
+	const n = 64
+	base := runtime.NumGoroutine()
+	e := NewEngine()
+	for i := 0; i < n; i++ {
+		e.Spawn(fmt.Sprint("p", i), func(p *Proc) { p.Sleep(time.Duration(i) * time.Millisecond) })
+	}
+	if got := runtime.NumGoroutine(); got != base+n {
+		t.Errorf("after %d Spawns: %d goroutines, want %d", n, got, base+n)
+	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if sleep != 0 || queued != 0 || handoff != 0 {
-		t.Errorf("allocs/op: Sleep %v, Sleep past a callback %v, signal round trip %v; want 0", sleep, queued, handoff)
+	if got := runtime.NumGoroutine(); got != base {
+		t.Errorf("after Run: %d goroutines, want the %d before the first Spawn", got, base)
 	}
 }

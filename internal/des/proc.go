@@ -2,19 +2,22 @@ package des
 
 import (
 	"fmt"
+	"iter"
 	"time"
 )
 
-// Proc is a simulated process: a goroutine that runs only while it holds
-// the engine's baton. At most one process runs at any moment, and Run's
-// caller is parked for as long as any does, so processes may use the
-// engine and each other's data without locking.
+// Proc is a simulated process: a coroutine that only Run resumes, and that
+// runs until it blocks with someone else's resume next, or finishes. At
+// most one process runs at any moment, and Run's caller waits for as long
+// as any does, so processes may use the engine and each other's data
+// without locking.
 type Proc struct {
-	e      *Engine
-	id     int
-	name   string
-	resume chan struct{}
-	done   bool
+	e     *Engine
+	id    int
+	name  string
+	next  func() (struct{}, bool) // resume the coroutine (Run only)
+	yield func(struct{}) bool     // give control back to Run
+	done  bool
 
 	killed     bool
 	killReason string
@@ -63,7 +66,7 @@ func (k Killed) Unrecoverable() bool { return true }
 // Kill marks the process for termination. Delivery is deterministic: the
 // kill is raised as a Killed panic at the process's next scheduling point
 // (its current block, or the next Sleep/Wait), via an event at the current
-// virtual time, so defers run inside the process goroutine. Killing a
+// virtual time, so defers run inside the process. Killing a
 // finished or already-killed process is a no-op.
 func (p *Proc) Kill(reason string) {
 	if p.done || p.killed {
@@ -78,22 +81,22 @@ func (p *Proc) Kill(reason string) {
 // current virtual time. fn receives the process handle; when fn returns the
 // process terminates.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{e: e, id: e.nextID, name: name, resume: make(chan struct{})}
+	p := &Proc{e: e, id: e.nextID, name: name}
 	e.nextID++
 	e.live++
 	e.procs = append(e.procs, p)
-	go func() {
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer p.exit()
-		<-p.resume
 		fn(p)
-	}()
+	})
 	e.scheduleStep(e.now, p)
 	return p
 }
 
-// exit is a process goroutine's epilogue: record a panic as the engine's
-// error, retire the process, and — still holding the baton — run the event
-// loop to find out who gets it next.
+// exit is a process's epilogue: record a panic as the engine's error,
+// retire the process, and run the event loop to find out whom Run resumes
+// next.
 func (p *Proc) exit() {
 	e := p.e
 	if r := recover(); r != nil && e.err == nil {
@@ -101,23 +104,14 @@ func (p *Proc) exit() {
 	}
 	p.done = true
 	e.live--
-	e.pass(e.dispatchGuarded())
+	e.handoff = e.dispatchGuarded()
 }
 
-// pass hands the baton to next, or back to Run when the loop is over.
-func (e *Engine) pass(next *Proc) {
-	if next != nil {
-		next.resume <- struct{}{}
-	} else {
-		e.ended <- struct{}{}
-	}
-}
-
-// dispatchGuarded is dispatch for a process goroutine. A callback that
-// panics there must not unwind into the process's own frames (which may
-// recover, and whose epilogue would blame the process): the panic is
-// caught here, the loop declared over, and Run re-raises the value on its
-// caller's goroutine.
+// dispatchGuarded is dispatch inside a process. A callback that panics
+// there must not unwind into the process's own frames (which may recover,
+// and whose epilogue would blame the process): the panic is caught here,
+// the loop declared over, and Run re-raises the value on its caller's
+// goroutine.
 func (e *Engine) dispatchGuarded() (next *Proc) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -128,17 +122,17 @@ func (e *Engine) dispatchGuarded() (next *Proc) {
 	return e.dispatch()
 }
 
-// block gives up the baton until the process's next resume. The caller
-// records its block site in p.blockKind/blockDur/blockSig beforehand. The
-// blocking process runs the event loop itself: if the next resume is its
-// own it returns without a goroutine switch; otherwise it wakes the next
-// process (or Run, when the loop is over) and parks until some later
-// baton holder resumes it — possibly in a later Run.
+// block suspends the process until its next resume. The caller records
+// its block site in p.blockKind/blockDur/blockSig beforehand. The blocking
+// process runs the event loop itself: if the next resume is its own it
+// returns without leaving the coroutine; otherwise it names the next
+// process (none, when the loop is over) and yields to Run until Run
+// resumes it — possibly in a later Run.
 func (p *Proc) block() {
 	e := p.e
 	if next := e.dispatchGuarded(); next != p {
-		e.pass(next)
-		<-p.resume
+		e.handoff = next
+		p.yield(struct{}{})
 	}
 	if p.killed {
 		panic(Killed{Reason: p.killReason})

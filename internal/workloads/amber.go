@@ -127,18 +127,43 @@ func Amber(env *cluster.Env, cfg AmberConfig) error {
 		return err
 	}
 
-	launch := func(name string, d time.Duration) error {
-		fn := &cudart.Func{Name: name, FixedCost: perfmodel.KernelCost{Fixed: d}}
+	// The application's own launch state, built once per rank: one Func
+	// per kernel (an imbalanced kernel's duration is fixed per rank), the
+	// device pointers boxed once (DevPtr is a struct, so boxing it per
+	// SetupArgument would allocate), and one cSim image that nothing
+	// writes, so a copy still queued when the next is issued reads zeros.
+	kernel := func(name string, d time.Duration) *cudart.Func {
+		return &cudart.Func{Name: name, FixedCost: perfmodel.KernelCost{Fixed: d}}
+	}
+	var mix []*cudart.Func
+	for _, k := range amberKernelMix {
+		d := k.dur
+		if k.imbalance {
+			d = time.Duration(float64(d) * imb)
+		}
+		fn := kernel(k.name, d)
+		for l := 0; l < k.launches; l++ {
+			mix = append(mix, fn)
+		}
+	}
+	others := make([]*cudart.Func, len(amberOtherKernels))
+	for i, name := range amberOtherKernels {
+		others[i] = kernel(name, 66*time.Microsecond)
+	}
+	crdArg, frcArg := any(dCrd), any(dFrc)
+	cSim := make([]byte, 640)
+
+	launch := func(fn *cudart.Func) error {
 		if err := env.CUDA.ConfigureCall(cudart.Dim3{X: 92}, cudart.Dim3{X: 256}, 0, 0); err != nil {
 			return err
 		}
-		if err := env.CUDA.SetupArgument(dCrd, 8, 0); err != nil {
+		if err := env.CUDA.SetupArgument(crdArg, 8, 0); err != nil {
 			return err
 		}
-		if err := env.CUDA.SetupArgument(dFrc, 8, 8); err != nil {
+		if err := env.CUDA.SetupArgument(frcArg, 8, 8); err != nil {
 			return err
 		}
-		if err := env.CUDA.SetupArgument(len(name), 8, 16); err != nil {
+		if err := env.CUDA.SetupArgument(len(fn.Name), 8, 16); err != nil {
 			return err
 		}
 		return env.CUDA.Launch(fn)
@@ -153,29 +178,23 @@ func Amber(env *cluster.Env, cfg AmberConfig) error {
 			nSym = 1
 		}
 		for i := 0; i < nSym; i++ {
-			if err := env.CUDA.MemcpyToSymbol("cSim", make([]byte, 640)); err != nil {
+			if err := env.CUDA.MemcpyToSymbol("cSim", cSim); err != nil {
 				return err
 			}
 		}
 
 		// Force kernels.
-		for _, k := range amberKernelMix {
-			d := k.dur
-			if k.imbalance {
-				d = time.Duration(float64(d) * imb)
-			}
-			for l := 0; l < k.launches; l++ {
-				if err := launch(k.name, d); err != nil {
-					return err
-				}
+		for _, fn := range mix {
+			if err := launch(fn); err != nil {
+				return err
 			}
 		}
 		// Long-tail kernels, 5 per step in rotation (12 launches/step
 		// total, matching the published cudaLaunch count).
 		for l := 0; l < 5; l++ {
-			name := amberOtherKernels[otherIdx%len(amberOtherKernels)]
+			fn := others[otherIdx%len(others)]
 			otherIdx++
-			if err := launch(name, 66*time.Microsecond); err != nil {
+			if err := launch(fn); err != nil {
 				return err
 			}
 		}
