@@ -10,7 +10,7 @@
 # plain `go test -bench` text.
 
 GO ?= go
-BENCH_PATTERN ?= BenchmarkObserveHot|BenchmarkTableUpdate|BenchmarkMapUpdateManyKeys|BenchmarkAblationHashTable|BenchmarkEnsembleParallel|BenchmarkObserveTelemetry|BenchmarkProfstoreIngest|BenchmarkProfstoreAgg|BenchmarkDESScheduleRun|BenchmarkProcContextSwitch|BenchmarkProcHandoff|BenchmarkProcSleepPastCallback|BenchmarkSpanRecord|BenchmarkQueueSubmit|BenchmarkClusterIngest|BenchmarkClusterAgg|BenchmarkScanXML|BenchmarkParseXMLTolerant
+BENCH_PATTERN ?= BenchmarkObserveHot|BenchmarkTableUpdate|BenchmarkMapUpdateManyKeys|BenchmarkAblationHashTable|BenchmarkEnsembleParallel|BenchmarkObserveTelemetry|BenchmarkProfstoreIngest|BenchmarkProfstoreAgg|BenchmarkDESScheduleRun|BenchmarkProcContextSwitch|BenchmarkProcHandoff|BenchmarkProcSleepPastCallback|BenchmarkSpanRecord|BenchmarkQueueSubmit|BenchmarkRuntimeSubmit|BenchmarkClusterIngest|BenchmarkClusterAgg|BenchmarkScanXML|BenchmarkParseXMLTolerant
 
 .PHONY: build vet test race results-check serve serve-load serve-e2e soak soak-short soak-cluster soak-cluster-short fuzz verify bench bench-e2e bench-pair profile experiments trace faults clean
 
@@ -34,11 +34,12 @@ test:
 # generation-checked handles; its users (cudart, clsim, ipmcuda) are here
 # so a stale op pointer read across the parallel ensemble is one too.
 # The second pass is the fault-injection machinery: the end-to-end fault
-# scenarios (rank death, hung-device watchdog, straggler skew, monitor
-# panic), with faultsim and ipmparse beside the packages above.
+# scenarios (rank death, hung-device watchdog with and without the
+# command queue, queued device loss, straggler skew, monitor panic), with
+# faultsim and ipmparse beside the packages above.
 race:
 	$(GO) test -race ./internal/des ./internal/parallel ./internal/experiments ./internal/cluster ./internal/ipm ./internal/telemetry ./internal/profstore ./internal/cmdqueue ./internal/storecluster ./internal/workloads ./internal/mpisim ./internal/gpusim ./internal/cudart ./internal/clsim ./internal/ipmcuda ./internal/faultsim ./internal/ipmparse
-	$(GO) test -race -run 'RankDeath|Watchdog|Straggler|MonitorPanic' .
+	$(GO) test -race -run 'RankDeath|Watchdog|QueueDeviceLoss|Straggler|MonitorPanic' .
 
 # Regenerate every paper table and figure at full scale (seed 2011) into
 # a temporary directory and diff each file against the committed copy in

@@ -28,19 +28,32 @@ const faultPlanRankDeath = `{
 // runFaultScenario executes the fault-demo workload on 4 ranks under the
 // given plan and returns the result plus the rendered banner and XML log.
 func runFaultScenario(t *testing.T, planJSON string) (*cluster.Result, []byte, []byte) {
+	return runFaultDemo(t, nil, planJSON)
+}
+
+// runFaultDemo is runFaultScenario with the command-queue layer enabled
+// at the flush setting q (none when nil) and an optional plan.
+func runFaultDemo(t *testing.T, q *queueFlush, planJSON string) (*cluster.Result, []byte, []byte) {
 	t.Helper()
-	plan, err := faultsim.Parse([]byte(planJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := cluster.Dirac(4, 1)
 	// Skip the 1.29s context-init sleep so mid-run fault times land
 	// inside the iteration loop, not inside the first cudaMalloc.
 	cfg.GPU.ContextInit = 0
 	cfg.Monitor = true
 	cfg.CUDA = ipmcuda.Options{KernelTiming: true, HostIdle: true}
-	cfg.Faults = plan
 	cfg.Command = "./faultdemo"
+	if q != nil {
+		cfg.Queue = true
+		cfg.QueueFlushDepth = q.depth
+		cfg.QueueFlushInterval = q.interval
+	}
+	if planJSON != "" {
+		plan, err := faultsim.Parse([]byte(planJSON))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Faults = plan
+	}
 	res, err := cluster.Run(cfg, func(env *cluster.Env) {
 		workloads.FaultDemo(env, workloads.DefaultFaultDemo())
 	})
@@ -176,10 +189,13 @@ func TestRankDeathDeterminism(t *testing.T) {
 	}
 }
 
-// TestWatchdogRecoversHungDevice checks the hung-stream path: a hanging
-// device loss silences a rank's completions; the virtual-time watchdog
-// turns the stall into an explicit rank death and the job still produces
-// a profile.
+// TestWatchdogRecoversHungDevice checks the hung-stream path, with and
+// without batching in the command queue: a hanging device loss silences
+// a rank's completions; the virtual-time watchdog turns the stall into
+// an explicit rank death of that rank alone, and the job still produces
+// a profile. A batched flush hands work to the lost device like an
+// unbatched submit does, and the queue's own submit observations must
+// not read as the rank making progress.
 func TestWatchdogRecoversHungDevice(t *testing.T) {
 	const plan = `{
 		"seed": 3,
@@ -188,18 +204,28 @@ func TestWatchdogRecoversHungDevice(t *testing.T) {
 			{"type": "cuda", "rank": 3, "at": "60ms", "code": "device-lost", "call": "cudaStreamSynchronize", "hang": true}
 		]
 	}`
-	res, banner, _ := runFaultScenario(t, plan)
-	if res.Truncated != "" {
-		t.Fatalf("watchdog failed to unwedge the run: %s", res.Truncated)
-	}
-	if len(res.Lost) != 1 || res.Lost[0].Rank != 3 {
-		t.Fatalf("Lost = %+v, want rank 3", res.Lost)
-	}
-	if !strings.Contains(res.Lost[0].Reason, "watchdog") {
-		t.Errorf("loss reason = %q, want watchdog kill", res.Lost[0].Reason)
-	}
-	if !strings.Contains(string(banner), "degraded fidelity") {
-		t.Error("banner missing degraded-fidelity warning")
+	for _, c := range []struct {
+		name  string
+		queue *queueFlush
+	}{
+		{"direct", nil},
+		{"queued", &queueFlush{"defaults", 0, 0}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			res, banner, _ := runFaultDemo(t, c.queue, plan)
+			if res.Truncated != "" {
+				t.Fatalf("watchdog failed to unwedge the run: %s", res.Truncated)
+			}
+			if len(res.Lost) != 1 || res.Lost[0].Rank != 3 {
+				t.Fatalf("Lost = %+v, want rank 3", res.Lost)
+			}
+			if !strings.Contains(res.Lost[0].Reason, "watchdog") {
+				t.Errorf("loss reason = %q, want watchdog kill", res.Lost[0].Reason)
+			}
+			if !strings.Contains(string(banner), "degraded fidelity") {
+				t.Error("banner missing degraded-fidelity warning")
+			}
+		})
 	}
 }
 

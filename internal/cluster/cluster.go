@@ -58,14 +58,15 @@ type Config struct {
 	// Runtime tunes the CUDA runtime's host-side costs.
 	Runtime cudart.Options
 
-	// Queue enables the driver command-queue layer: each rank's CUDA
-	// context gets a submission queue ("ctx<rank>/q0") batching kernel
-	// launches, memcpys, memsets and event records between the runtime
-	// API and the device. QueueFlushDepth/QueueFlushInterval tune the
-	// flush heuristics (0 selects cmdqueue defaults). When Monitor is
+	// Queue turns on batching in the driver command-queue layer: each
+	// rank's CUDA context's submission queue ("ctx<rank>/q0") batches
+	// kernel launches, memcpys, memsets and event records between the
+	// runtime API and the device. QueueFlushDepth/QueueFlushInterval tune
+	// the flush heuristics (0 selects cmdqueue defaults). When Monitor is
 	// also set, per-call-site submit stall is folded into the IPM hash
 	// table; when Telemetry/Metrics are set, each queue gets a Perfetto
 	// track (submit spans + depth counter) and labeled Prometheus series.
+	// Off, each context submits every command at once, unobserved.
 	Queue              bool
 	QueueFlushDepth    int
 	QueueFlushInterval time.Duration
@@ -393,6 +394,7 @@ func Run(cfg Config, app func(env *Env)) (*Result, error) {
 		resilients: make([]*faultsim.Resilient, size),
 		lost:       make([]*LostRank, size),
 		done:       make([]bool, size),
+		ownProbes:  make([]uint64, size),
 	}
 	procs := make([]*des.Proc, size)
 	ranksDone := 0
@@ -437,7 +439,10 @@ func Run(cfg Config, app func(env *Env)) (*Result, error) {
 					// the call's host timing: the site names the queue
 					// reports are byte-identical to the ipmcuda signatures,
 					// and the SigRef is memoized per site so the flush path
-					// stays allocation-free in steady state.
+					// stays allocation-free in steady state. The probes an
+					// observation costs are counted apart, so the watchdog
+					// does not read the monitor's own bookkeeping as the
+					// rank making progress.
 					refs := make(map[string]ipm.SigRef, 16)
 					qopts.OnSubmit = func(site string, bytes int64, stall time.Duration) {
 						m := env.IPM
@@ -449,7 +454,9 @@ func Run(cfg Config, app func(env *Env)) (*Result, error) {
 							ref = ipm.NewSigRef(site)
 							refs[site] = ref
 						}
+						before := m.Table().Probes()
 						m.ObserveNRef(ref, bytes, ipm.Stats{Submits: 1, SubmitStall: stall})
+						st.ownProbes[rank] += m.Table().Probes() - before
 					}
 				}
 				rtOpts.Queue = qopts
@@ -543,11 +550,13 @@ func Run(cfg Config, app func(env *Env)) (*Result, error) {
 
 	if plan != nil && !plan.Watchdog.Disable && cfg.Monitor {
 		// Virtual-time watchdog: a rank whose monitored activity (hash
-		// table probes) has not advanced for HangTimeout is declared hung
-		// and killed, turning a silent stall (e.g. waiting on a lost
-		// device) into an explicit rank death with a partial profile. The
-		// timeout must exceed the longest legitimate gap between monitored
-		// calls, or stragglers blocked in slow collectives get killed too.
+		// table probes made by the application's calls, not by the
+		// monitor's own submit observations) has not advanced for
+		// HangTimeout is declared hung and killed, turning a silent stall
+		// (e.g. waiting on a lost device) into an explicit rank death
+		// with a partial profile. The timeout must exceed the longest
+		// legitimate gap between monitored calls, or stragglers blocked in
+		// slow collectives get killed too.
 		interval := plan.Watchdog.IntervalOrDefault()
 		hangAfter := plan.Watchdog.HangTimeoutOrDefault()
 		lastProbes := make([]uint64, size)
@@ -566,7 +575,7 @@ func Run(cfg Config, app func(env *Env)) (*Result, error) {
 				if m == nil || st.done[r] {
 					continue
 				}
-				if p := m.Table().Probes(); p != lastProbes[r] {
+				if p := m.Table().Probes() - st.ownProbes[r]; p != lastProbes[r] {
 					lastProbes[r] = p
 					lastChange[r] = eng.Now()
 					continue

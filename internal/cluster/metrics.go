@@ -21,6 +21,9 @@ type runState struct {
 	resilients []*faultsim.Resilient
 	lost       []*LostRank
 	done       []bool
+	// ownProbes counts, per rank, the hash-table probes made by the
+	// monitor's own submit-stall observations.
+	ownProbes []uint64
 }
 
 // collectSamples assembles the live metric snapshot for one job: per-rank

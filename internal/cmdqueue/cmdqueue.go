@@ -1,11 +1,13 @@
 // Package cmdqueue models the driver's per-context command submission
 // queue — the layer between the CUDA runtime API (internal/cudart) and
 // the device (internal/gpusim) that the paper's API-level timing cannot
-// see. Kernel launches, memory copies, memsets and event records become
-// commands buffered in a per-context queue; the "driver" submits a
-// batch to the device when the queue reaches a depth threshold, when a
-// virtual-time flush timer expires, or when the host hits a
-// synchronisation point.
+// see. Every kernel launch, memory copy, memset and event record the
+// runtime issues is a command in its context's queue; the "driver"
+// submits a batch to the device when the queue reaches a depth
+// threshold, when a virtual-time flush timer expires, or when the host
+// hits a synchronisation point. Unbatched submission is the same queue
+// at depth 1 with no timer: each command reaches the device the moment
+// it is pushed, without being buffered.
 //
 // The observable consequence is submit stall: the virtual time a
 // command spends between its API call (enqueue) and its hand-off to the
@@ -13,6 +15,11 @@
 // OnSubmit hook (the cluster wires it into the IPM hash table), records
 // a submit span plus a queue-depth counter track when telemetry is
 // attached, and bumps the per-queue Prometheus cells.
+//
+// The queue has no failure path of its own. A flush on a lost device
+// hands its batch over like any other; the device accepts the commands
+// and never completes them, so a host that waits on one hangs, as it
+// would on the real hardware, until the cluster's watchdog kills it.
 //
 // Determinism: a queue is owned by one DES engine and mutated only from
 // engine context (host process calls and the flush-timer event), so for
@@ -22,13 +29,13 @@
 // changes the schedule (batching is a physical effect), but each
 // setting is itself deterministic.
 //
-// The enqueue hot path appends a value-type Command to a reusable
-// slice: zero heap allocations per operation in steady state (pinned by
-// TestEnqueueAllocs and BenchmarkQueueSubmit).
+// The enqueue hot path appends a value-type Command to a reusable slice
+// (or, at depth 1, hands it straight to the device): zero heap
+// allocations per operation in steady state (pinned by TestEnqueueAllocs
+// and BenchmarkQueueSubmit).
 package cmdqueue
 
 import (
-	"errors"
 	"time"
 
 	"ipmgo/internal/des"
@@ -36,12 +43,6 @@ import (
 	"ipmgo/internal/perfmodel"
 	"ipmgo/internal/telemetry"
 )
-
-// ErrDeviceLost is returned (and then sticky) once the queue's device is
-// lost: queued commands are dropped rather than submitted, so
-// synchronisation points fail fast instead of hanging on completions
-// that will never fire.
-var ErrDeviceLost = errors.New("cmdqueue: device lost, queued commands dropped")
 
 // DefaultFlushDepth and DefaultFlushInterval are the batching defaults:
 // small enough that an unsuspecting workload sees microsecond-scale
@@ -138,11 +139,9 @@ type Queue struct {
 	dev  *gpusim.Device
 	opts Options
 
-	cmds  []Command
+	cmds  []Command // allocated when the first command is buffered
 	timer des.Event // pending flush timer, zero when none
 	armed bool
-
-	err error // sticky ErrDeviceLost
 
 	flushes  uint64
 	submits  uint64
@@ -152,13 +151,7 @@ type Queue struct {
 // New creates a queue submitting to dev. The engine is taken from the
 // device; opts zero values select the defaults.
 func New(dev *gpusim.Device, opts Options) *Queue {
-	o := opts.withDefaults()
-	return &Queue{
-		eng:  dev.Engine(),
-		dev:  dev,
-		opts: o,
-		cmds: make([]Command, 0, o.FlushDepth+4),
-	}
+	return &Queue{eng: dev.Engine(), dev: dev, opts: opts.withDefaults()}
 }
 
 // Name returns the queue label.
@@ -176,20 +169,11 @@ func (q *Queue) Flushes() uint64 { return q.flushes }
 // Submits returns how many commands have been submitted to the device.
 func (q *Queue) Submits() uint64 { return q.submits }
 
-// Err returns the sticky queue error (ErrDeviceLost after the device is
-// lost), or nil.
-func (q *Queue) Err() error { return q.err }
-
-// push buffers one command and applies the flush heuristics. The caller
-// has filled c except for the enqueue timestamp.
-func (q *Queue) push(c Command) error {
-	if q.err != nil {
-		return q.err
-	}
+// push applies the flush heuristics to one command. The caller has
+// filled c except for the enqueue timestamp.
+func (q *Queue) push(c *Command) {
 	c.enq = q.eng.Now()
-	wasEmpty := len(q.cmds) == 0
-	q.cmds = append(q.cmds, c)
-	n := len(q.cmds)
+	n := len(q.cmds) + 1
 	if n > q.maxDepth {
 		q.maxDepth = n
 	}
@@ -201,76 +185,80 @@ func (q *Queue) push(c Command) error {
 			Track: q.opts.Name, Name: "depth", Time: c.enq, Value: float64(n),
 		})
 	}
-	if n >= q.opts.FlushDepth {
-		return q.Flush()
+	if q.opts.FlushDepth == 1 {
+		// At depth 1 every push fills an empty batch: submit it as is.
+		q.submit(c, c.enq)
+		q.flushed(c.enq, c.enq, 1)
+		return
 	}
-	if wasEmpty && q.opts.FlushInterval > 0 {
+	if q.cmds == nil {
+		// Sized for a full batch, up to 64 commands: a timer-only queue
+		// (a huge FlushDepth) grows by append instead of reserving it.
+		q.cmds = make([]Command, 0, min(q.opts.FlushDepth, 64)+4)
+	}
+	q.cmds = append(q.cmds, *c)
+	if n >= q.opts.FlushDepth {
+		q.Flush()
+	} else if n == 1 && q.opts.FlushInterval > 0 {
 		q.timer = q.eng.ScheduleRunner(c.enq+q.opts.FlushInterval, q)
 		q.armed = true
 	}
-	return nil
 }
 
 // Run fires the flush timer; it implements des.Runner so arming the
 // timer allocates nothing per enqueue.
 func (q *Queue) Run() {
 	q.armed = false
-	_ = q.Flush()
+	q.Flush()
 }
 
 // Flush submits every buffered command to the device in enqueue order.
-// On a lost device the batch is dropped and ErrDeviceLost becomes the
-// sticky queue error — synchronisation points drain as errors instead
-// of waiting on completions that will never fire.
-func (q *Queue) Flush() error {
+func (q *Queue) Flush() {
 	if q.armed {
 		q.timer.Cancel()
 		q.armed = false
 	}
-	if q.err != nil {
-		return q.err
-	}
 	if len(q.cmds) == 0 {
-		return nil
+		return
 	}
 	now := q.eng.Now()
-	if q.dev.Lost() {
-		q.err = ErrDeviceLost
-		q.cmds = q.cmds[:0]
-		if cell := q.opts.Depth; cell != nil {
-			cell.Set(0)
-		}
-		return q.err
+	for i := range q.cmds {
+		q.submit(&q.cmds[i], now)
 	}
-	batch := q.cmds
-	oldest := batch[0].enq
-	for i := range batch {
-		c := &batch[i]
-		switch c.kind {
-		case cmdKernel:
-			q.dev.LaunchKernel(c.stream, c.name, c.cost, c.grid, c.block, c.payload)
-		case cmdCopy:
-			q.dev.EnqueueCopy(c.stream, c.dir, c.bytes, c.pinned, c.payload)
-		case cmdMemset:
-			q.dev.EnqueueMemset(c.stream, c.bytes, c.payload)
-		case cmdEvent:
-			c.ev.Record(c.stream)
-		}
-		stall := now - c.enq
-		if fn := q.opts.OnSubmit; fn != nil {
-			fn(c.site, c.bytes, stall)
-		}
-		if h := q.opts.Stall; h != nil {
-			h.Observe(float64(stall.Nanoseconds()))
-		}
-		// Clear pointer fields so the reused slice does not retain
-		// payloads/streams past the batch.
-		c.payload = nil
-		c.stream = nil
-		c.ev = nil
-	}
-	n := len(batch)
+	q.flushed(q.cmds[0].enq, now, len(q.cmds))
 	q.cmds = q.cmds[:0]
+}
+
+// submit hands one command to the device at virtual time now and
+// reports its stall. Flush and the depth-1 push both submit through it.
+func (q *Queue) submit(c *Command, now time.Duration) {
+	switch c.kind {
+	case cmdKernel:
+		q.dev.LaunchKernel(c.stream, c.name, c.cost, c.grid, c.block, c.payload)
+	case cmdCopy:
+		q.dev.EnqueueCopy(c.stream, c.dir, c.bytes, c.pinned, c.payload)
+	case cmdMemset:
+		q.dev.EnqueueMemset(c.stream, c.bytes, c.payload)
+	case cmdEvent:
+		c.ev.Record(c.stream)
+	}
+	stall := now - c.enq
+	if fn := q.opts.OnSubmit; fn != nil {
+		fn(c.site, c.bytes, stall)
+	}
+	if h := q.opts.Stall; h != nil {
+		h.Observe(float64(stall.Nanoseconds()))
+	}
+	// Clear pointer fields so the reused slice does not retain
+	// payloads/streams past the batch.
+	c.payload = nil
+	c.stream = nil
+	c.ev = nil
+}
+
+// flushed records one submitted batch of n commands, the oldest of them
+// enqueued at oldest.
+func (q *Queue) flushed(oldest, now time.Duration, n int) {
 	q.flushes++
 	q.submits += uint64(n)
 	if cell := q.opts.Depth; cell != nil {
@@ -288,34 +276,33 @@ func (q *Queue) Flush() error {
 			Track: q.opts.Name, Name: "depth", Time: now, Value: 0,
 		})
 	}
-	return nil
 }
 
 // EnqueueKernel buffers a kernel launch. site is the API call-site name
 // the stall is attributed to ("cudaLaunch").
-func (q *Queue) EnqueueKernel(s *gpusim.Stream, site, name string, cost perfmodel.KernelCost, grid, block [3]int, body func()) error {
-	return q.push(Command{
+func (q *Queue) EnqueueKernel(s *gpusim.Stream, site, name string, cost perfmodel.KernelCost, grid, block [3]int, body func()) {
+	q.push(&Command{
 		kind: cmdKernel, site: site, stream: s,
 		name: name, cost: cost, grid: grid, block: block, payload: body,
 	})
 }
 
 // EnqueueCopy buffers a memory copy of n bytes.
-func (q *Queue) EnqueueCopy(s *gpusim.Stream, site string, dir perfmodel.TransferDir, n int64, pinned bool, payload func()) error {
-	return q.push(Command{
+func (q *Queue) EnqueueCopy(s *gpusim.Stream, site string, dir perfmodel.TransferDir, n int64, pinned bool, payload func()) {
+	q.push(&Command{
 		kind: cmdCopy, site: site, stream: s,
 		dir: dir, bytes: n, pinned: pinned, payload: payload,
 	})
 }
 
 // EnqueueMemset buffers a device memset of n bytes.
-func (q *Queue) EnqueueMemset(s *gpusim.Stream, site string, n int64, payload func()) error {
-	return q.push(Command{kind: cmdMemset, site: site, stream: s, bytes: n, payload: payload})
+func (q *Queue) EnqueueMemset(s *gpusim.Stream, site string, n int64, payload func()) {
+	q.push(&Command{kind: cmdMemset, site: site, stream: s, bytes: n, payload: payload})
 }
 
 // EnqueueEventRecord buffers an event record. The event reports
 // unrecorded (Query false, Done nil) until the batch is flushed — the
 // submission latency a host-side poller actually observes.
-func (q *Queue) EnqueueEventRecord(s *gpusim.Stream, site string, ev *gpusim.DevEvent) error {
-	return q.push(Command{kind: cmdEvent, site: site, stream: s, ev: ev})
+func (q *Queue) EnqueueEventRecord(s *gpusim.Stream, site string, ev *gpusim.DevEvent) {
+	q.push(&Command{kind: cmdEvent, site: site, stream: s, ev: ev})
 }

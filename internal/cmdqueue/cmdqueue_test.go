@@ -1,7 +1,6 @@
 package cmdqueue
 
 import (
-	"errors"
 	"testing"
 	"time"
 
@@ -47,13 +46,9 @@ func TestFlushByDepth(t *testing.T) {
 	})
 	e.Spawn("host", func(p *des.Proc) {
 		gs := d.DefaultStream()
-		if err := q.EnqueueKernel(gs, "cudaLaunch", "k0", fixed(time.Millisecond), [3]int{}, [3]int{}, nil); err != nil {
-			t.Error(err)
-		}
+		q.EnqueueKernel(gs, "cudaLaunch", "k0", fixed(time.Millisecond), [3]int{}, [3]int{}, nil)
 		p.Sleep(2 * time.Millisecond)
-		if err := q.EnqueueKernel(gs, "cudaLaunch", "k1", fixed(time.Millisecond), [3]int{}, [3]int{}, nil); err != nil {
-			t.Error(err)
-		}
+		q.EnqueueKernel(gs, "cudaLaunch", "k1", fixed(time.Millisecond), [3]int{}, [3]int{}, nil)
 		if got := q.Depth(); got != 2 {
 			t.Errorf("depth before trigger = %d, want 2", got)
 		}
@@ -62,9 +57,7 @@ func TestFlushByDepth(t *testing.T) {
 		}
 		p.Sleep(3 * time.Millisecond)
 		// Third command reaches FlushDepth and submits the batch.
-		if err := q.EnqueueKernel(gs, "cudaLaunch", "k2", fixed(time.Millisecond), [3]int{}, [3]int{}, nil); err != nil {
-			t.Error(err)
-		}
+		q.EnqueueKernel(gs, "cudaLaunch", "k2", fixed(time.Millisecond), [3]int{}, [3]int{}, nil)
 		if got := q.Depth(); got != 0 {
 			t.Errorf("depth after flush = %d, want 0", got)
 		}
@@ -104,9 +97,7 @@ func TestFlushByTimer(t *testing.T) {
 	var opEnd time.Duration
 	e.Spawn("host", func(p *des.Proc) {
 		gs := d.DefaultStream()
-		if err := q.EnqueueKernel(gs, "cudaLaunch", "k", fixed(time.Millisecond), [3]int{}, [3]int{}, nil); err != nil {
-			t.Error(err)
-		}
+		q.EnqueueKernel(gs, "cudaLaunch", "k", fixed(time.Millisecond), [3]int{}, [3]int{}, nil)
 		p.Sleep(20 * time.Millisecond)
 		op := d.LastOp()
 		if op == (gpusim.Ref{}) {
@@ -139,12 +130,9 @@ func TestExplicitFlushCancelsTimer(t *testing.T) {
 	q := New(d, Options{FlushDepth: 100, FlushInterval: 5 * time.Millisecond})
 	e.Spawn("host", func(p *des.Proc) {
 		gs := d.DefaultStream()
-		if err := q.EnqueueMemset(gs, "cudaMemset", 64, nil); err != nil {
-			t.Error(err)
-		}
-		if err := q.Flush(); err != nil { // sync point before the timer
-			t.Error(err)
-		}
+		q.EnqueueMemset(gs, "cudaMemset", 64, nil)
+		// A sync point before the timer fires.
+		q.Flush()
 		p.Sleep(20 * time.Millisecond) // past the (cancelled) timer
 	})
 	if err := e.Run(); err != nil {
@@ -163,19 +151,13 @@ func TestFIFOOrderAndEventRecord(t *testing.T) {
 	var elapsed time.Duration
 	e.Spawn("host", func(p *des.Proc) {
 		gs := d.DefaultStream()
-		if err := q.EnqueueKernel(gs, "cudaLaunch", "k", fixed(3*time.Millisecond), [3]int{}, [3]int{}, nil); err != nil {
-			t.Error(err)
-		}
-		if err := q.EnqueueEventRecord(gs, "cudaEventRecord", ev); err != nil {
-			t.Error(err)
-		}
+		q.EnqueueKernel(gs, "cudaLaunch", "k", fixed(3*time.Millisecond), [3]int{}, [3]int{}, nil)
+		q.EnqueueEventRecord(gs, "cudaEventRecord", ev)
 		// Unflushed: the record has not reached the device.
 		if ev.Query() {
 			t.Error("event reports recorded before flush")
 		}
-		if err := q.Flush(); err != nil {
-			t.Error(err)
-		}
+		q.Flush()
 		p.Wait(ev.Done())
 		elapsed = p.Now()
 	})
@@ -188,7 +170,48 @@ func TestFIFOOrderAndEventRecord(t *testing.T) {
 	}
 }
 
-func TestDeviceLostDropsBatch(t *testing.T) {
+// At depth 1 a push is a flush of one: the command reaches the device
+// at once with zero stall, the counters and telemetry read as for any
+// flush, and no command buffer is ever allocated.
+func TestDepthOneHandsOff(t *testing.T) {
+	e := des.NewEngine()
+	d := gpusim.NewDevice(e, testSpec())
+	rec := telemetry.NewRecorder(16)
+	var subs []submitRec
+	q := New(d, Options{
+		FlushDepth:    1,
+		FlushInterval: -1,
+		Telemetry:     rec,
+		OnSubmit: func(site string, bytes int64, stall time.Duration) {
+			subs = append(subs, submitRec{site, bytes, stall})
+		},
+	})
+	gs := d.DefaultStream()
+	q.EnqueueMemset(gs, "cudaMemset", 64, nil)
+	if d.LastOp() == (gpusim.Ref{}) {
+		t.Fatal("depth-1 push did not reach the device")
+	}
+	q.EnqueueKernel(gs, "cudaLaunch", "k", fixed(time.Millisecond), [3]int{}, [3]int{}, nil)
+	if q.Flushes() != 2 || q.Submits() != 2 || q.MaxDepth() != 1 || q.Depth() != 0 || q.cmds != nil {
+		t.Errorf("flushes=%d submits=%d max=%d depth=%d buffered=%v, want 2/2/1/0/nil",
+			q.Flushes(), q.Submits(), q.MaxDepth(), q.Depth(), q.cmds != nil)
+	}
+	want := []submitRec{{"cudaMemset", 64, 0}, {"cudaLaunch", 0, 0}}
+	if len(subs) != 2 || subs[0] != want[0] || subs[1] != want[1] {
+		t.Errorf("submits = %+v, want %+v", subs, want)
+	}
+	if n := len(rec.Snapshot()); n != 2 {
+		t.Errorf("%d submit spans, want 2", n)
+	}
+	if n := len(rec.CounterSnapshot()); n != 4 {
+		t.Errorf("%d depth points, want 4 (1 then 0 per command)", n)
+	}
+}
+
+// A flush on a lost device has no failure path: it hands the batch to
+// the device and reports each submit, and the device never completes
+// the commands, so a host waiting on them hangs as on the hardware.
+func TestFlushOnLostDeviceSubmits(t *testing.T) {
 	e := des.NewEngine()
 	d := gpusim.NewDevice(e, testSpec())
 	var subs int
@@ -197,36 +220,25 @@ func TestDeviceLostDropsBatch(t *testing.T) {
 		FlushInterval: -1,
 		OnSubmit:      func(string, int64, time.Duration) { subs++ },
 	})
-	e.Spawn("host", func(p *des.Proc) {
-		gs := d.DefaultStream()
-		for i := 0; i < 3; i++ {
-			if err := q.EnqueueMemset(gs, "cudaMemset", 64, nil); err != nil {
-				t.Error(err)
-			}
-		}
-		d.MarkLost()
-		if err := q.Flush(); !errors.Is(err, ErrDeviceLost) {
-			t.Errorf("flush on lost device = %v, want ErrDeviceLost", err)
-		}
-		// Sticky: later enqueues and flushes fail fast, nothing hangs.
-		if err := q.EnqueueMemset(gs, "cudaMemset", 64, nil); !errors.Is(err, ErrDeviceLost) {
-			t.Errorf("enqueue after loss = %v, want ErrDeviceLost", err)
-		}
-		if err := q.Flush(); !errors.Is(err, ErrDeviceLost) {
-			t.Errorf("flush after loss = %v, want ErrDeviceLost", err)
-		}
-	})
+	var completed int
+	done := func() { completed++ }
+	gs := d.DefaultStream()
+	for i := 0; i < 3; i++ {
+		q.EnqueueMemset(gs, "cudaMemset", 64, done)
+	}
+	d.MarkLost()
+	q.Flush()
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if subs != 0 {
-		t.Errorf("%d commands submitted from a lost device's queue, want 0", subs)
+	if subs != 3 || q.Submits() != 3 || q.Depth() != 0 {
+		t.Errorf("OnSubmit %d, Submits %d, Depth %d after the flush; want 3, 3, 0", subs, q.Submits(), q.Depth())
 	}
-	if q.Depth() != 0 {
-		t.Errorf("depth = %d after drop, want 0", q.Depth())
+	if d.LastOp() == (gpusim.Ref{}) || d.LastOp().Done() == nil {
+		t.Error("the lost device did not receive the batch as pending work")
 	}
-	if d.LastOp() != (gpusim.Ref{}) {
-		t.Error("device received an op from the dropped batch")
+	if completed != 0 {
+		t.Errorf("%d commands completed on a lost device, want 0", completed)
 	}
 }
 
@@ -278,21 +290,15 @@ func TestEnqueueAllocs(t *testing.T) {
 	q := New(d, Options{FlushDepth: 1 << 20, FlushInterval: -1})
 	gs := d.DefaultStream()
 	for i := 0; i < 2048; i++ {
-		if err := q.EnqueueMemset(gs, "cudaMemset", 64, nil); err != nil {
-			t.Fatal(err)
-		}
+		q.EnqueueMemset(gs, "cudaMemset", 64, nil)
 	}
-	if err := q.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	q.Flush()
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	// The drained slice keeps its capacity: enqueues below never grow it.
 	if allocs := testing.AllocsPerRun(500, func() {
-		if err := q.EnqueueMemset(gs, "cudaMemset", 64, nil); err != nil {
-			t.Fatal(err)
-		}
+		q.EnqueueMemset(gs, "cudaMemset", 64, nil)
 	}); allocs != 0 {
 		t.Fatalf("enqueue allocates %.1f objects/op, want 0", allocs)
 	}
@@ -308,13 +314,9 @@ func queueSubmitOp(tb testing.TB) func() {
 	gs := d.DefaultStream()
 	run := func() {
 		for j := 0; j < 1024; j++ {
-			if err := q.EnqueueMemset(gs, "cudaMemset", 4096, nil); err != nil {
-				tb.Fatal(err)
-			}
+			q.EnqueueMemset(gs, "cudaMemset", 4096, nil)
 		}
-		if err := q.Flush(); err != nil {
-			tb.Fatal(err)
-		}
+		q.Flush()
 		if err := e.Run(); err != nil {
 			tb.Fatal(err)
 		}

@@ -33,13 +33,13 @@ type Options struct {
 	// internal/faultsim hooks into. The hook must be deterministic in
 	// (call, call order, virtual time); it must never read wall clock.
 	Inject func(call string, now time.Duration) error
-	// Queue, when non-nil, routes kernel launches, memcpys, memsets and
-	// event records through a driver command-queue (internal/cmdqueue)
-	// instead of handing them to the device directly: commands batch in
-	// the context's submission queue and reach the device at flush time
-	// (size/timer/sync-point heuristics), making launch→submit latency
-	// part of the simulated schedule and observable as submit stall.
-	// Nil preserves the direct path bit-for-bit.
+	// Queue configures the context's driver command queue
+	// (internal/cmdqueue), through which every kernel launch, memcpy,
+	// memset and event record reaches the device. Batched commands reach
+	// it at flush time (size/timer/sync-point heuristics), making
+	// launch→submit latency part of the simulated schedule and observable
+	// as submit stall. Nil submits each command at once, unobserved: a
+	// queue at depth 1 with no timer, hook, telemetry or metric cells.
 	Queue *cmdqueue.Options
 }
 
@@ -84,7 +84,7 @@ type Runtime struct {
 	pending    []launchConfig
 	symbols    map[string]DevPtr
 	lastErr    error
-	queue      *cmdqueue.Queue // nil: direct submission path
+	queue      *cmdqueue.Queue
 }
 
 var _ API = (*Runtime)(nil)
@@ -101,31 +101,19 @@ func NewRuntime(proc *des.Proc, dev *gpusim.Device, opts Options) *Runtime {
 		nextEvent:  1,
 		symbols:    make(map[string]DevPtr),
 	}
+	qopts := cmdqueue.Options{FlushDepth: 1, FlushInterval: -1}
 	if r.opts.Queue != nil {
-		r.queue = cmdqueue.New(dev, *r.opts.Queue)
+		qopts = *r.opts.Queue
 	}
+	r.queue = cmdqueue.New(dev, qopts)
 	return r
 }
 
-// Queue returns the context's command queue, or nil on the direct path.
-func (r *Runtime) Queue() *cmdqueue.Queue { return r.queue }
-
-// queueFail maps a command-queue error (a lost device draining its
-// batch) to the runtime's sticky cudaErrorDeviceLost.
-func (r *Runtime) queueFail(err error) error {
-	return r.fail(errCode(CodeDeviceLost, "command queue: %v", err))
-}
-
-// flushQueue force-submits the context's queued commands at a host
-// synchronisation point. No-op on the direct path.
-func (r *Runtime) flushQueue() error {
-	if r.queue == nil {
-		return nil
+// wait blocks the host until the op behind ref has completed.
+func (r *Runtime) wait(ref gpusim.Ref) {
+	if sig := ref.Done(); sig != nil {
+		r.proc.Wait(sig)
 	}
-	if err := r.queue.Flush(); err != nil {
-		return r.queueFail(err)
-	}
-	return nil
 }
 
 // Proc returns the host process the runtime is bound to.
@@ -301,23 +289,12 @@ func (r *Runtime) Memcpy(dst, src Ptr, n int64, kind MemcpyKind) error {
 	}
 	dir := transferDir(kind)
 	pinned := src.Pinned || dst.Pinned
-	if r.queue != nil {
-		// Synchronous copy: enqueue, force the batch out (a sync point
-		// flushes the context's queue), then wait for the copy — the last
-		// op the flush placed on the NULL stream.
-		if err := r.queue.EnqueueCopy(r.dev.DefaultStream(), memcpySites[kind], dir, n, pinned, r.memcpyPayload(dst, src, n, kind)); err != nil {
-			return r.queueFail(err)
-		}
-		if err := r.flushQueue(); err != nil {
-			return err
-		}
-		if sig := r.dev.DefaultStream().Last().Done(); sig != nil {
-			r.proc.Wait(sig)
-		}
-		return nil
-	}
-	op := r.dev.EnqueueCopy(r.dev.DefaultStream(), dir, n, pinned, r.memcpyPayload(dst, src, n, kind))
-	r.proc.Wait(op.Done())
+	// Synchronous copy: enqueue, force the batch out (a sync point
+	// flushes the context's queue), then wait for the copy — the last op
+	// the flush placed on the NULL stream.
+	r.queue.EnqueueCopy(r.dev.DefaultStream(), memcpySites[kind], dir, n, pinned, r.memcpyPayload(dst, src, n, kind))
+	r.queue.Flush()
+	r.wait(r.dev.DefaultStream().Last())
 	return nil
 }
 
@@ -375,13 +352,7 @@ func (r *Runtime) MemcpyAsync(dst, src Ptr, n int64, kind MemcpyKind, s Stream) 
 		return nil
 	}
 	pinned := src.Pinned || dst.Pinned
-	if r.queue != nil {
-		if err := r.queue.EnqueueCopy(gs, memcpyAsyncSites[kind], transferDir(kind), n, pinned, r.memcpyPayload(dst, src, n, kind)); err != nil {
-			return r.queueFail(err)
-		}
-		return nil
-	}
-	r.dev.EnqueueCopy(gs, transferDir(kind), n, pinned, r.memcpyPayload(dst, src, n, kind))
+	r.queue.EnqueueCopy(gs, memcpyAsyncSites[kind], transferDir(kind), n, pinned, r.memcpyPayload(dst, src, n, kind))
 	return nil
 }
 
@@ -412,20 +383,9 @@ func (r *Runtime) MemcpyToSymbol(symbol string, src []byte) error {
 			copy(b, src)
 		}
 	}
-	if r.queue != nil {
-		if err := r.queue.EnqueueCopy(r.dev.DefaultStream(), "cudaMemcpyToSymbol", perfmodel.HostToDevice, n, false, payload); err != nil {
-			return r.queueFail(err)
-		}
-		if err := r.flushQueue(); err != nil {
-			return err
-		}
-		if sig := r.dev.DefaultStream().Last().Done(); sig != nil {
-			r.proc.Wait(sig)
-		}
-		return nil
-	}
-	op := r.dev.EnqueueCopy(r.dev.DefaultStream(), perfmodel.HostToDevice, n, false, payload)
-	r.proc.Wait(op.Done())
+	r.queue.EnqueueCopy(r.dev.DefaultStream(), "cudaMemcpyToSymbol", perfmodel.HostToDevice, n, false, payload)
+	r.queue.Flush()
+	r.wait(r.dev.DefaultStream().Last())
 	return nil
 }
 
@@ -453,13 +413,7 @@ func (r *Runtime) Memset(p DevPtr, value byte, n int64) error {
 			}
 		}
 	}
-	if r.queue != nil {
-		if err := r.queue.EnqueueMemset(r.dev.DefaultStream(), "cudaMemset", n, payload); err != nil {
-			return r.queueFail(err)
-		}
-		return nil
-	}
-	r.dev.EnqueueMemset(r.dev.DefaultStream(), n, payload)
+	r.queue.EnqueueMemset(r.dev.DefaultStream(), "cudaMemset", n, payload)
 	return nil
 }
 
@@ -542,23 +496,10 @@ func (r *Runtime) Launch(fn *Func) error {
 		ctx := LaunchContext{Dev: r.dev, Grid: cfg.grid, Block: cfg.block, Args: cfg.args}
 		body = func() { fn.Body(ctx) }
 	}
-	if r.queue != nil {
-		if err := r.queue.EnqueueKernel(gs, "cudaLaunch", fn.Name, cost, cfg.grid.norm(), cfg.block.norm(), body); err != nil {
-			return r.queueFail(err)
-		}
-		if r.opts.LaunchBlocking {
-			if err := r.flushQueue(); err != nil {
-				return err
-			}
-			if sig := gs.Last().Done(); sig != nil {
-				r.proc.Wait(sig)
-			}
-		}
-		return nil
-	}
-	op := r.dev.LaunchKernel(gs, fn.Name, cost, cfg.grid.norm(), cfg.block.norm(), body)
+	r.queue.EnqueueKernel(gs, "cudaLaunch", fn.Name, cost, cfg.grid.norm(), cfg.block.norm(), body)
 	if r.opts.LaunchBlocking {
-		r.proc.Wait(op.Done())
+		r.queue.Flush()
+		r.wait(gs.Last())
 	}
 	return nil
 }
@@ -600,9 +541,7 @@ func (r *Runtime) StreamDestroy(s Stream) error {
 		return r.fail(errCode(CodeInvalidResourceHandle, "unknown stream %d", s))
 	}
 	// Queued commands may still reference the stream; submit them first.
-	if err := r.flushQueue(); err != nil {
-		return err
-	}
+	r.queue.Flush()
 	delete(r.streams, s)
 	if err := r.dev.DestroyStream(gs); err != nil {
 		return r.fail(errCode(CodeInvalidResourceHandle, "%v", err))
@@ -619,22 +558,16 @@ func (r *Runtime) StreamSynchronize(s Stream) error {
 	if err := r.inject("cudaStreamSynchronize"); err != nil {
 		return err
 	}
-	if err := r.flushQueue(); err != nil {
-		return err
-	}
-	var last gpusim.Ref
-	if s == 0 {
-		last = r.dev.LastOp()
-	} else {
+	r.queue.Flush()
+	last := r.dev.LastOp()
+	if s != 0 {
 		gs, err := r.stream(s)
 		if err != nil {
 			return r.fail(err)
 		}
 		last = gs.Last()
 	}
-	if sig := last.Done(); sig != nil {
-		r.proc.Wait(sig)
-	}
+	r.wait(last)
 	return nil
 }
 
@@ -673,13 +606,7 @@ func (r *Runtime) EventRecord(ev Event, s Stream) error {
 	if err != nil {
 		return r.fail(err)
 	}
-	if r.queue != nil {
-		if err := r.queue.EnqueueEventRecord(gs, "cudaEventRecord", de); err != nil {
-			return r.queueFail(err)
-		}
-		return nil
-	}
-	de.Record(gs)
+	r.queue.EnqueueEventRecord(gs, "cudaEventRecord", de)
 	return nil
 }
 
@@ -708,9 +635,7 @@ func (r *Runtime) EventSynchronize(ev Event) error {
 		return r.fail(err)
 	}
 	// The record may still be queued; flush so Done() sees the real op.
-	if err := r.flushQueue(); err != nil {
-		return err
-	}
+	r.queue.Flush()
 	if sig := de.Done(); sig != nil {
 		r.proc.Wait(sig)
 	}
@@ -754,12 +679,8 @@ func (r *Runtime) ThreadSynchronize() error {
 	if err := r.inject("cudaThreadSynchronize"); err != nil {
 		return err
 	}
-	if err := r.flushQueue(); err != nil {
-		return err
-	}
-	if sig := r.dev.LastOp().Done(); sig != nil {
-		r.proc.Wait(sig)
-	}
+	r.queue.Flush()
+	r.wait(r.dev.LastOp())
 	return nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"ipmgo/internal/alloctest"
 	"ipmgo/internal/des"
 	"ipmgo/internal/gpusim"
 	"ipmgo/internal/perfmodel"
@@ -564,5 +565,84 @@ func TestBareLaunchReusesArgs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("bare launch round trip: %v allocs/op, want 0", allocs)
+	}
+}
+
+// submitCases are BenchmarkRuntimeSubmit's ops: one device-submitting
+// call on a warm default runtime. Each asynchronous call is followed by
+// a sleep long enough for the device to finish it, so every op starts
+// from an idle device and the completed op is recycled.
+var submitCases = []struct {
+	name  string
+	newOp func(tb testing.TB, p *des.Proc, rt *Runtime) func()
+}{
+	{"launch", func(tb testing.TB, p *des.Proc, rt *Runtime) func() {
+		fn := &Func{Name: "bare"}
+		return func() {
+			if err := rt.LaunchKernel(fn, Dim3{X: 1}, Dim3{X: 1}, 0); err != nil {
+				tb.Fatal(err)
+			}
+			p.Sleep(time.Millisecond)
+		}
+	}},
+	{"eventrecord", func(tb testing.TB, p *des.Proc, rt *Runtime) func() {
+		ev, err := rt.EventCreate()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return func() {
+			if err := rt.EventRecord(ev, 0); err != nil {
+				tb.Fatal(err)
+			}
+			p.Sleep(time.Millisecond)
+		}
+	}},
+	{"memcpyasync", func(tb testing.TB, p *des.Proc, rt *Runtime) func() {
+		d, err := rt.Malloc(4096)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		host := make([]byte, 4096)
+		return func() {
+			if err := rt.MemcpyAsync(DevicePtr(d), HostPtr(host), 4096, MemcpyHostToDevice, 0); err != nil {
+				tb.Fatal(err)
+			}
+			p.Sleep(time.Millisecond)
+		}
+	}},
+	{"memcpy", func(tb testing.TB, p *des.Proc, rt *Runtime) func() {
+		d, err := rt.Malloc(4096)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		host := make([]byte, 4096)
+		return func() {
+			if err := rt.Memcpy(HostPtr(host), DevicePtr(d), 4096, MemcpyDeviceToHost); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}},
+}
+
+// inHost runs fn as the only host process of a fresh engine, on a
+// default runtime over a Tesla C2050.
+func inHost(tb testing.TB, fn func(p *des.Proc, rt *Runtime)) {
+	e := des.NewEngine()
+	dev := gpusim.NewDevice(e, perfmodel.TeslaC2050())
+	e.Spawn("host", func(p *des.Proc) { fn(p, NewRuntime(p, dev, Options{})) })
+	if err := e.Run(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+func BenchmarkRuntimeSubmit(b *testing.B) {
+	for _, c := range submitCases {
+		b.Run(c.name, func(b *testing.B) {
+			inHost(b, func(p *des.Proc, rt *Runtime) {
+				op := c.newOp(b, p, rt)
+				op()
+				alloctest.Bench(b, op)
+			})
+		})
 	}
 }

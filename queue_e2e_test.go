@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"ipmgo/internal/cluster"
-	"ipmgo/internal/faultsim"
 	"ipmgo/internal/ipm"
 	"ipmgo/internal/ipmcuda"
 	"ipmgo/internal/ipmparse"
@@ -36,42 +35,6 @@ var queueFlushSettings = []queueFlush{
 	{"defaults", 0, 0},
 }
 
-// runQueueScenario runs the fault-demo workload on 4 ranks with the
-// command-queue layer enabled and returns the result plus the rendered
-// banner and XML log.
-func runQueueScenario(t *testing.T, q queueFlush, planJSON string) (*cluster.Result, []byte, []byte) {
-	t.Helper()
-	cfg := cluster.Dirac(4, 1)
-	cfg.GPU.ContextInit = 0
-	cfg.Monitor = true
-	cfg.CUDA = ipmcuda.Options{KernelTiming: true, HostIdle: true}
-	cfg.Queue = true
-	cfg.QueueFlushDepth = q.depth
-	cfg.QueueFlushInterval = q.interval
-	cfg.Command = "./faultdemo"
-	if planJSON != "" {
-		plan, err := faultsim.Parse([]byte(planJSON))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Faults = plan
-	}
-	res, err := cluster.Run(cfg, func(env *cluster.Env) {
-		workloads.FaultDemo(env, workloads.DefaultFaultDemo())
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var banner, xml bytes.Buffer
-	if err := ipm.WriteBanner(&banner, res.Profile, ipm.BannerOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ipm.WriteXML(&xml, res.Profile); err != nil {
-		t.Fatal(err)
-	}
-	return res, banner.Bytes(), xml.Bytes()
-}
-
 // TestQueueDeterminism asserts the acceptance property of the queue
 // layer: at every flush setting the run is byte-identical across repeats
 // and across -j worker counts. Different settings legitimately produce
@@ -80,8 +43,8 @@ func TestQueueDeterminism(t *testing.T) {
 	for _, q := range queueFlushSettings {
 		q := q
 		t.Run(q.name, func(t *testing.T) {
-			_, banner0, xml0 := runQueueScenario(t, q, faultPlanRankDeath)
-			_, banner1, xml1 := runQueueScenario(t, q, faultPlanRankDeath)
+			_, banner0, xml0 := runFaultDemo(t, &q, faultPlanRankDeath)
+			_, banner1, xml1 := runFaultDemo(t, &q, faultPlanRankDeath)
 			if !bytes.Equal(banner0, banner1) {
 				t.Error("banner differs between identical queued runs")
 			}
@@ -91,7 +54,7 @@ func TestQueueDeterminism(t *testing.T) {
 			run := func(workers int) [][]byte {
 				out := make([][]byte, 4)
 				if err := parallel.RunAll(4, workers, func(i int) error {
-					_, _, xml := runQueueScenario(t, q, faultPlanRankDeath)
+					_, _, xml := runFaultDemo(t, &q, faultPlanRankDeath)
 					out[i] = xml
 					return nil
 				}); err != nil {
@@ -112,58 +75,32 @@ func TestQueueDeterminism(t *testing.T) {
 	}
 }
 
-// TestQueueDeviceLossDrains pins the failure-path contract: a sticky
-// device loss with commands still queued drains them as errors — the
-// rank dies, the survivors finish, nothing hangs. Both the fail-loud
-// and the hung-device (watchdog) variants must terminate.
+// TestQueueDeviceLossDrains pins the fail-loud device loss on a queued
+// run: every call after the loss fails, the rank drains its work as
+// errors, the survivors finish and nothing hangs. The hanging loss is
+// TestWatchdogRecoversHungDevice's queued case.
 func TestQueueDeviceLossDrains(t *testing.T) {
 	const lossPlan = `{
 		"seed": 7,
 		"faults": [{"type": "cuda", "rank": 2, "at": "60ms", "code": "device-lost"}]
 	}`
 	q := queueFlush{"defaults", 0, 0}
-	res, _, xml0 := runQueueScenario(t, q, lossPlan)
+	res, _, xml0 := runFaultDemo(t, &q, lossPlan)
 	if res.Truncated != "" {
 		t.Fatalf("queued run truncated: %s", res.Truncated)
 	}
 	// The workload tolerates CUDA failures: rank 2 survives, but every
-	// call after the loss — including the drained queue submissions —
-	// failed loudly and was error-counted in its profile.
+	// call after the loss failed loudly and was error-counted in its
+	// profile.
 	if res.FaultsInjected < 1 {
 		t.Fatalf("FaultsInjected = %d, want >= 1", res.FaultsInjected)
 	}
 	if res.Profile.TotalErrors() == 0 {
 		t.Error("no error-counted calls despite a lost device")
 	}
-	_, _, xml1 := runQueueScenario(t, q, lossPlan)
+	_, _, xml1 := runFaultDemo(t, &q, lossPlan)
 	if !bytes.Equal(xml0, xml1) {
 		t.Error("device-loss queued run not byte-identical")
-	}
-
-	// Hung variant: without the queue this loss silences completions and
-	// only the watchdog rescues the rank (TestWatchdogRecoversHungDevice).
-	// With the queue, the next flush sees the lost device and fails the
-	// sync loudly — the rank drains its commands as errors and finishes
-	// well before the 150ms watchdog deadline instead of hanging on it.
-	const hangPlan = `{
-		"seed": 3,
-		"watchdog": {"interval": "20ms", "hang_timeout": "150ms"},
-		"faults": [
-			{"type": "cuda", "rank": 3, "at": "60ms", "code": "device-lost", "call": "cudaStreamSynchronize", "hang": true}
-		]
-	}`
-	res, _, _ = runQueueScenario(t, q, hangPlan)
-	if res.Truncated != "" {
-		t.Fatalf("queued run hung despite the loss-aware flush: %s", res.Truncated)
-	}
-	if res.FaultsInjected < 1 {
-		t.Fatalf("hang fault never fired (FaultsInjected = %d)", res.FaultsInjected)
-	}
-	if len(res.Lost) != 0 {
-		t.Fatalf("Lost = %+v: the queue should fail loudly, not wait for the watchdog", res.Lost)
-	}
-	if res.Profile.TotalErrors() == 0 {
-		t.Error("no error-counted calls despite a hung device loss")
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 	"ipmgo/internal/telemetry"
 )
 
-var updateServeGolden = flag.Bool("update", false, "rewrite serve e2e golden files")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files")
 
 // The serve e2e scenarios back the `make serve-e2e` target: a real
 // ipmserve HTTP surface fed the sample profile from results/ with the
@@ -88,7 +88,7 @@ func TestServeE2EIngestResults(t *testing.T) {
 
 	agg := mustGet(t, url+"/agg")
 	golden := filepath.Join("testdata", "serve", "agg_rankdeath.golden.json")
-	if *updateServeGolden {
+	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 			t.Fatal(err)
 		}
