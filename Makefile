@@ -59,14 +59,15 @@ serve:
 	mkdir -p results
 	$(GO) run ./cmd/ipmserve -addr :8080 -wal results/profiles.wal
 
-# Hammer an in-process ipmserve with concurrent synthetic ingest+query
-# traffic and verify deterministic output (see ipmserve -selftest).
+# The store harness with one in-process member: concurrent synthetic
+# ingest + query traffic, then byte-identical answers to a reference
+# store live and after a restart (see ipmserve -selftest).
 serve-load:
 	$(GO) run ./cmd/ipmserve -selftest -selftest-jobs 200
 
 # End-to-end over real HTTP, race-enabled: ingest the sample profile
-# from results/ and pin /agg to a golden, then the 120-job concurrent
-# load/recovery scenario.
+# from results/ and pin /agg to a golden, then the store harness with
+# one in-process member over 120 jobs (the serve-load run).
 serve-e2e:
 	$(GO) test -race -run ServeE2E .
 

@@ -36,12 +36,13 @@
 // Every member is a router; -self names this member's own base URL
 // within -peers.
 //
-// With -selftest the command runs the built-in load generator instead
-// of serving; with -soak it runs the kill/restart durability harness,
-// re-executing itself as -soak-members server children (one plain
-// server by default, a cluster above one) and SIGKILLing rotating
-// members mid-ingest while workers retry through the surviving
-// routers. Both exit non-zero on any violation.
+// With -selftest or -soak the command runs the store harness
+// (profstore.Soak) instead of serving. -selftest runs one in-process
+// member under concurrent ingest and queries, without kill cycles;
+// -soak re-executes itself as -soak-members server children (one plain
+// server by default, a cluster above one) and SIGKILLs rotating members
+// mid-ingest while workers retry through the surviving routers. Both
+// exit non-zero on any violation.
 package main
 
 import (
@@ -71,7 +72,7 @@ func main() {
 	compactEvery := flag.Int("compact-every", 0, "snapshot+truncate the WAL after N appends (0 = only via POST /compact)")
 	snapOnExit := flag.Bool("snapshot-on-exit", false, "compact the WAL into a snapshot during graceful shutdown")
 	diskFaults := flag.String("disk-faults", "", "JSON disk-fault plan injected into the WAL write path (see testdata/faults/)")
-	selftest := flag.Bool("selftest", false, "run the load generator + determinism checks and exit")
+	selftest := flag.Bool("selftest", false, "run the store harness with one in-process member (no kill cycles) and exit")
 	withPprof := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (profiling a live store)")
 	jobs := flag.Int("selftest-jobs", 120, "selftest: synthetic profiles to ingest")
 	workers := flag.Int("selftest-workers", 8, "selftest: concurrent ingest workers")
@@ -94,8 +95,8 @@ func main() {
 	}
 
 	if *selftest {
-		rep, err := profstore.SelfTest(profstore.SelfTestOptions{
-			Jobs: *jobs, Workers: *workers, Logf: logf,
+		rep, err := profstore.Soak(profstore.SoakOptions{
+			Jobs: *jobs, Workers: *workers, Readers: 4, Logf: logf,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ipmserve: selftest FAILED:", err)

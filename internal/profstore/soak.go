@@ -20,21 +20,27 @@ import (
 	"ipmgo/internal/telemetry"
 )
 
-// This file is the kill/restart soak harness behind `ipmserve -soak` /
-// `make soak`: the durability twin of the SelfTest load generator. It
-// launches Members real ipmserve child processes, each over its own WAL
-// in a scratch directory — one plain server, or a cluster when Members
-// > 1 — sustains concurrent ingest through rotating routers, and
-// SIGKILLs a member mid-ingest at deterministic points in the ack
-// stream, restarting it each time, before a final SIGTERM of every
-// member to prove graceful shutdown. The run is gated on the durability
-// contract:
+// This file is the one store harness, behind `ipmserve -soak` /
+// `make soak`, `ipmserve -selftest` / `make serve-load` and the serve
+// e2e test. It runs Members servers, each over its own WAL in a scratch
+// directory: re-executed ipmserve children (one plain server, or a
+// cluster when Members > 1), or — when ServerCmd is empty — one member
+// in this process, so a -race test covers the store and its handlers.
+// It sustains concurrent ingest through rotating routers while Readers
+// query the members, kills a member mid-ingest at deterministic points
+// in the ack stream and restarts it each time, then stops every member
+// gracefully and restarts it cold. A child's kill is a SIGKILL, the
+// crash being simulated; the in-process member's kill closes its
+// listener and store without a snapshot. The run is gated on the
+// durability contract, on the live members and again after the final
+// restart:
 //
 //   - zero lost acknowledged jobs: every profile any member acked with
-//     a 2xx is present in /jobs after the last recovery;
-//   - byte-identical queries from EVERY member: the recovered corpus
-//     answers /agg, /jobs and /regress exactly like a never-killed
-//     in-process single-node store over the same documents.
+//     a 2xx is present in /jobs;
+//   - byte-identical queries from EVERY member: /agg, /jobs and
+//     /regress, each read twice (the second read is a memo hit), answer
+//     exactly like a never-killed in-process single-node store over the
+//     same documents.
 //
 // In a cluster, quorum writes make the first gate honest: an ack means
 // R/2+1 owners persisted the document before the kill, so any single
@@ -43,19 +49,21 @@ import (
 // the ack, or re-posted through a different router: the re-ingest
 // replaces the job with identical bytes.
 
-// SoakOptions sizes a kill/restart soak run.
+// SoakOptions sizes a soak run.
 type SoakOptions struct {
 	// ServerCmd is the argv of the child server; the harness appends
 	// -addr, -wal, -compact-every and -snapshot-on-exit, plus -peers,
 	// -self and -replicas when Members > 1. Typically the running
-	// ipmserve binary itself (os.Executable).
+	// ipmserve binary itself (os.Executable). Empty runs one member in
+	// this process (Members must then be 1).
 	ServerCmd []string
 	Members   int // server processes; 1 = one plain server (default 1)
 	Replicas  int // copies per job when Members > 1 (default 2, at most Members)
 	Jobs      int // synthetic profiles to ingest (default 200)
 	Workers   int // concurrent ingest workers (default 4)
-	Cycles    int // SIGKILL/restart cycles (default 3)
-	// CompactEvery is forwarded to the children so snapshots and WAL
+	Readers   int // concurrent query workers during ingest (0 = none)
+	Cycles    int // kill/restart cycles (0 = none)
+	// CompactEvery is forwarded to every member so snapshots and WAL
 	// truncation happen under fire (default 32 appends; -1 disables).
 	CompactEvery int
 	Timeout      time.Duration // wall-clock budget (default 120s)
@@ -66,18 +74,34 @@ type SoakOptions struct {
 
 // SoakReport summarises a soak run.
 type SoakReport struct {
-	Members  int
-	Replicas int
-	Jobs     int
-	Kills    int
-	Restarts int
-	Acked    int   // jobs acknowledged with a 2xx by some member
-	Retried  int64 // posts that needed more than one round
-	AggBytes int   // size of the (verified identical) /agg body
-	Elapsed  time.Duration
+	Members       int
+	Replicas      int
+	Jobs          int
+	Ranks         int // rank snapshots in the corpus
+	Kills         int
+	Restarts      int
+	Acked         int   // jobs acknowledged with a 2xx by some member
+	Retried       int64 // posts that needed more than one round
+	Queries       int64 // reads the Readers completed during ingest
+	IngestBytes   int64 // XML bytes of the acked posts
+	IngestElapsed time.Duration
+	WALRecovered  int // records the in-process member replayed at the final restart
+	AggBytes      int // size of the (verified identical) /agg body
+	Elapsed       time.Duration
+}
+
+// IngestMBPerSec is the end-to-end ingest throughput the run sustained:
+// acked XML bytes over the wall-clock ingest phase (which includes the
+// HTTP round trips, the kill windows and the concurrent query load).
+func (r *SoakReport) IngestMBPerSec() float64 {
+	if r.IngestElapsed <= 0 {
+		return 0
+	}
+	return float64(r.IngestBytes) / 1e6 / r.IngestElapsed.Seconds()
 }
 
 // setDefaults fills the zero fields and clamps Replicas to Members.
+// Readers and Cycles keep their zero values.
 func (o *SoakOptions) setDefaults() {
 	if o.Members <= 0 {
 		o.Members = 1
@@ -93,9 +117,6 @@ func (o *SoakOptions) setDefaults() {
 	}
 	if o.Workers <= 0 {
 		o.Workers = 4
-	}
-	if o.Cycles <= 0 {
-		o.Cycles = 3
 	}
 	if o.CompactEvery == 0 {
 		o.CompactEvery = 32
@@ -116,7 +137,7 @@ func (o *SoakOptions) setDefaults() {
 func (o *SoakOptions) memberArgv(i int, urls []string, dir string) []string {
 	argv := append(append([]string{}, o.ServerCmd...),
 		"-addr", strings.TrimPrefix(urls[i], "http://"),
-		"-wal", filepath.Join(dir, fmt.Sprintf("member%d.wal", i)),
+		"-wal", memberWAL(dir, i),
 		"-compact-every", fmt.Sprint(o.CompactEvery),
 		"-snapshot-on-exit")
 	if o.Members > 1 {
@@ -126,6 +147,20 @@ func (o *SoakOptions) memberArgv(i int, urls []string, dir string) []string {
 			"-replicas", fmt.Sprint(o.Replicas))
 	}
 	return argv
+}
+
+func memberWAL(dir string, i int) string {
+	return filepath.Join(dir, fmt.Sprintf("member%d.wal", i))
+}
+
+// soakMember is one server the harness kills and restarts.
+type soakMember interface {
+	start() error
+	// kill stops the member without its graceful exit path; a no-op on a
+	// member that is not running.
+	kill()
+	// stop is the graceful exit, which must succeed.
+	stop(deadline time.Time) error
 }
 
 // soakChild is one managed ipmserve subprocess.
@@ -146,32 +181,20 @@ func (c *soakChild) start() error {
 	return nil
 }
 
-// waitReady polls /readyz until the child accepts writes.
-func (c *soakChild) waitReady(deadline time.Time) error {
-	for time.Now().Before(deadline) {
-		resp, err := getClient.Get(c.url + "/readyz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	return fmt.Errorf("soak: server %s not ready before deadline", c.url)
-}
-
 // kill SIGKILLs the child — no flush, no goodbye; the crash being
 // simulated — and reaps it.
 func (c *soakChild) kill() {
+	if c.cmd == nil {
+		return
+	}
 	c.cmd.Process.Kill()
 	c.cmd.Wait()
 	c.cmd = nil
 }
 
-// terminate sends SIGTERM and requires a clean exit: the graceful
-// shutdown path (drain, flush, snapshot) must finish with status 0.
-func (c *soakChild) terminate(deadline time.Time) error {
+// stop sends SIGTERM and requires a clean exit: the graceful shutdown
+// path (drain, flush, snapshot) must finish with status 0.
+func (c *soakChild) stop(deadline time.Time) error {
 	if err := c.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		return fmt.Errorf("soak: SIGTERM %s: %w", c.url, err)
 	}
@@ -192,12 +215,91 @@ func (c *soakChild) terminate(deadline time.Time) error {
 	}
 }
 
-// Soak runs the kill/restart soak. Any lost acknowledged job, query
-// divergence from the never-killed reference on any member, or unclean
-// shutdown is an error.
+// soakLocal is the in-process member: OpenStore, NewServer and a
+// listener on the member's reserved port.
+type soakLocal struct {
+	url, wal     string
+	compactEvery int
+	store        *Store
+	hs           *http.Server
+	recovered    int // records the last start replayed (snapshot + WAL)
+}
+
+func (l *soakLocal) start() error {
+	store, st, err := OpenStore(l.wal, StoreOptions{CompactEvery: l.compactEvery})
+	if err != nil {
+		return fmt.Errorf("soak: opening %s: %w", l.wal, err)
+	}
+	ln, err := net.Listen("tcp", strings.TrimPrefix(l.url, "http://"))
+	if err != nil {
+		store.Close()
+		return fmt.Errorf("soak: listening on %s: %w", l.url, err)
+	}
+	l.store, l.recovered = store, st.Recovered
+	l.hs = &http.Server{Handler: NewServer(store, telemetry.NewRegistry()).Handler()}
+	go l.hs.Serve(ln)
+	return nil
+}
+
+// kill closes the listener, every connection and the store, without a
+// snapshot. It is a close, not a crash: Close still flushes the WAL.
+func (l *soakLocal) kill() {
+	if l.store == nil {
+		return
+	}
+	l.hs.Close()
+	l.store.Close()
+	l.store = nil
+}
+
+// stop is the graceful exit: Snapshot, then Close. Ingest and the
+// readers are done whenever the harness stops a member, so closing the
+// listener is the whole drain.
+func (l *soakLocal) stop(time.Time) error {
+	l.hs.Close()
+	_, err := l.store.Snapshot()
+	if cerr := l.store.Close(); err == nil {
+		err = cerr
+	}
+	l.store = nil
+	if err != nil {
+		return fmt.Errorf("soak: in-process member %s: graceful exit: %w", l.url, err)
+	}
+	return nil
+}
+
+// waitReady polls /readyz until the member at url accepts writes.
+func waitReady(url string, deadline time.Time) error {
+	for time.Now().Before(deadline) {
+		resp, err := getClient.Get(url + "/readyz")
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				return nil
+			}
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	return fmt.Errorf("soak: server %s not ready before deadline", url)
+}
+
+// soakQueries are the gated queries; readerPaths rotate under ingest.
+var (
+	soakQueries = []string{
+		"/agg?sel=tag:soak",
+		"/jobs",
+		"/regress?base=tag:batch:0&head=tag:batch:1&threshold=5",
+	}
+	readerPaths = []string{"/agg", "/jobs", "/agg?format=html", "/metrics"}
+)
+
+// Soak runs the harness. Any lost acknowledged job, query divergence
+// from the never-killed reference on any member, failed read outside a
+// kill window, or unclean shutdown is an error.
 func Soak(opts SoakOptions) (*SoakReport, error) {
-	if len(opts.ServerCmd) == 0 {
-		return nil, fmt.Errorf("soak: ServerCmd is required")
+	inProcess := len(opts.ServerCmd) == 0
+	if inProcess && opts.Members > 1 {
+		return nil, fmt.Errorf("soak: Members=%d needs a ServerCmd: an empty ServerCmd runs one in-process member, which cannot route", opts.Members)
 	}
 	opts.setDefaults()
 	logf := opts.Logf
@@ -219,7 +321,7 @@ func Soak(opts SoakOptions) (*SoakReport, error) {
 
 	// Reserve one port per member by binding and releasing it; Go
 	// listeners set SO_REUSEADDR, so the rebinds race nothing but our
-	// own dead children.
+	// own dead members.
 	urls := make([]string, opts.Members)
 	for i := range urls {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -230,7 +332,7 @@ func Soak(opts SoakOptions) (*SoakReport, error) {
 		ln.Close()
 	}
 
-	// Render the corpus once: the same bytes go to the children and the
+	// Render the corpus once: the same bytes go to the members and the
 	// in-process single-node reference store.
 	type doc struct {
 		xml  []byte
@@ -251,45 +353,66 @@ func Soak(opts SoakOptions) (*SoakReport, error) {
 			return rep, fmt.Errorf("soak: reference ingest %d: %w", i, err)
 		}
 	}
+	rep.Ranks = ref.RankCount()
 
-	children := make([]*soakChild, opts.Members)
-	for i := range children {
-		children[i] = &soakChild{argv: opts.memberArgv(i, urls, dir), url: urls[i]}
+	members := make([]soakMember, opts.Members)
+	var local *soakLocal
+	for i := range members {
+		if inProcess {
+			local = &soakLocal{url: urls[i], wal: memberWAL(dir, i), compactEvery: opts.CompactEvery}
+			members[i] = local
+		} else {
+			members[i] = &soakChild{argv: opts.memberArgv(i, urls, dir), url: urls[i]}
+		}
 	}
 	defer func() {
-		for _, c := range children {
-			if c.cmd != nil {
-				c.kill()
-			}
+		for _, m := range members {
+			m.kill()
 		}
 	}()
-	for _, c := range children {
-		if err := c.start(); err != nil {
-			return rep, err
+	startAll := func() error {
+		for _, m := range members {
+			if err := m.start(); err != nil {
+				return err
+			}
 		}
-	}
-	for _, c := range children {
-		if err := c.waitReady(deadline); err != nil {
-			return rep, err
+		for _, u := range urls {
+			if err := waitReady(u, deadline); err != nil {
+				return err
+			}
 		}
+		return nil
 	}
-	logf("soak: %d member(s) on %s (replicas=%d), %d jobs, %d workers, %d kill cycles",
-		opts.Members, strings.Join(urls, ","), opts.Replicas, opts.Jobs, opts.Workers, opts.Cycles)
+	stopAll := func() error {
+		for _, m := range members {
+			if err := m.stop(deadline); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := startAll(); err != nil {
+		return rep, err
+	}
+	logf("soak: %d member(s) on %s (replicas=%d, in-process=%v), %d jobs, %d workers, %d readers, %d kill cycles",
+		opts.Members, strings.Join(urls, ","), opts.Replicas, inProcess, opts.Jobs, opts.Workers, opts.Readers, opts.Cycles)
 
 	// Ingest workers: each owns a shard of the corpus and retries every
 	// document until some member acks it, rotating the router per round
 	// so a dead member never wedges a worker. A 503+Retry-After (a
 	// router short of write quorum) is not waited out inside the
-	// Poster: it falls through to the next router after 25 ms. Acked
-	// ids are recorded only on a 2xx: the zero-loss gate below is
-	// exactly "acked implies present after recovery".
+	// Poster: it falls through to the next router after 25 ms. A worker
+	// moves on only after a 2xx, so once ingest is done every document
+	// is acked, and the zero-loss gate below is "acked implies present".
 	var (
-		acked   atomic.Int64
-		retried atomic.Int64
-		ackMu   sync.Mutex
-		ackedID = make(map[string]bool, opts.Jobs)
+		acked, retried, ingestBytes, queries atomic.Int64
+		// window counts kill-window edges: odd while a member is down
+		// or restarting. A read that fails while it stays even and
+		// unchanged fails the run.
+		window atomic.Int64
 	)
-	errc := make(chan error, opts.Workers+1)
+	errc := make(chan error, opts.Workers+opts.Readers+1)
+	ingestStart := time.Now()
 	var workers sync.WaitGroup
 	for w := 0; w < opts.Workers; w++ {
 		workers.Add(1)
@@ -326,16 +449,40 @@ func Soak(opts SoakOptions) (*SoakReport, error) {
 				if rounds > 0 {
 					retried.Add(1)
 				}
-				ackMu.Lock()
-				ackedID[d.id] = true
-				ackMu.Unlock()
 				acked.Add(1)
+				ingestBytes.Add(int64(len(d.xml)))
 			}
 		}(w)
 	}
 
-	// Killer: SIGKILL a rotating victim each time the ack stream
-	// crosses the next threshold — evenly spaced so every cycle lands
+	// Readers: rotate over members and read paths while the corpus
+	// grows, until ingest and every kill cycle are done.
+	readersDone := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < opts.Readers; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			for i := r; ; i++ {
+				select {
+				case <-readersDone:
+					return
+				default:
+				}
+				w := window.Load()
+				_, err := httpGet(urls[i%len(urls)] + readerPaths[i%len(readerPaths)])
+				if err == nil {
+					queries.Add(1)
+				} else if w%2 == 0 && window.Load() == w {
+					errc <- fmt.Errorf("soak: query during ingest: %w", err)
+					return
+				}
+			}
+		}(r)
+	}
+
+	// Killer: kill a rotating victim each time the ack stream crosses
+	// the next threshold — evenly spaced so every cycle lands
 	// mid-ingest — then restart it and let recovery replay its WAL.
 	killerDone := make(chan struct{})
 	go func() {
@@ -350,122 +497,120 @@ func Soak(opts SoakOptions) (*SoakReport, error) {
 				time.Sleep(5 * time.Millisecond)
 			}
 			victim := (c - 1) % opts.Members
-			logf("soak: cycle %d/%d: SIGKILL member %d at %d acked job(s)", c, opts.Cycles, victim, acked.Load())
-			children[victim].kill()
+			logf("soak: cycle %d/%d: kill member %d at %d acked job(s)", c, opts.Cycles, victim, acked.Load())
+			window.Add(1)
+			members[victim].kill()
 			rep.Kills++
-			if err := children[victim].start(); err != nil {
+			if err := members[victim].start(); err != nil {
 				errc <- err
 				return
 			}
-			if err := children[victim].waitReady(deadline); err != nil {
+			if err := waitReady(urls[victim], deadline); err != nil {
 				errc <- err
 				return
 			}
+			window.Add(1)
 			rep.Restarts++
 		}
 	}()
 
 	workers.Wait()
+	rep.IngestElapsed = time.Since(ingestStart)
 	<-killerDone
+	close(readersDone)
+	readers.Wait()
 	rep.Acked = int(acked.Load())
 	rep.Retried = retried.Load()
+	rep.IngestBytes = ingestBytes.Load()
+	rep.Queries = queries.Load()
 	select {
 	case err := <-errc:
 		return rep, err
 	default:
 	}
 
-	// Graceful exit of every member under SIGTERM, then one more cold
-	// recovery of each: the verified corpus below has survived both
-	// crash and clean shutdown on every shard.
-	for _, c := range children {
-		if err := c.terminate(deadline); err != nil {
-			return rep, err
-		}
-	}
-	for _, c := range children {
-		if err := c.start(); err != nil {
-			return rep, err
-		}
-	}
-	for _, c := range children {
-		if err := c.waitReady(deadline); err != nil {
-			return rep, err
-		}
-	}
-	rep.Restarts += opts.Members
-
-	// Gate 1: zero lost acknowledged jobs, asked through every member
-	// (cluster scatter-gather reads are strict, so a 200 also proves
-	// every member answered).
-	for m, u := range urls {
-		jobsBody, err := httpGet(u + "/jobs")
-		if err != nil {
-			return rep, fmt.Errorf("soak: member %d: %w", m, err)
-		}
-		var metas []JobMeta
-		if err := json.Unmarshal(jobsBody, &metas); err != nil {
-			return rep, fmt.Errorf("soak: decoding /jobs from member %d: %w", m, err)
-		}
-		present := make(map[string]bool, len(metas))
-		for _, meta := range metas {
-			present[meta.ID] = true
-		}
-		lost := 0
-		for id := range ackedID {
-			if !present[id] {
-				lost++
-			}
-		}
-		if lost > 0 {
-			return rep, fmt.Errorf("soak: member %d: %d acknowledged job(s) lost across %d kill(s)", m, lost, rep.Kills)
-		}
-		if len(metas) != opts.Jobs {
-			return rep, fmt.Errorf("soak: member %d sees %d jobs, want %d", m, len(metas), opts.Jobs)
-		}
-	}
-
-	// Gate 2: byte-identical queries from every member versus the
-	// never-killed single-node reference.
-	refSrv := NewServer(ref, telemetry.NewRegistry())
+	// The reference answers, served by the never-killed store.
 	refLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return rep, err
 	}
-	refHS := &http.Server{Handler: refSrv.Handler()}
+	refHS := &http.Server{Handler: NewServer(ref, telemetry.NewRegistry()).Handler()}
 	go refHS.Serve(refLn)
 	defer refHS.Close()
-	refBase := "http://" + refLn.Addr().String()
-	for _, q := range []string{
-		"/agg?sel=tag:soak",
-		"/jobs",
-		"/regress?base=tag:batch:0&head=tag:batch:1&threshold=5",
-	} {
-		want, err := httpGet(refBase + q)
-		if err != nil {
+	want := make([][]byte, len(soakQueries))
+	for i, q := range soakQueries {
+		if want[i], err = httpGet("http://" + refLn.Addr().String() + q); err != nil {
 			return rep, err
 		}
+	}
+	rep.AggBytes = len(want[0])
+
+	// gates checks both gates through every member (cluster
+	// scatter-gather reads are strict, so a 200 also proves every member
+	// answered).
+	gates := func(when string) error {
 		for m, u := range urls {
-			got, err := httpGet(u + q)
+			body, err := httpGet(u + "/jobs")
 			if err != nil {
-				return rep, fmt.Errorf("soak: member %d: %w", m, err)
+				return fmt.Errorf("soak: member %d %s: %w", m, when, err)
 			}
-			if !bytes.Equal(got, want) {
-				return rep, fmt.Errorf("soak: %s from member %d differs from the never-killed reference (%d vs %d bytes)", q, m, len(got), len(want))
+			var metas []JobMeta
+			if err := json.Unmarshal(body, &metas); err != nil {
+				return fmt.Errorf("soak: decoding /jobs from member %d %s: %w", m, when, err)
+			}
+			present := make(map[string]bool, len(metas))
+			for _, meta := range metas {
+				present[meta.ID] = true
+			}
+			lost := 0
+			for _, d := range docs {
+				if !present[d.id] {
+					lost++
+				}
+			}
+			if lost > 0 {
+				return fmt.Errorf("soak: member %d %s: %d acknowledged job(s) lost across %d kill(s)", m, when, lost, rep.Kills)
+			}
+			for i, q := range soakQueries {
+				for read := 1; read <= 2; read++ {
+					got, err := httpGet(u + q)
+					if err != nil {
+						return fmt.Errorf("soak: member %d %s: %w", m, when, err)
+					}
+					if !bytes.Equal(got, want[i]) {
+						return fmt.Errorf("soak: %s read %d from member %d %s differs from the never-killed reference (%d vs %d bytes)",
+							q, read, m, when, len(got), len(want[i]))
+					}
+				}
 			}
 		}
-		if strings.HasPrefix(q, "/agg") {
-			rep.AggBytes = len(want)
-		}
+		return nil
+	}
+	if err := gates("live"); err != nil {
+		return rep, err
 	}
 
-	for _, c := range children {
-		if err := c.terminate(deadline); err != nil {
-			return rep, err
-		}
+	// Graceful exit of every member, then one more cold recovery of
+	// each: the corpus has survived both crash and clean shutdown on
+	// every shard.
+	if err := stopAll(); err != nil {
+		return rep, err
+	}
+	if err := startAll(); err != nil {
+		return rep, err
+	}
+	rep.Restarts += opts.Members
+	if local != nil {
+		rep.WALRecovered = local.recovered
+	}
+	if err := gates("after the final restart"); err != nil {
+		return rep, err
+	}
+	if err := stopAll(); err != nil {
+		return rep, err
 	}
 	rep.Elapsed = time.Since(start)
-	logf("soak: ok — %d jobs acked (%d retried through kill windows), %d kills, %d restarts, queries byte-identical on all %d member(s), in %v",
-		rep.Acked, rep.Retried, rep.Kills, rep.Restarts, opts.Members, rep.Elapsed.Round(time.Millisecond))
+	logf("soak: ok — %d jobs acked (%d retried through kill windows), %d kills, %d restarts, %d concurrent queries, queries byte-identical on all %d member(s), in %v",
+		rep.Acked, rep.Retried, rep.Kills, rep.Restarts, rep.Queries, opts.Members, rep.Elapsed.Round(time.Millisecond))
 	return rep, nil
 }

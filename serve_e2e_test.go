@@ -20,9 +20,10 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden files")
 
 // The serve e2e scenarios back the `make serve-e2e` target: a real
 // ipmserve HTTP surface fed the sample profile from results/ with the
-// /agg rollup pinned to a golden, plus the concurrent load generator
-// that proves race-clean ingest+query and byte-identical output across
-// WAL recovery. Run them with -race; `make verify` does.
+// /agg rollup pinned to a golden, plus the store harness with one
+// in-process member, which proves race-clean ingest+query and
+// byte-identical output across WAL recovery. Run them with -race;
+// `make verify` does.
 
 // serveOn stands up srv.Handler() on a loopback listener and returns the
 // base URL. httptest would do, but using net.Listen + http.Serve keeps
@@ -170,21 +171,24 @@ func TestServeE2EAggDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestServeE2EConcurrentLoad is the acceptance-scale load test: 120
-// synthetic jobs ingested over HTTP by 8 concurrent workers while 4
-// readers hammer /agg, /jobs and /metrics, then a WAL kill/recover with
-// byte-identity checks on /agg and /regress. Under -race (make
-// serve-e2e) this is also the data-race proof for the store.
+// TestServeE2EConcurrentLoad is the acceptance-scale load test: the
+// store harness with one in-process member ingests 120 synthetic jobs
+// over HTTP from 8 concurrent workers while 4 readers hammer /agg, /jobs
+// and /metrics, then gates /agg, /jobs and /regress byte-identical to a
+// reference store on the live member and again after a snapshot and a
+// restart. Under -race (make serve-e2e) this is also the data-race proof
+// for the store.
 func TestServeE2EConcurrentLoad(t *testing.T) {
-	rep, err := profstore.SelfTest(profstore.SelfTestOptions{
+	rep, err := profstore.Soak(profstore.SoakOptions{
+		Jobs: 120, Workers: 8, Readers: 4,
 		Dir:  t.TempDir(),
 		Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Jobs < 100 {
-		t.Errorf("selftest ingested %d jobs, want >= 100", rep.Jobs)
+	if rep.Acked != 120 {
+		t.Errorf("harness acked %d jobs, want 120", rep.Acked)
 	}
 	if rep.WALRecovered != rep.Jobs {
 		t.Errorf("WAL recovered %d of %d jobs", rep.WALRecovered, rep.Jobs)
