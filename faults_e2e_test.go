@@ -25,6 +25,17 @@ const faultPlanRankDeath = `{
 	]
 }`
 
+// faultPlanHang loses rank 3's device at 60ms inside a stream
+// synchronisation that then hangs; the watchdog polls every 20ms and
+// kills a rank after 150ms without monitored activity.
+const faultPlanHang = `{
+	"seed": 3,
+	"watchdog": {"interval": "20ms", "hang_timeout": "150ms"},
+	"faults": [
+		{"type": "cuda", "rank": 3, "at": "60ms", "code": "device-lost", "call": "cudaStreamSynchronize", "hang": true}
+	]
+}`
+
 // runFaultScenario executes the fault-demo workload on 4 ranks under the
 // given plan and returns the result plus the rendered banner and XML log.
 func runFaultScenario(t *testing.T, planJSON string) (*cluster.Result, []byte, []byte) {
@@ -197,13 +208,6 @@ func TestRankDeathDeterminism(t *testing.T) {
 // unbatched submit does, and the queue's own submit observations must
 // not read as the rank making progress.
 func TestWatchdogRecoversHungDevice(t *testing.T) {
-	const plan = `{
-		"seed": 3,
-		"watchdog": {"interval": "20ms", "hang_timeout": "150ms"},
-		"faults": [
-			{"type": "cuda", "rank": 3, "at": "60ms", "code": "device-lost", "call": "cudaStreamSynchronize", "hang": true}
-		]
-	}`
 	for _, c := range []struct {
 		name  string
 		queue *queueFlush
@@ -212,7 +216,7 @@ func TestWatchdogRecoversHungDevice(t *testing.T) {
 		{"queued", &queueFlush{"defaults", 0, 0}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			res, banner, _ := runFaultDemo(t, c.queue, plan)
+			res, banner, _ := runFaultDemo(t, c.queue, faultPlanHang)
 			if res.Truncated != "" {
 				t.Fatalf("watchdog failed to unwedge the run: %s", res.Truncated)
 			}

@@ -6,6 +6,7 @@ import (
 
 	"ipmgo/internal/cudart"
 	"ipmgo/internal/des"
+	"ipmgo/internal/gpusim"
 	"ipmgo/internal/ipm"
 	"ipmgo/internal/ipmcuda"
 	"ipmgo/internal/mpisim"
@@ -242,5 +243,42 @@ func TestBadLayoutRejected(t *testing.T) {
 	}
 	if _, err := Run(Dirac(1, 0), miniApp); err == nil {
 		t.Error("zero ranks accepted")
+	}
+}
+
+// TestTrailingDeviceWorkSetsWallclock ends an unmonitored application
+// with device work nobody waits on — an asynchronous kernel, alone or
+// with an event record behind it — and checks the job's wallclock still
+// runs to the end of that work, not to the host's return.
+func TestTrailingDeviceWorkSetsWallclock(t *testing.T) {
+	for _, record := range []bool{false, true} {
+		cfg := Dirac(2, 1)
+		devs := make([]*gpusim.Device, 2)
+		returned := make([]time.Duration, 2)
+		res, err := Run(cfg, func(env *Env) {
+			k := &cudart.Func{Name: "tail", FixedCost: perfmodel.KernelCost{Fixed: 50 * time.Millisecond}}
+			if err := env.CUDA.LaunchKernel(k, cudart.Dim3{X: 1}, cudart.Dim3{X: 1}, 0); err != nil {
+				panic(err)
+			}
+			if record {
+				ev, err := env.CUDA.EventCreate()
+				if err != nil {
+					panic(err)
+				}
+				if err := env.CUDA.EventRecord(ev, 0); err != nil {
+					panic(err)
+				}
+			}
+			devs[env.Rank] = env.Dev
+			returned[env.Rank] = env.Proc.Now()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := max(devs[0].LastOp().End, devs[1].LastOp().End)
+		if res.Wallclock != want || want <= max(returned[0], returned[1]) {
+			t.Errorf("record %v: wallclock %v, want the last device op's end %v (hosts returned by %v)",
+				record, res.Wallclock, want, max(returned[0], returned[1]))
+		}
 	}
 }
