@@ -85,6 +85,7 @@ type Runtime struct {
 	symbols    map[string]DevPtr
 	lastErr    error
 	queue      *cmdqueue.Queue
+	sync       syncCopy
 }
 
 var _ API = (*Runtime)(nil)
@@ -101,6 +102,8 @@ func NewRuntime(proc *des.Proc, dev *gpusim.Device, opts Options) *Runtime {
 		nextEvent:  1,
 		symbols:    make(map[string]DevPtr),
 	}
+	r.sync.dev = dev
+	r.sync.run = r.sync.copy
 	qopts := cmdqueue.Options{FlushDepth: 1, FlushInterval: -1}
 	if r.opts.Queue != nil {
 		qopts = *r.opts.Queue
@@ -208,38 +211,77 @@ func (r *Runtime) HostAlloc(n int64) ([]byte, error) {
 	return make([]byte, n), nil
 }
 
-// memcpyPayload returns the functional data movement for a transfer, or
-// nil when either side carries no backing storage.
-func (r *Runtime) memcpyPayload(dst, src Ptr, n int64, kind MemcpyKind) func() {
+// movesData reports whether a copy of the given kind has data to move:
+// a host side without backing storage leaves a timing-only copy.
+func movesData(dst, src Ptr, kind MemcpyKind) bool {
 	switch kind {
 	case MemcpyHostToDevice:
-		if src.Host == nil {
-			return nil
-		}
-		return func() {
-			if b, err := r.dev.Bytes(dst.Dev, n); err == nil {
-				copy(b, src.Host[:n])
-			}
+		return src.Host != nil
+	case MemcpyDeviceToHost:
+		return dst.Host != nil
+	case MemcpyDeviceToDevice:
+		return true
+	}
+	return false
+}
+
+// copyData is the functional data movement of a device copy, run at the
+// copy's completion.
+func copyData(dev *gpusim.Device, dst, src Ptr, n int64, kind MemcpyKind) {
+	switch kind {
+	case MemcpyHostToDevice:
+		if b, err := dev.Bytes(dst.Dev, n); err == nil {
+			copy(b, src.Host[:n])
 		}
 	case MemcpyDeviceToHost:
-		if dst.Host == nil {
-			return nil
-		}
-		return func() {
-			if b, err := r.dev.Bytes(src.Dev, n); err == nil {
-				copy(dst.Host[:n], b)
-			}
+		if b, err := dev.Bytes(src.Dev, n); err == nil {
+			copy(dst.Host[:n], b)
 		}
 	case MemcpyDeviceToDevice:
-		return func() {
-			db, derr := r.dev.Bytes(dst.Dev, n)
-			sb, serr := r.dev.Bytes(src.Dev, n)
-			if derr == nil && serr == nil {
-				copy(db, sb)
-			}
+		db, derr := dev.Bytes(dst.Dev, n)
+		sb, serr := dev.Bytes(src.Dev, n)
+		if derr == nil && serr == nil {
+			copy(db, sb)
 		}
 	}
-	return nil
+}
+
+// memcpyPayload returns an asynchronous copy's data movement, or nil
+// when it has none. The closure is the copy's own: the host may issue
+// more copies before this one completes.
+func (r *Runtime) memcpyPayload(dst, src Ptr, n int64, kind MemcpyKind) func() {
+	if !movesData(dst, src, kind) {
+		return nil
+	}
+	return func() { copyData(r.dev, dst, src, n, kind) }
+}
+
+// syncCopy is the data movement of the synchronous copies (Memcpy,
+// MemcpyToSymbol). The host waits for such a copy before the call
+// returns, so one descriptor per Runtime, its run method value bound
+// once, serves every one of them without allocating.
+type syncCopy struct {
+	dev      *gpusim.Device
+	dst, src Ptr
+	n        int64
+	kind     MemcpyKind
+	run      func()
+}
+
+func (c *syncCopy) copy() {
+	copyData(c.dev, c.dst, c.src, c.n, c.kind)
+	c.dst, c.src = Ptr{}, Ptr{} // keep no caller buffer past the copy
+}
+
+// syncPayload loads the runtime's synchronous-copy descriptor with one
+// copy and returns its data movement, or nil when it has none.
+func (r *Runtime) syncPayload(dst, src Ptr, n int64, kind MemcpyKind) func() {
+	if !movesData(dst, src, kind) {
+		return nil
+	}
+	c := &r.sync
+	c.dst, c.src, c.n, c.kind = dst, src, n, kind
+	return c.run
 }
 
 func validateKind(dst, src Ptr, kind MemcpyKind) error {
@@ -292,7 +334,7 @@ func (r *Runtime) Memcpy(dst, src Ptr, n int64, kind MemcpyKind) error {
 	// Synchronous copy: enqueue, force the batch out (a sync point
 	// flushes the context's queue), then wait for the copy — the last op
 	// the flush placed on the NULL stream.
-	r.queue.EnqueueCopy(r.dev.DefaultStream(), memcpySites[kind], dir, n, pinned, r.memcpyPayload(dst, src, n, kind))
+	r.queue.EnqueueCopy(r.dev.DefaultStream(), memcpySites[kind], dir, n, pinned, r.syncPayload(dst, src, n, kind))
 	r.queue.Flush()
 	r.wait(r.dev.DefaultStream().Last())
 	return nil
@@ -378,11 +420,7 @@ func (r *Runtime) MemcpyToSymbol(symbol string, src []byte) error {
 		}
 		r.symbols[symbol] = p
 	}
-	payload := func() {
-		if b, err := r.dev.Bytes(p, n); err == nil {
-			copy(b, src)
-		}
-	}
+	payload := r.syncPayload(DevicePtr(p), HostPtr(src), n, MemcpyHostToDevice)
 	r.queue.EnqueueCopy(r.dev.DefaultStream(), "cudaMemcpyToSymbol", perfmodel.HostToDevice, n, false, payload)
 	r.queue.Flush()
 	r.wait(r.dev.DefaultStream().Last())

@@ -622,6 +622,14 @@ var submitCases = []struct {
 			}
 		}
 	}},
+	{"memcpytosymbol", func(tb testing.TB, p *des.Proc, rt *Runtime) func() {
+		src := make([]byte, 4096)
+		return func() {
+			if err := rt.MemcpyToSymbol("coeffs", src); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}},
 }
 
 // inHost runs fn as the only host process of a fresh engine, on a

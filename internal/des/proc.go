@@ -171,6 +171,7 @@ func (p *Proc) Sleep(d time.Duration) {
 	if !p.killed && e.quietUntil(at) {
 		e.now = at
 		e.seq++
+		e.pos = e.seq
 		return
 	}
 	e.scheduleStep(at, p)

@@ -43,6 +43,7 @@ type Device struct {
 
 	streams      map[int]*Stream
 	nextStreamID int
+	created      []*Stream // every stream ever created, for recycle
 
 	h2dTails []time.Duration // copy engine availability, host-to-device
 	d2hTails []time.Duration // copy engine availability, device-to-host
@@ -53,11 +54,12 @@ type Device struct {
 
 	mem *memPool
 
-	// Ops are recycled: Op.Run puts a completed op on free, and newOp pops
-	// from free before it carves a new one from slab, the current
-	// opSlabSize-op allocation chunk. Anything that outlives an op's
-	// completion holds a generation-checked Ref, never the *Op, so a
-	// device needs only as many ops as it has in flight.
+	// Ops are recycled: when free is empty, newOp has recycle move every
+	// completed op from the stream FIFOs to free, and pops from free
+	// before it carves a new one from slab, the current opSlabSize-op
+	// allocation chunk. Anything that outlives an op's completion holds
+	// a Ref, never the *Op, so a device needs only as many ops as it has
+	// in flight.
 	free []*Op
 	slab []Op
 
@@ -66,11 +68,12 @@ type Device struct {
 	busyMemset time.Duration // accumulated device-side memset time
 	nOps       int
 
-	// lost marks the device as failed (cudaErrorDeviceLost). Completion
-	// events of in-flight operations become no-ops: their Done signals
-	// never fire, so hosts synchronising on them hang — exactly the
-	// behaviour a watchdog layer has to detect.
-	lost bool
+	// lost marks the device as failed (cudaErrorDeviceLost) at engine
+	// position lostAt. Operations whose ticket is not before it never
+	// complete: their Done signals never fire, so hosts synchronising on
+	// them hang — exactly the behaviour a watchdog layer has to detect.
+	lost   bool
+	lostAt des.Ticket
 
 	// OnKernelComplete, if set, is invoked at each kernel's completion
 	// time with its exact execution record. The CUDA-profiler substrate
@@ -92,9 +95,12 @@ type Device struct {
 // opSlabSize is the Op chunk size; see Device.free.
 const opSlabSize = 128
 
-// newOp returns a recycled Op, or a fresh one from the slab when none is
-// free. The caller (enqueue) overwrites every field but gen.
+// newOp returns a recycled Op, or a fresh one from the slab when none has
+// completed. The caller (enqueue) overwrites every field.
 func (d *Device) newOp() *Op {
+	if len(d.free) == 0 {
+		d.recycle()
+	}
 	if n := len(d.free); n > 0 {
 		op := d.free[n-1]
 		d.free = d.free[:n-1]
@@ -102,9 +108,43 @@ func (d *Device) newOp() *Op {
 	}
 	if len(d.slab) == cap(d.slab) {
 		d.slab = make([]Op, 0, opSlabSize)
+		// free is empty here; size it for every op carved so far, so
+		// recycle never grows it.
+		d.free = make([]*Op, 0, cap(d.free)+opSlabSize)
 	}
 	d.slab = d.slab[:len(d.slab)+1]
 	return &d.slab[len(d.slab)-1]
+}
+
+// recycle moves every completed op to the free list. A stream's ops
+// complete in FIFO order, so each stream gives up the completed prefix
+// of its FIFO. A lost device's ops from the loss on never complete, so
+// they are never recycled: their handles stay pending and their signals
+// waitable. Streams are visited in creation order, destroyed ones
+// included, which keeps reuse deterministic.
+func (d *Device) recycle() {
+	for _, s := range d.created {
+		op := s.oldest
+		for op != nil && d.complete(op.ticket()) {
+			next := op.next
+			op.next = nil
+			d.free = append(d.free, op)
+			op = next
+		}
+		s.oldest = op
+		if op == nil {
+			s.newest = nil
+		}
+	}
+}
+
+// complete reports whether the op with ticket t has completed: the
+// engine has passed t, and the device was not lost before it.
+func (d *Device) complete(t des.Ticket) bool {
+	if d.lost {
+		return t.Before(d.lostAt)
+	}
+	return d.eng.Passed(t)
 }
 
 // KernelRecord is the exact ground-truth execution record of one kernel,
@@ -145,6 +185,7 @@ func NewDeviceSpec(eng *des.Engine, model devmodel.Spec) *Device {
 		d2hTails: make([]time.Duration, engines),
 	}
 	d.streams[0] = &Stream{id: 0, dev: d}
+	d.created = append(d.created, d.streams[0])
 	d.nextStreamID = 1
 	return d
 }
@@ -216,6 +257,7 @@ func (d *Device) CreateStream() *Stream {
 	s := &Stream{id: d.nextStreamID, dev: d}
 	d.nextStreamID++
 	d.streams[s.id] = s
+	d.created = append(d.created, s)
 	return s
 }
 
@@ -259,11 +301,17 @@ func (d *Device) ActiveEnergyNJ() int64 {
 // Ops returns the number of operations enqueued so far.
 func (d *Device) Ops() int { return d.nOps }
 
-// MarkLost fails the device. Already-scheduled completion events are
-// suppressed (their Done signals stay unfired) and kernel-completion
-// callbacks stop firing; enqueuing new work remains possible but it never
-// completes. The call is idempotent.
-func (d *Device) MarkLost() { d.lost = true }
+// MarkLost fails the device at the engine's current position. Every op
+// whose completion the engine has not yet passed never completes (its
+// Done signal stays unfired) and kernel-completion callbacks stop
+// firing; enqueuing new work remains possible but it never completes.
+// The call is idempotent: the first loss counts.
+func (d *Device) MarkLost() {
+	if !d.lost {
+		d.lost = true
+		d.lostAt = d.eng.Position()
+	}
+}
 
 // Lost reports whether the device has been marked lost.
 func (d *Device) Lost() bool { return d.lost }

@@ -41,7 +41,7 @@ func TestOpMetadata(t *testing.T) {
 	d := NewDevice(e, testSpec())
 	s := d.CreateStream()
 	op := d.EnqueueCopy(s, perfmodel.HostToDevice, 1000, false, nil)
-	if op.Kind != OpCopy || op.Name != "memcpy(H2D)" || op.Stream != s.ID() {
+	if op.Kind != OpCopy || op.Name != "memcpy(H2D)" || int(op.Stream) != s.ID() {
 		t.Errorf("op metadata = %+v", op)
 	}
 	if OpKernel.String() != "kernel" || OpCopy.String() != "copy" ||

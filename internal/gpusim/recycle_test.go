@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"ipmgo/internal/des"
 )
@@ -171,5 +172,15 @@ func TestSteadyStateOpBytes(t *testing.T) {
 	}
 	if least > 4<<10 {
 		t.Errorf("10000 launch+2 event records+query+sync allocated %d B, want <= 4096", least)
+	}
+}
+
+// TestOpSize keeps an op no larger than before completions went silent:
+// the op stores only its ticket's sequence number (the ticket's time is
+// End), the sequence number doubles as the Ref generation, and the armed
+// flag shares a word with Kind and Stream.
+func TestOpSize(t *testing.T) {
+	if got := unsafe.Sizeof(Op{}); got > 168 {
+		t.Errorf("Op is %d B, want at most 168", got)
 	}
 }

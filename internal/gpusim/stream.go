@@ -16,6 +16,12 @@ type Stream struct {
 	tail time.Duration // completion of the latest op on this stream
 	last Ref
 
+	// oldest and newest bound the stream's op FIFO: every op enqueued
+	// on the stream and not yet recycled, linked through Op.next in
+	// enqueue order — which is completion order, (End, seq), because a
+	// stream runs its ops one after another. See Device.recycle.
+	oldest, newest *Op
+
 	telTrack string // cached telemetry track name, see Device.streamTrack
 	telGen   int    // Device.telGen this cache entry belongs to
 }
@@ -33,7 +39,7 @@ func (s *Stream) Last() Ref { return s.last }
 func (s *Stream) Tail() time.Duration { return s.tail }
 
 // OpKind classifies device operations.
-type OpKind int
+type OpKind uint8
 
 const (
 	OpKernel OpKind = iota
@@ -58,42 +64,79 @@ func (k OpKind) String() string {
 
 // Op is a scheduled device operation. Its timing is fixed at enqueue time
 // (the simulator schedules greedily in enqueue order, which is exact for a
-// non-preemptive device) and its Done signal fires at completion.
+// non-preemptive device), and with it the op's place in the engine's
+// event order: enqueue reserves the ticket (End, seq) that completion
+// would be dispatched at (des.Engine.Reserve).
+//
+// An op with a payload is armed at once, and the engine runs the op at
+// its ticket. Any other op completes silently: Complete, DevEvent.Query
+// and Timestamp compare its ticket with the engine's position, and only
+// a Done call while the op is in flight arms it, so that its signal
+// fires at exactly that ticket. A KTT event record nobody polls before
+// it passes costs no dispatch at all.
 //
 // Ops carry their completion signal inline and are recycled through a
-// per-device free list once they complete, so enqueuing costs no per-op
-// heap allocation; the op itself is the des.Runner the engine dispatches
-// at completion time. An *Op is valid only until it completes: whoever
-// enqueues one waits on it at once or not at all, and anything kept past
-// completion is a Ref.
+// per-device free list once they complete (see Device.recycle), so
+// enqueuing costs no per-op heap allocation. An *Op is valid only until
+// it completes: whoever enqueues one waits on it at once or not at all,
+// and anything kept past completion is a Ref.
 type Op struct {
 	Kind   OpKind
+	armed  bool // Run is queued at the op's ticket
+	Stream int32
 	Name   string
-	Stream int
 	Start  time.Duration
 	End    time.Duration
 
+	seq     uint64 // ticket sequence number; also the Ref generation
 	dev     *Device
+	next    *Op // stream FIFO link, see Stream.oldest
 	payload func()
 	done    des.Signal
-	gen     uint32 // bumped on every recycle; see Ref
 }
 
-// Done returns the completion signal.
-func (o *Op) Done() *des.Signal { return &o.done }
+// Done returns the completion signal. While the op is in flight this
+// arms it, so the signal fires at the op's end; on a lost device the
+// signal never fires. Once the op has completed unobserved, the signal
+// is marked fired on the spot.
+func (o *Op) Done() *des.Signal {
+	if sig := o.signal(); sig != nil {
+		return sig
+	}
+	o.done.Fire() // no waiters: nobody has asked for it before
+	return &o.done
+}
+
+// signal arms the op if it is in flight and returns its completion
+// signal, or returns nil once the op has completed.
+func (o *Op) signal() *des.Signal {
+	d := o.dev
+	t := o.ticket()
+	if d.complete(t) {
+		return nil
+	}
+	if !o.armed && !d.lost {
+		o.armed = true
+		d.eng.Arm(t, o)
+	}
+	return &o.done
+}
+
+// ticket returns the op's place in the engine's event order.
+func (o *Op) ticket() des.Ticket { return des.Ticket{At: o.End, Seq: o.seq} }
 
 // Ref returns a handle to the op that stays meaningful after the op
 // completes and is reused.
-func (o *Op) Ref() Ref { return Ref{op: o, gen: o.gen, Start: o.Start, End: o.End} }
+func (o *Op) Ref() Ref { return Ref{op: o, seq: o.seq, Start: o.Start, End: o.End} }
 
-// Run fires the op's completion and recycles it. It implements
-// des.Runner: the engine dispatches the op directly at its end time, with
-// no closure allocated at enqueue. On a lost device the completion is
-// suppressed — the Done signal never fires, so synchronising hosts hang
-// (see Device.MarkLost) — and the op is never recycled.
+// Run completes an armed op: it runs the payload and fires the Done
+// signal. It implements des.Runner: the engine dispatches the op at its
+// ticket, with no closure allocated at enqueue. On a lost device the
+// completion is suppressed — the Done signal never fires, so
+// synchronising hosts hang (see Device.MarkLost). The op stays on its
+// stream's FIFO either way; recycle frees it.
 func (o *Op) Run() {
-	d := o.dev
-	if d.lost {
+	if o.dev.lost {
 		return
 	}
 	if fn := o.payload; fn != nil {
@@ -101,24 +144,20 @@ func (o *Op) Run() {
 		fn()
 	}
 	o.done.Fire()
-	// Waiters were scheduled by Fire and read nothing of the op when they
-	// resume; every Ref taken so far now reads as complete.
-	o.gen++
-	d.free = append(d.free, o)
 }
 
 // Duration returns the operation's execution time.
 func (o *Op) Duration() time.Duration { return o.End - o.Start }
 
-// Ref is a generation-checked handle to an Op: the op pointer, the op's
-// generation when the handle was taken, and the op's schedule copied at
-// enqueue time. Once the op completes it is recycled and its generation
-// moves on, so a stale handle means "completed" — the same rule des
-// applies to its event slots. The zero Ref refers to no op and also
-// reads as complete.
+// Ref is a handle to an Op that stays valid after the op completes: the
+// op pointer, the op's ticket sequence number when the handle was taken,
+// and the op's schedule copied at enqueue time. Every enqueue takes a
+// new sequence number, so once the op is recycled a stale handle
+// mismatches and reads as completed — the same rule des applies to its
+// event slots. The zero Ref refers to no op and also reads as complete.
 type Ref struct {
 	op    *Op
-	gen   uint32
+	seq   uint64
 	Start time.Duration
 	End   time.Duration
 }
@@ -126,18 +165,18 @@ type Ref struct {
 // Complete reports whether the referenced op has completed (or there is
 // none). A lost device's ops never complete.
 func (r Ref) Complete() bool {
-	return r.op == nil || r.op.gen != r.gen || r.op.done.Fired()
+	return r.op == nil || r.op.seq != r.seq || r.op.dev.complete(r.op.ticket())
 }
 
-// Done returns the op's completion signal while the op is in flight, and
-// nil once it has completed and been recycled (or for the zero Ref):
+// Done returns the op's completion signal while the op is in flight,
+// arming the op, and nil once it has completed (or for the zero Ref):
 // nil means there is nothing to wait for. Wait on the signal at once; do
 // not keep it.
 func (r Ref) Done() *des.Signal {
-	if r.op == nil || r.op.gen != r.gen {
+	if r.op == nil || r.op.seq != r.seq {
 		return nil
 	}
-	return &r.op.done
+	return r.op.signal()
 }
 
 // earliest returns the earliest time an op enqueued now on stream s may
@@ -160,18 +199,33 @@ func (d *Device) earliest(s *Stream) time.Duration {
 }
 
 // enqueue finalises scheduling of an op that is ready at `start` and runs
-// for dur, registering the payload to run at completion.
+// for dur: it reserves the op's ticket, appends the op to the stream's
+// FIFO, and arms it at once if it carries a payload (unless the device is
+// lost: a lost op is never armed).
 func (d *Device) enqueue(s *Stream, kind OpKind, name string, start, dur time.Duration, payload func()) *Op {
 	end := start + dur
 	op := d.newOp()
 	op.Kind = kind
+	op.armed = false
+	op.Stream = int32(s.id)
 	op.Name = name
-	op.Stream = s.id
 	op.Start = start
 	op.End = end
+	op.seq = d.eng.Reserve(end).Seq
 	op.dev = d
+	op.next = nil
 	op.payload = payload
 	d.eng.InitSignal(&op.done, name)
+	if s.newest == nil {
+		s.oldest = op
+	} else {
+		s.newest.next = op
+	}
+	s.newest = op
+	if payload != nil && !d.lost {
+		op.armed = true
+		d.eng.Arm(op.ticket(), op)
+	}
 	ref := op.Ref()
 	s.tail = end
 	s.last = ref
@@ -185,7 +239,6 @@ func (d *Device) enqueue(s *Stream, kind OpKind, name string, start, dur time.Du
 		d.lastOp = ref
 	}
 	d.nOps++
-	d.eng.ScheduleRunner(end, op)
 	return op
 }
 
