@@ -123,8 +123,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, "ipmserve: soak FAILED:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("soak ok: %d member(s) (R=%d), %d jobs acked (%d retried through kill windows), %d kills, %d restarts, queries byte-identical on every member (/agg %d bytes), %v\n",
-			rep.Members, rep.Replicas, rep.Acked, rep.Retried, rep.Kills, rep.Restarts, rep.AggBytes, rep.Elapsed.Round(time.Millisecond))
+		fmt.Printf("soak ok: %d member(s) (R=%d), %d jobs acked (%d retried through kill windows), %d kills (at %v acked), %d restarts, queries byte-identical on every member (/agg %d bytes), %v\n",
+			rep.Members, rep.Replicas, rep.Acked, rep.Retried, rep.Kills, rep.KillAcked, rep.Restarts, rep.AggBytes, rep.Elapsed.Round(time.Millisecond))
 		return
 	}
 

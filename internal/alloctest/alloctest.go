@@ -20,11 +20,11 @@ func Bench(b *testing.B, op func()) {
 	}
 }
 
-// perRun is testing.AllocsPerRun with the bytes beside the count: it
+// PerRun is testing.AllocsPerRun with the bytes beside the count: it
 // calls f once to warm up, then runs times, and returns the heap
 // allocations and bytes allocated per call. Like AllocsPerRun it sets
 // GOMAXPROCS to 1 while it measures.
-func perRun(runs int, f func()) (allocs, bytes float64) {
+func PerRun(runs int, f func()) (allocs, bytes float64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	f()
 	var before, after runtime.MemStats
@@ -41,12 +41,12 @@ func perRun(runs int, f func()) (allocs, bytes float64) {
 const slack = 1.30
 
 // Pin fails t when f allocates more than slack times the reference
-// allocs or bytes per call, measured by perRun over runs calls. The
+// allocs or bytes per call, measured by PerRun over runs calls. The
 // reference is the figure the op measured when the pin was last taken;
 // the measured one is logged, so `go test -v -run <pin>` re-takes it.
 func Pin(t testing.TB, name string, runs int, f func(), allocs, bytes float64) {
 	t.Helper()
-	gotAllocs, gotBytes := perRun(runs, f)
+	gotAllocs, gotBytes := PerRun(runs, f)
 	msg := fmt.Sprintf("%s: %.1f allocs/op, %.0f B/op; ceilings %.0f, %.0f (reference %.0f, %.0f + 30 %%)",
 		name, gotAllocs, gotBytes, slack*allocs, slack*bytes, allocs, bytes)
 	if gotAllocs > slack*allocs || gotBytes > slack*bytes {

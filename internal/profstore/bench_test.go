@@ -72,12 +72,43 @@ func ingestStreamOp(tb testing.TB) (op func(), bytes int64) {
 	}, bytes
 }
 
-// aggOp aggregates a 100-job corpus on the uncached path (the rollup
-// merge), not a memo hit.
+// aggOp is a cold /agg over a 100-job corpus: the memo's rebuild, the
+// fold from empty over Select, rendered — not a memo hit and not an
+// accumulator delta.
 func aggOp(tb testing.TB) func() {
 	s := benchStore(tb, 100)
 	return func() {
-		if rep := s.aggregateCold(AggOptions{TopN: 10}); rep.Jobs != 100 {
+		if rep := foldJobs(s.Select("")).aggReport(AggOptions{TopN: 10}); rep.Jobs != 100 {
+			tb.Fatalf("jobs = %d", rep.Jobs)
+		}
+	}
+}
+
+// aggAfterIngestOp is one replacing ingest into an n-job corpus, then
+// /agg: the memo misses, and the whole-corpus accumulator moves by the
+// one changed id. Job j holds document j mod 8 and is replaced by a new
+// ingest of that document, so the set of names a report lists — and with
+// it the size of the report — is the same at every n; the cost must not
+// grow with n.
+func aggAfterIngestOp(tb testing.TB, n int) func() {
+	docs := benchCorpus(tb, 8)
+	ids := make([]string, n)
+	s := New()
+	for j := range ids {
+		ids[j] = fmt.Sprintf("j%d", j)
+		if _, err := s.Ingest(docs[j%len(docs)], ids[j], nil); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	s.Aggregate(AggOptions{}) // build the accumulator
+	i := 0
+	return func() {
+		i++
+		j := (i * 7919) % n
+		if _, err := s.Ingest(docs[j%len(docs)], ids[j], nil); err != nil {
+			tb.Fatal(err)
+		}
+		if rep := s.Aggregate(AggOptions{}); rep.Jobs != n {
 			tb.Fatalf("jobs = %d", rep.Jobs)
 		}
 	}
@@ -120,10 +151,16 @@ func BenchmarkProfstoreIngestStream(b *testing.B) {
 }
 
 // BenchmarkProfstoreAgg measures full-corpus aggregation over a
-// 100-job corpus — deliberately pinned to the uncached path (the
-// rollup merge), so it tracks the real recompute cost rather than a
-// memo hit.
+// 100-job corpus — deliberately pinned to the cold path (the fold from
+// empty), so it tracks the real rebuild cost rather than a memo hit.
 func BenchmarkProfstoreAgg(b *testing.B) { alloctest.Bench(b, aggOp(b)) }
+
+// BenchmarkProfstoreAggAfterIngest measures the write-then-read cycle of
+// a 4 096-job store: one replacing ingest, then /agg, which moves the
+// accumulator by one id instead of re-walking the corpus.
+func BenchmarkProfstoreAggAfterIngest(b *testing.B) {
+	alloctest.Bench(b, aggAfterIngestOp(b, 4096))
+}
 
 // BenchmarkProfstoreAggCached measures repeated /agg on an unchanged
 // store. The acceptance bar is ≥10× faster than BenchmarkProfstoreAgg.

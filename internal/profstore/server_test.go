@@ -255,9 +255,18 @@ func TestIngestEndpointAndMetrics(t *testing.T) {
 		t.Errorf("garbage ingest = %d, want 400", resp.StatusCode)
 	}
 
+	// The first /agg folds the corpus from empty, the second is a memo
+	// hit, and another top= renders from the same accumulator.
+	for _, q := range []string{"/agg", "/agg", "/agg?top=3"} {
+		get(t, ts.URL+q)
+	}
+
 	_, metrics := get(t, ts.URL+"/metrics")
 	m := string(metrics)
 	for _, want := range []string{
+		MetricMemo + `{result="full"} 1`,
+		MetricMemo + `{result="hit"} 1`,
+		MetricMemo + `{result="delta"} 1`,
 		MetricIngest + " 3",
 		fmt.Sprintf("%s %d", MetricIngestBytes, store.IngestedBytes()),
 		MetricSalvaged + " 1",

@@ -79,6 +79,7 @@ type SoakReport struct {
 	Jobs          int
 	Ranks         int // rank snapshots in the corpus
 	Kills         int
+	KillAcked     []int // jobs acked when each kill was issued, in cycle order
 	Restarts      int
 	Acked         int   // jobs acknowledged with a 2xx by some member
 	Retried       int64 // posts that needed more than one round
@@ -151,6 +152,42 @@ func (o *SoakOptions) memberArgv(i int, urls []string, dir string) []string {
 
 func memberWAL(dir string, i int) string {
 	return filepath.Join(dir, fmt.Sprintf("member%d.wal", i))
+}
+
+// killGate holds the ingest workers at the next kill: no post past the
+// gate's limit begins until the killer has issued that cycle's kill and
+// moved the limit on. The killer polls the ack count, so without the gate
+// a fast stream runs past later thresholds — up to the last job — before
+// a kill lands.
+type killGate struct {
+	mu      sync.Mutex
+	cond    sync.Cond
+	started int // posts begun
+	limit   int // posts that may begin before the next kill
+}
+
+func newKillGate(limit int) *killGate {
+	g := &killGate{limit: limit}
+	g.cond.L = &g.mu
+	return g
+}
+
+// enter waits until one more post may begin, and counts it.
+func (g *killGate) enter() {
+	g.mu.Lock()
+	for g.started >= g.limit {
+		g.cond.Wait()
+	}
+	g.started++
+	g.mu.Unlock()
+}
+
+// open lets posts begin up to limit in all.
+func (g *killGate) open(limit int) {
+	g.mu.Lock()
+	g.limit = limit
+	g.mu.Unlock()
+	g.cond.Broadcast()
 }
 
 // soakMember is one server the harness kills and restarts.
@@ -412,6 +449,14 @@ func Soak(opts SoakOptions) (*SoakReport, error) {
 		window atomic.Int64
 	)
 	errc := make(chan error, opts.Workers+opts.Readers+1)
+	// The kill thresholds: evenly spaced acked counts, so every cycle
+	// lands mid-ingest. The gate holds the workers at each one (see
+	// killGate); it opens fully once the killer is done.
+	threshold := func(c int) int { return c * opts.Jobs / (opts.Cycles + 1) }
+	gate := newKillGate(len(docs))
+	if opts.Cycles > 0 {
+		gate.open(min(threshold(1)+opts.Workers-1, len(docs)-1))
+	}
 	ingestStart := time.Now()
 	var workers sync.WaitGroup
 	for w := 0; w < opts.Workers; w++ {
@@ -433,6 +478,7 @@ func Soak(opts SoakOptions) (*SoakReport, error) {
 			}
 			for i := w; i < len(docs); i += opts.Workers {
 				d := docs[i]
+				gate.enter()
 				rounds := 0
 				for {
 					if time.Now().After(deadline) {
@@ -482,25 +528,32 @@ func Soak(opts SoakOptions) (*SoakReport, error) {
 	}
 
 	// Killer: kill a rotating victim each time the ack stream crosses
-	// the next threshold — evenly spaced so every cycle lands
-	// mid-ingest — then restart it and let recovery replay its WAL.
+	// the next threshold, then restart it and let recovery replay its
+	// WAL. Up to Workers-1 posts may be in flight at the kill.
 	killerDone := make(chan struct{})
 	go func() {
 		defer close(killerDone)
+		defer gate.open(len(docs))
 		for c := 1; c <= opts.Cycles; c++ {
-			threshold := int64(c * opts.Jobs / (opts.Cycles + 1))
-			for acked.Load() < threshold {
+			for acked.Load() < int64(threshold(c)) {
 				if time.Now().After(deadline) {
-					errc <- fmt.Errorf("soak: deadline waiting for kill threshold %d", threshold)
+					errc <- fmt.Errorf("soak: deadline waiting for kill threshold %d", threshold(c))
 					return
 				}
 				time.Sleep(5 * time.Millisecond)
 			}
 			victim := (c - 1) % opts.Members
-			logf("soak: cycle %d/%d: kill member %d at %d acked job(s)", c, opts.Cycles, victim, acked.Load())
+			at := int(acked.Load())
+			logf("soak: cycle %d/%d: kill member %d at %d acked job(s)", c, opts.Cycles, victim, at)
 			window.Add(1)
 			members[victim].kill()
 			rep.Kills++
+			rep.KillAcked = append(rep.KillAcked, at)
+			if c < opts.Cycles {
+				gate.open(min(threshold(c+1)+opts.Workers-1, len(docs)-1))
+			} else {
+				gate.open(len(docs))
+			}
 			if err := members[victim].start(); err != nil {
 				errc <- err
 				return

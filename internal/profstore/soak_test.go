@@ -54,6 +54,16 @@ func TestSoakInProcess(t *testing.T) {
 	if rep.Kills != 2 || rep.Restarts != 3 || rep.Acked != 60 {
 		t.Errorf("acked/kills/restarts = %d/%d/%d, want 60/2/3", rep.Acked, rep.Kills, rep.Restarts)
 	}
+	// Every kill lands inside the ingest stream: at or past its threshold
+	// (20, 40), before the last job is acked.
+	if len(rep.KillAcked) != rep.Kills {
+		t.Errorf("%d kill counts recorded for %d kills", len(rep.KillAcked), rep.Kills)
+	}
+	for c, at := range rep.KillAcked {
+		if at < (c+1)*20 || at >= 60 {
+			t.Errorf("kill %d issued at %d acked jobs, want in [%d, 60)", c+1, at, (c+1)*20)
+		}
+	}
 	if rep.WALRecovered != 60 {
 		t.Errorf("final restart recovered %d records, want 60", rep.WALRecovered)
 	}

@@ -89,7 +89,10 @@ func checkJobViews(t *testing.T, single *Store, jobs []*Job) {
 // answers as one store holding everything — the byte-identity contract
 // cluster mode rests on. It then proves the delta protocol a fixed point: a mirror
 // that applied full(E₀) and then the since= replies to any interleaving
-// of replacing ingests holds exactly what full(Eₙ) would give it.
+// of replacing ingests holds exactly what full(Eₙ) would give it. Last,
+// it drives a memo through an op script derived from the document (see
+// memoScript): every /agg and /regress the accumulators render equals
+// the oracle walk over Select.
 func FuzzRollupWire(f *testing.F) {
 	for _, name := range []string{"base.xml", "head.xml", "energy.xml", "submit.xml"} {
 		if data, err := os.ReadFile(filepath.Join("testdata", name)); err == nil {
@@ -190,6 +193,7 @@ func FuzzRollupWire(f *testing.F) {
 		if fullAgg := reportJSON(t, AggregateJobs(merge(), AggOptions{})); deltaAgg != fullAgg {
 			t.Errorf("mirror kept by deltas differs from a full resync\ngot:  %s\nwant: %s", deltaAgg, fullAgg)
 		}
+		fuzzMemoScript(t, doc)
 	})
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -47,9 +48,32 @@ type mirror struct {
 	// rebuilt lazily when gen has left mergedGen behind.
 	gen, mergedGen uint64
 	merged         []*profstore.Job
+	// log[g%genLogLen] records what moved gen to g, for the last genLogLen
+	// generations (see Since).
+	log [genLogLen]genChange
 
 	revalidations [3]*telemetry.VecCell // by profstore.RollupKind
 	deltaJobs     atomic.Int64
+}
+
+// genLogLen is how many generations the mirror's change log remembers,
+// like the store's change log: a memo accumulator older than that is
+// rebuilt, never wrong.
+const genLogLen = 256
+
+// genChange is what one generation bump changed: the jobs of a peer's
+// delta reply, or a full reply (full), beside the local store epoch the
+// mirror had folded in at that generation.
+type genChange struct {
+	localEp uint64
+	jobs    []*profstore.Job
+	full    bool
+}
+
+// bump moves gen on, recording what moved it. The caller holds m.mu.
+func (m *mirror) bump(jobs []*profstore.Job, full bool) {
+	m.gen++
+	m.log[m.gen%genLogLen] = genChange{localEp: m.localEp, jobs: jobs, full: full}
 }
 
 // Epoch implements profstore.Corpus: the mirror's version, with the
@@ -60,20 +84,78 @@ func (m *mirror) Epoch() uint64 {
 	defer m.mu.Unlock()
 	if ep != m.localEp {
 		m.localEp = ep
-		m.gen++
+		m.bump(nil, false)
 	}
 	return m.gen
 }
 
+// Since implements profstore.Corpus: the ids whose winning copy may have
+// changed after generation g — the local store's changes since the epoch
+// folded in at g, and the jobs of every peer delta applied since. A full
+// reply since g, or a g the log no longer reaches, makes it unavailable.
+func (m *mirror) Since(g uint64) ([]string, bool) {
+	m.mu.Lock()
+	if g > m.gen || m.gen-g >= genLogLen {
+		m.mu.Unlock()
+		return nil, false
+	}
+	localEp := m.log[g%genLogLen].localEp
+	var ids []string
+	for v := g + 1; v <= m.gen; v++ {
+		ch := &m.log[v%genLogLen]
+		if ch.full {
+			m.mu.Unlock()
+			return nil, false
+		}
+		for _, j := range ch.jobs {
+			ids = append(ids, j.ID)
+		}
+	}
+	m.mu.Unlock()
+	local, ok := m.c.cfg.Store.Since(localEp)
+	if !ok {
+		return nil, false
+	}
+	if len(ids) == 0 {
+		return local, true
+	}
+	ids = append(ids, local...)
+	slices.Sort(ids)
+	return slices.Compact(ids), true
+}
+
+// winner is the copy of job id the union corpus holds: the local one if
+// there is one, else the first peer's in canonical order.
+func (m *mirror) winner(id string) *profstore.Job {
+	if j := m.c.cfg.Store.Get(id); j != nil {
+		return j
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for i := range m.peers {
+		if j := m.peers[i].Get(id); j != nil {
+			return j
+		}
+	}
+	return nil
+}
+
 // Select implements profstore.Corpus over the union corpus: local jobs
 // first, then the peers in canonical order, so every replica set
-// resolves to the same copy the full scatter picked.
+// resolves to the same copy the full scatter picked. A single id is one
+// lookup of that winner.
 //
 // A rebuild snapshots the peer sets under the lock and merges outside it,
 // so the revalidations of concurrent queries do not queue behind a sort of
 // the whole corpus; the result is kept only if gen is still the one it
 // was built for.
 func (m *mirror) Select(sel string) []*profstore.Job {
+	if profstore.IsIDSelector(sel) {
+		if j := m.winner(sel); j != nil {
+			return []*profstore.Job{j}
+		}
+		return nil
+	}
 	m.mu.Lock()
 	merged, gen := m.merged, m.gen
 	var sets [][]*profstore.Job
@@ -111,7 +193,11 @@ func (m *mirror) apply(i int, since uint64, r profstore.Rollups) bool {
 			return false
 		}
 		m.peers[i].Apply(r)
-		m.gen++
+		if r.Kind == profstore.RollupFull {
+			m.bump(nil, true)
+		} else {
+			m.bump(r.Jobs, false)
+		}
 		if r.Kind == profstore.RollupDelta {
 			m.deltaJobs.Add(int64(len(r.Jobs)))
 		}

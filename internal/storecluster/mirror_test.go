@@ -254,8 +254,11 @@ func TestMirrorWarmDeltaFull(t *testing.T) {
 	if hit := mc.metric(0, MetricMirrorMemo+`{result="hit"}`); hit != 1 {
 		t.Errorf("warm /agg: %v memo hits, want 1", hit)
 	}
-	if miss := mc.metric(0, MetricMirrorMemo+`{result="miss"}`); miss != 2 {
-		t.Errorf("%v memo misses, want 2 (first /agg, first /regress)", miss)
+	if full := mc.metric(0, MetricMirrorMemo+`{result="full"}`); full != 2 {
+		t.Errorf("%v memo lookups folded from empty, want 2 (first /agg, first /regress)", full)
+	}
+	if delta := mc.metric(0, MetricMirrorMemo+`{result="delta"}`); delta != 0 {
+		t.Errorf("%v memo lookups moved by a delta on a quiet cluster, want 0", delta)
 	}
 
 	// One replacing write somewhere else in the cluster: R=2 owners, so at
@@ -267,6 +270,15 @@ func TestMirrorWarmDeltaFull(t *testing.T) {
 	mc.checkAllRouters(writes, mirrorQueries)
 	if got := mc.metric(0, MetricMirrorDeltaJobs); got < 1 || got > 2 {
 		t.Errorf("one write came back as %v delta jobs, want 1 or 2", got)
+	}
+	// The accumulators of "", tag:batch:0 and tag:batch:1, built by the
+	// first /agg and /regress, move by that job: every /agg and /regress
+	// after the write is a delta, /agg?sel=tag:batch:0 included.
+	if delta := mc.metric(0, MetricMirrorMemo+`{result="delta"}`); delta != 3 {
+		t.Errorf("%v memo lookups moved by a delta after one write, want 3 (/agg, /agg?sel, /regress)", delta)
+	}
+	if full := mc.metric(0, MetricMirrorMemo+`{result="full"}`); full != 2 {
+		t.Errorf("%v memo lookups folded from empty after one write, want still 2", full)
 	}
 	if got := mc.metric(0, revalidations("full")); got != 2 {
 		t.Errorf("%v full resyncs, want only the first contact's 2 on a cluster that never restarted", got)
@@ -574,5 +586,60 @@ func TestJobNotFoundVsUnreachable(t *testing.T) {
 	}
 	if rec := mc.do(0, "GET", "/job/nope", nil); rec.Code != http.StatusServiceUnavailable {
 		t.Errorf("unknown job, owner refused: %d, want 503", rec.Code)
+	}
+}
+
+// TestMirrorMemoMatchesReference is the routed twin of profstore's memo
+// differential tests: a seeded op sequence of fresh and replacing writes
+// that move jobs between tags, through rotating routers, with member
+// restarts on their WALs (full replies to every other router) and one
+// burst past the change log. After every read, each router's /agg and
+// /regress answers must equal a single-node store's over the same writes
+// — the fold from empty that profstore pins to the oracle walk — whether
+// its accumulators moved by deltas or were rebuilt.
+func TestMirrorMemoMatchesReference(t *testing.T) {
+	docs, _ := corpusDocs(6)
+	mc := startMemCluster(t, 3, 2, true, nil)
+	queries := []string{
+		"/agg", "/agg?top=2", "/agg?sel=tag:t0", "/agg?sel=tag:t1&top=1",
+		"/regress?base=tag:t0&head=tag:t1", "/regress?base=tag:t1&head=tag:t0&threshold=5",
+	}
+	writes := map[string]refWrite{}
+	write := func(router, id, doc, tag int) {
+		w := refWrite{docs[doc], fmt.Sprintf("t%d", tag)}
+		name := fmt.Sprintf("job-%d", id)
+		if err := mc.post(router, w.doc, "id="+name+"&tags="+w.tags); err != nil {
+			t.Fatal(err)
+		}
+		writes[name] = w
+	}
+	x := uint64(2011)
+	rand := func(n int) int {
+		x = x*6364136223846793005 + 1442695040888963407
+		return int(x>>33) % n
+	}
+	for op := 0; op < 48; op++ {
+		switch r := rand(10); {
+		case op == 30:
+			for k := 0; k < 300; k++ { // the change log holds 256
+				write(k%3, k%7, k%len(docs), k/7%2)
+			}
+		case r < 6:
+			write(rand(3), rand(7), rand(len(docs)), rand(2))
+		case r == 6:
+			mc.restart(rand(3))
+		default:
+			mc.checkAllRouters(writes, queries)
+		}
+	}
+	mc.checkAllRouters(writes, queries)
+	var delta, full float64 // since each router's last restart
+	for i := range mc.members {
+		delta += mc.metric(i, MetricMirrorMemo+`{result="delta"}`)
+		full += mc.metric(i, MetricMirrorMemo+`{result="full"}`)
+	}
+	t.Logf("routed memo lookups: %v delta, %v full", delta, full)
+	if delta == 0 || full == 0 {
+		t.Errorf("routed reads moved accumulators by %v deltas and %v rebuilds, want both", delta, full)
 	}
 }
