@@ -12,7 +12,7 @@
 GO ?= go
 BENCH_PATTERN ?= BenchmarkObserveHot|BenchmarkTableUpdate|BenchmarkMapUpdateManyKeys|BenchmarkAblationHashTable|BenchmarkEnsembleParallel|BenchmarkObserveTelemetry|BenchmarkProfstoreIngest|BenchmarkProfstoreAgg|BenchmarkDESScheduleRun|BenchmarkProcContextSwitch|BenchmarkProcHandoff|BenchmarkProcSleepPastCallback|BenchmarkSpanRecord|BenchmarkQueueSubmit|BenchmarkRuntimeSubmit|BenchmarkClusterIngest|BenchmarkClusterAgg|BenchmarkScanXML|BenchmarkParseXMLTolerant
 
-.PHONY: build vet test race results-check serve serve-load serve-e2e soak soak-short soak-cluster soak-cluster-short fuzz verify bench bench-e2e bench-pair profile experiments trace faults clean
+.PHONY: build vet test race results-check serve serve-load serve-e2e soak soak-short soak-cluster soak-cluster-short fuzz verify bench bench-e2e bench-pair loc profile experiments trace faults clean
 
 build:
 	$(GO) build ./...
@@ -138,6 +138,12 @@ WORKLOAD ?= sim_ensemble
 PAIRS ?= 10
 bench-pair:
 	bash scripts/bench-pair.sh '$(REV)' '$(WORKLOAD)' '$(PAIRS)'
+
+# Non-test Go code lines (no blank or comment-only lines) per package,
+# then their total: the count the line budgets in ROADMAP.md are stated
+# in. For a subset: bash scripts/loc.sh internal/profstore internal/storecluster
+loc:
+	bash scripts/loc.sh
 
 # Capture CPU + allocation profiles of the call-dense bundled workload
 # (a monitored Amber run: ~10^5 wrapped CUDA/MPI calls per rank, the job

@@ -48,17 +48,17 @@ type rowSums struct {
 // of ipm.Stats.Merge, so the sums always equal a Merge of the rows
 // present. Integer arithmetic wraps exactly, so a take-out undoes its
 // add whatever came in between.
-func (r *rowSums) fold(w WireStats, sign int64) {
+func (r *rowSums) fold(w ipm.Stats, sign int64) {
 	r.rows += int(sign)
 	r.errors += sign * w.Errors
 	r.energy += sign * w.Energy
 	if w.Submits != 0 {
 		r.submits += sign * w.Submits
-		r.stall += sign * w.SubmitStall
+		r.stall += sign * int64(w.SubmitStall)
 	}
 	if w.Count != 0 {
 		r.count += sign * w.Count
-		r.total += sign * w.Total
+		r.total += sign * int64(w.Total)
 	}
 }
 
@@ -134,7 +134,7 @@ func foldJobs(jobs []*Job) *accum {
 
 func foldRow(m map[string]rowSums, w WireSite, sign int64) {
 	r := m[w.Name]
-	r.fold(w.WireStats, sign)
+	r.fold(w.Stats, sign)
 	if r.rows == 0 {
 		delete(m, w.Name)
 	} else {

@@ -78,6 +78,20 @@ func TestStoreBenchmarkAllocs(t *testing.T) {
 	alloctest.Pin(t, "ProfstoreAggAfterIngest", 200, aggAfterIngestOp(t, 4096), 17, 4096)
 }
 
+// TestWireAllocs pins the wire codec on the 1024-job corpus. Decoding
+// cuts every job, tag and row out of per-body slabs and takes its strings
+// from one copy of the body, so it allocates a handful of times per body,
+// far inside the gate of 4 per job; each op also allocates what it did
+// when its pin was taken, within 30 %.
+func TestWireAllocs(t *testing.T) {
+	decode := wireDecodeOp(t)
+	if perJob := testing.AllocsPerRun(100, decode) / 1024; perJob > 4 {
+		t.Errorf("DecodeWireJobs: %.2f allocs/job, want <= 4", perJob)
+	}
+	alloctest.Pin(t, "WireDecode", 100, decode, 5, 1615110)
+	alloctest.Pin(t, "WireEncode", 100, wireEncodeOp(t), 1, 491520)
+}
+
 // TestAggAfterIngestIsODelta: a replacing ingest followed by /agg
 // allocates the same at 256 and at 4 096 jobs — the accumulator moves by
 // the changed id, and no step of the read walks or copies the corpus

@@ -126,6 +126,48 @@ func aggCachedOp(tb testing.TB) func() {
 	}
 }
 
+// wireCorpus is a 1024-job synthetic corpus, sorted by id, and its wire
+// image: one member's full reply to a router.
+func wireCorpus(tb testing.TB) (jobs []*Job, image []byte) {
+	jobs = benchStore(tb, 1024).WireJobs()
+	image, _ = EncodeWireJobs(jobs)
+	return jobs, image
+}
+
+// wireEncodeOp encodes the wire corpus, as a member answering a full
+// resync does.
+func wireEncodeOp(tb testing.TB) func() {
+	jobs, image := wireCorpus(tb)
+	return func() {
+		if enc, _ := EncodeWireJobs(jobs); len(enc) != len(image) {
+			tb.Fatalf("encoded %d bytes, want %d", len(enc), len(image))
+		}
+	}
+}
+
+// wireDecodeOp decodes the wire corpus, as a router applying that resync
+// does.
+func wireDecodeOp(tb testing.TB) func() {
+	jobs, image := wireCorpus(tb)
+	return func() {
+		if got, err := DecodeWireJobs(image); err != nil || len(got) != len(jobs) {
+			tb.Fatalf("decoded %d jobs (err %v), want %d", len(got), err, len(jobs))
+		}
+	}
+}
+
+// BenchmarkWireEncode and BenchmarkWireDecode measure the two ends of a
+// full /shard/rollups reply, reporting the cost per job beside the cost
+// per 1024-job body.
+func BenchmarkWireEncode(b *testing.B) { benchPerJob(b, wireEncodeOp(b)) }
+
+func BenchmarkWireDecode(b *testing.B) { benchPerJob(b, wireDecodeOp(b)) }
+
+func benchPerJob(b *testing.B, op func()) {
+	alloctest.Bench(b, op)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/1024, "ns/job")
+}
+
 // BenchmarkProfstoreIngest measures parallel ingest throughput into the
 // sharded store (tolerant parse + WAL-less insert).
 func BenchmarkProfstoreIngest(b *testing.B) {

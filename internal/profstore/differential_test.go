@@ -58,7 +58,7 @@ func computeRollup(jp *ipm.JobProfile, jobID string) Job {
 			if ipm.Classify(name) == ipm.DomainMPI {
 				w.MPI += total
 			}
-			row := WireSite{Name: name, WireStats: toWireStats(e.Stats)}
+			row := WireSite{Name: name, Stats: e.Stats}
 			if k := kernelOf(name); k != "" {
 				row.Name = k
 				kernels = append(kernels, row)
@@ -217,8 +217,8 @@ func TestRollupMergesRows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := WireStats{Count: 7, Total: 1150e6, Min: 50e6, Max: 300e6}
-		if len(job.Kernels) != 1 || job.Kernels[0] != (WireSite{Name: "k", WireStats: want}) {
+		want := ipm.Stats{Count: 7, Total: 1150e6, Min: 50e6, Max: 300e6}
+		if len(job.Kernels) != 1 || job.Kernels[0] != (WireSite{Name: "k", Stats: want}) {
 			t.Errorf("forceDecode=%v: kernel rows %+v, want one row k %+v", forceDecode, job.Kernels, want)
 		}
 		var send []WireSite
@@ -227,8 +227,8 @@ func TestRollupMergesRows(t *testing.T) {
 				send = append(send, row)
 			}
 		}
-		want = WireStats{Count: 3, Total: 350e6, Min: 50e6, Max: 200e6}
-		if len(send) != 1 || send[0].WireStats != want {
+		want = ipm.Stats{Count: 3, Total: 350e6, Min: 50e6, Max: 200e6}
+		if len(send) != 1 || send[0].Stats != want {
 			t.Errorf("forceDecode=%v: MPI_Send rows %+v, want one row %+v", forceDecode, send, want)
 		}
 	}

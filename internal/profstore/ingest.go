@@ -321,14 +321,14 @@ func (k *rollupSink) build(jobID string) Job {
 	if nsites > 0 {
 		w.Sites = make([]WireSite, nsites)
 		for i, acc := range k.list[:nsites] {
-			w.Sites[i] = WireSite{Name: acc.name, WireStats: toWireStats(acc.merged)}
+			w.Sites[i] = WireSite{Name: acc.name, Stats: acc.merged}
 		}
 	}
 	if n := len(k.list) - nsites; n > 0 {
 		// One kernel on several streams is one row.
 		w.Kernels = make([]WireSite, n)
 		for i, acc := range k.list[nsites:] {
-			w.Kernels[i] = WireSite{Name: acc.kernel, WireStats: toWireStats(acc.merged)}
+			w.Kernels[i] = WireSite{Name: acc.kernel, Stats: acc.merged}
 		}
 		w.Kernels = foldRows(w.Kernels)
 	}

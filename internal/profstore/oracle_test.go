@@ -57,7 +57,7 @@ func aggregateJobs(jobs []*Job, opts AggOptions) *AggReport {
 				acc = &ipm.Stats{}
 				sites[row.Name] = acc
 			}
-			acc.Merge(row.stats())
+			acc.Merge(row.Stats)
 		}
 		for _, row := range job.Kernels {
 			acc, ok := kernels[row.Name]
@@ -65,7 +65,7 @@ func aggregateJobs(jobs []*Job, opts AggOptions) *AggReport {
 				acc = &ipm.Stats{}
 				kernels[row.Name] = acc
 			}
-			acc.Merge(row.stats())
+			acc.Merge(row.Stats)
 		}
 		// Per-rank imbalance (max/avg) per call site, worst job wins.
 		// Jobs arrive sorted by id (Select) and each rollup lists every
@@ -161,7 +161,7 @@ func siteTotals(jobs []*Job) map[string]ipm.Stats {
 	for _, job := range jobs {
 		for _, row := range job.Sites {
 			cur := out[row.Name]
-			cur.Merge(row.stats())
+			cur.Merge(row.Stats)
 			out[row.Name] = cur
 		}
 	}

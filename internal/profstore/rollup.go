@@ -30,9 +30,9 @@ func foldRows(rows []WireSite) []WireSite {
 		var st ipm.Stats
 		j := i
 		for ; j < len(rows) && rows[j].Name == rows[i].Name; j++ {
-			st.Merge(rows[j].stats())
+			st.Merge(rows[j].Stats)
 		}
-		rows[n] = WireSite{Name: rows[i].Name, WireStats: toWireStats(st)}
+		rows[n] = WireSite{Name: rows[i].Name, Stats: st}
 		i = j
 	}
 	return rows[:n]

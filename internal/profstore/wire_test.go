@@ -2,6 +2,7 @@ package profstore
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"net/http/httptest"
 	"net/url"
@@ -102,8 +103,22 @@ func FuzzRollupWire(f *testing.F) {
 	f.Add(fixedSyntheticXML(f, 7))
 	f.Add([]byte(mergeDoc))
 	f.Add([]byte("<ipm_log><job username=\"u\" nhosts=\"1\"></job></ipm_log>"))
+	wired := New()
+	if _, err := wired.Ingest(fixedSyntheticXML(f, 5), "j\xff", []string{"t\xfe"}); err != nil {
+		f.Fatal(err)
+	}
+	image, _ := EncodeWireJobs(wired.WireJobs())
+	f.Add(image)
 
 	f.Fuzz(func(t *testing.T, doc []byte) {
+		// Any byte string decodes to the jobs it re-encodes to, byte for
+		// byte, or fails.
+		if jobs, err := DecodeWireJobs(doc); err == nil {
+			if re, _ := EncodeWireJobs(jobs); !bytes.Equal(re, doc) {
+				t.Fatalf("DecodeWireJobs accepted a non-canonical image:\n%s", hex.Dump(doc))
+			}
+		}
+
 		// Reference: one store with the fuzz doc and a fixed companion.
 		companion := fixedSyntheticXML(t, 3)
 		single := New()
@@ -152,7 +167,8 @@ func FuzzRollupWire(f *testing.F) {
 		// Delta fixed point. The document's first bytes script an
 		// interleaving: each one either replaces one of three ids on one
 		// of the shards (and on the reference) with one of the two
-		// documents, or revalidates the mirrors mid-way.
+		// documents, or revalidates the mirrors mid-way. Two of the ids
+		// and one of the tags are not UTF-8.
 		script := doc
 		if len(script) > 24 {
 			script = script[:24]
@@ -162,7 +178,7 @@ func FuzzRollupWire(f *testing.F) {
 				merge()
 				continue
 			}
-			id, body := []string{"a", "b", "c"}[b%3], doc
+			id, body := []string{"a", "b\xff", "c\xfe\x80"}[b%3], doc
 			if b&8 != 0 {
 				body = companion
 			}
@@ -172,7 +188,7 @@ func FuzzRollupWire(f *testing.F) {
 				shard = 1 - shard
 			}
 			for _, s := range []*Store{stores[shard], single} {
-				if _, err := s.Ingest(body, id, []string{"fuzz"}); err != nil {
+				if _, err := s.Ingest(body, id, []string{"fuzz", "t\xfe"}); err != nil {
 					t.Fatalf("replacing ingest: %v", err)
 				}
 			}
@@ -181,6 +197,10 @@ func FuzzRollupWire(f *testing.F) {
 		deltaAgg := reportJSON(t, AggregateJobs(merged, AggOptions{}))
 		if want := reportJSON(t, single.Aggregate(AggOptions{})); deltaAgg != want {
 			t.Errorf("mirror kept by deltas differs from single-store aggregation\ngot:  %s\nwant: %s", deltaAgg, want)
+		}
+		sel := AggOptions{Sel: "tag:t\xfe"}
+		if got, want := reportJSON(t, AggregateJobs(FilterJobs(merged, sel.Sel), sel)), reportJSON(t, single.Aggregate(sel)); got != want {
+			t.Errorf("mirror kept by deltas differs from single-store aggregation of a non-UTF-8 tag\ngot:  %s\nwant: %s", got, want)
 		}
 		checkJobViews(t, single, merged)
 		for i, s := range stores {
@@ -222,12 +242,10 @@ func TestWireJobRoundTripFields(t *testing.T) {
 }
 
 // TestWireGolden pins the bytes members send each other: the wire image
-// of the four fixtures, built by either ingest path.
+// of the four fixtures, built by either ingest path, as a hex.Dump
+// (go test -update rewrites it).
 func TestWireGolden(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "wire.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	golden := filepath.Join("testdata", "wire.golden")
 	for _, forceDecode := range []bool{false, true} {
 		s := New()
 		s.forceDecode = forceDecode
@@ -236,14 +254,37 @@ func TestWireGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		got, err := EncodeWireJobs(s.WireJobs())
+		enc, err := EncodeWireJobs(s.WireJobs())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("forceDecode=%v: wire image differs from testdata/wire.golden\ngot:  %s\nwant: %s", forceDecode, got, want)
+		got := hex.Dump(enc)
+		if *update && !forceDecode {
+			if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatalf("reading golden (run with -update to regenerate): %v", err)
+		}
+		gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := range max(len(gotLines), len(wantLines)) {
+			g, w := lineAt(gotLines, i), lineAt(wantLines, i)
+			if g != w {
+				t.Errorf("forceDecode=%v: wire image differs from testdata/wire.golden first in the 16 bytes at offset %#x\ngot:  %s\nwant: %s",
+					forceDecode, 16*i, g, w)
+				break
+			}
 		}
 	}
+}
+
+func lineAt(lines []string, i int) string {
+	if i < len(lines) {
+		return lines[i]
+	}
+	return "(end of image)"
 }
 
 // TestReopenBootstampsEpoch is the restart-cache regression test: a
