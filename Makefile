@@ -12,7 +12,7 @@
 GO ?= go
 BENCH_PATTERN ?= BenchmarkObserveHot|BenchmarkTableUpdate|BenchmarkMapUpdateManyKeys|BenchmarkAblationHashTable|BenchmarkEnsembleParallel|BenchmarkObserveTelemetry|BenchmarkProfstoreIngest|BenchmarkProfstoreAgg|BenchmarkDESScheduleRun|BenchmarkProcContextSwitch|BenchmarkProcHandoff|BenchmarkProcSleepPastCallback|BenchmarkSpanRecord|BenchmarkQueueSubmit|BenchmarkRuntimeSubmit|BenchmarkClusterIngest|BenchmarkClusterAgg|BenchmarkScanXML|BenchmarkParseXMLTolerant
 
-.PHONY: build vet test race results-check serve serve-load serve-e2e soak soak-short soak-cluster soak-cluster-short fuzz verify bench bench-e2e bench-pair loc profile experiments trace faults clean
+.PHONY: build vet test race results-check serve serve-load serve-e2e soak soak-short soak-cluster soak-cluster-short fuzz verify bench bench-e2e bench-pair loc profile profile-ensemble experiments trace faults clean
 
 build:
 	$(GO) build ./...
@@ -158,6 +158,20 @@ profile:
 	@echo "profiles: results/cpu.pprof results/allocs.pprof"
 	@echo "read with: go tool pprof -top results/cpu.pprof"
 
+# The same profiles of one quick Fig. 8 ensemble on one worker
+# (BenchmarkEnsembleParallel/j1, the Fig8 call the benchmark's
+# sim_ensemble workload times): 24 short HPL trials, half of them
+# monitored, where per-job set-up and allocation, not per-call cost,
+# dominate. 40 ensembles give the
+# sampling profiler enough bytes to rank the allocation sites.
+profile-ensemble:
+	mkdir -p results
+	$(GO) test -run '^$$' -bench 'EnsembleParallel/^j1$$' -benchtime 40x \
+		-cpuprofile results/ensemble_cpu.pprof -memprofile results/ensemble_allocs.pprof \
+		-o results/ensemble.test . > /dev/null
+	@echo "profiles: results/ensemble_cpu.pprof results/ensemble_allocs.pprof"
+	@echo "read with: go tool pprof -top -sample_index=alloc_space results/ensemble_allocs.pprof"
+
 experiments:
 	$(GO) run ./cmd/experiments -quick
 
@@ -178,4 +192,4 @@ faults:
 	$(GO) run ./cmd/ipmparse results/faultdemo_rankdeath.xml > /dev/null
 
 clean:
-	rm -f results/cpu.pprof results/allocs.pprof
+	rm -f results/*.pprof results/ensemble.test

@@ -32,13 +32,13 @@ func TestHotPathBenchmarksZeroAlloc(t *testing.T) {
 // ensembleRefs are BenchmarkEnsembleParallel's allocs/op and B/op, the
 // reference figures its pin allows 30 % above.
 var ensembleRefs = map[string][2]float64{
-	"j1":                   {18853, 7283139},
-	"queue-j1":             {19477, 7659464},
-	"j4":                   {18868, 7283784},
-	"queue-j4":             {19492, 7660128},
-	"device-a100-j4":       {18866, 7285227},
-	"device-c2050-j4":      {18868, 7283779},
-	"device-cl-generic-j4": {18867, 7283712},
+	"j1":                   {17144, 4448472},
+	"queue-j1":             {17758, 4826779},
+	"j4":                   {17155, 4448888},
+	"queue-j4":             {17768, 4827128},
+	"device-a100-j4":       {17155, 4450379},
+	"device-c2050-j4":      {17156, 4448893},
+	"device-cl-generic-j4": {17155, 4448872},
 }
 
 // One fig8 quick ensemble allocates what it did when the pin was taken.

@@ -74,8 +74,6 @@ type Config struct {
 	// Monitor enables IPM; CUDA selects the CUDA-layer features.
 	Monitor bool
 	CUDA    ipmcuda.Options
-	// TableSize overrides IPM's hash table capacity (0 = default).
-	TableSize int
 
 	// CUDAProfile attaches the simulated CUDA profiler to every device
 	// (the CUDA_PROFILE=1 baseline of Table I).
@@ -471,7 +469,7 @@ func Run(cfg Config, app func(env *Env)) (*Result, error) {
 			env.FS = bareFS{fs: sharedFS, proc: p}
 			if cfg.Monitor {
 				host := fmt.Sprintf("dirac%d", node+1)
-				mon := ipm.NewMonitor(rank, host, cfg.Command, p.Now, cfg.TableSize)
+				mon := ipm.NewMonitor(rank, host, cfg.Command, p.Now, 0)
 				if cfg.Telemetry != nil {
 					mon.AttachTelemetry(cfg.Telemetry)
 				}

@@ -80,6 +80,33 @@ func TestEventSynchronizeUnrecorded(t *testing.T) {
 	})
 }
 
+// TestEventHandleBounds checks every way a handle can name no live event
+// fails with cudaErrorInvalidResourceHandle: the zero handle, one past
+// the last created, a destroyed one, and destroying it a second time.
+func TestEventHandleBounds(t *testing.T) {
+	run(t, fastSpec(), Options{}, func(p *des.Proc, rt *Runtime) {
+		a, _ := rt.EventCreate()
+		b, _ := rt.EventCreate()
+		if err := rt.EventDestroy(a); err != nil {
+			t.Fatalf("EventDestroy(%d) = %v", a, err)
+		}
+		for name, call := range map[string]func() error{
+			"zero handle":    func() error { return rt.EventQuery(0) },
+			"past the end":   func() error { return rt.EventQuery(b + 1) },
+			"destroyed":      func() error { return rt.EventQuery(a) },
+			"second destroy": func() error { return rt.EventDestroy(a) },
+		} {
+			var e *Error
+			if err := call(); !errors.As(err, &e) || e.Code != CodeInvalidResourceHandle {
+				t.Errorf("%s: err = %v, want %v", name, err, CodeInvalidResourceHandle)
+			}
+		}
+		if err := rt.EventSynchronize(b); err != nil {
+			t.Errorf("live event %d after destroying %d: %v", b, a, err)
+		}
+	})
+}
+
 func TestThreadSynchronizeIdleDevice(t *testing.T) {
 	run(t, fastSpec(), Options{}, func(p *des.Proc, rt *Runtime) {
 		if err := rt.ThreadSynchronize(); err != nil {

@@ -79,8 +79,7 @@ type Runtime struct {
 	inited     bool
 	streams    map[Stream]*gpusim.Stream
 	nextStream Stream
-	events     map[Event]*gpusim.DevEvent
-	nextEvent  Event
+	events     []*gpusim.DevEvent // handle h is events[h-1]; nil once destroyed
 	pending    []launchConfig
 	symbols    map[string]DevPtr
 	lastErr    error
@@ -98,8 +97,6 @@ func NewRuntime(proc *des.Proc, dev *gpusim.Device, opts Options) *Runtime {
 		opts:       opts.withDefaults(),
 		streams:    make(map[Stream]*gpusim.Stream),
 		nextStream: 1,
-		events:     make(map[Event]*gpusim.DevEvent),
-		nextEvent:  1,
 		symbols:    make(map[string]DevPtr),
 	}
 	r.sync.dev = dev
@@ -616,18 +613,15 @@ func (r *Runtime) EventCreate() (Event, error) {
 	if err := r.inject("cudaEventCreate"); err != nil {
 		return 0, err
 	}
-	h := r.nextEvent
-	r.nextEvent++
-	r.events[h] = r.dev.NewEvent()
-	return h, nil
+	r.events = append(r.events, r.dev.NewEvent())
+	return Event(len(r.events)), nil
 }
 
 func (r *Runtime) event(ev Event) (*gpusim.DevEvent, error) {
-	de, ok := r.events[ev]
-	if !ok {
+	if ev < 1 || int(ev) > len(r.events) || r.events[ev-1] == nil {
 		return nil, errCode(CodeInvalidResourceHandle, "unknown event %d", ev)
 	}
-	return de, nil
+	return r.events[ev-1], nil
 }
 
 // EventRecord inserts the event into the stream.
@@ -705,7 +699,7 @@ func (r *Runtime) EventDestroy(ev Event) error {
 	if _, err := r.event(ev); err != nil {
 		return r.fail(err)
 	}
-	delete(r.events, ev)
+	r.events[ev-1] = nil
 	return nil
 }
 

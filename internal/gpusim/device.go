@@ -56,10 +56,11 @@ type Device struct {
 
 	// Ops are recycled: when free is empty, newOp has recycle move every
 	// completed op from the stream FIFOs to free, and pops from free
-	// before it carves a new one from slab, the current opSlabSize-op
-	// allocation chunk. Anything that outlives an op's completion holds
-	// a Ref, never the *Op, so a device needs only as many ops as it has
-	// in flight.
+	// before it carves a new one from slab, the current allocation
+	// chunk. The first slab holds 8 ops and each next one doubles the
+	// last, up to opSlabSize. Anything that outlives an op's completion
+	// holds a Ref, never the *Op, so a device needs only as many ops as
+	// it has in flight.
 	free []*Op
 	slab []Op
 
@@ -92,7 +93,7 @@ type Device struct {
 	telD2H  []string // per-copy-engine track names, device-to-host
 }
 
-// opSlabSize is the Op chunk size; see Device.free.
+// opSlabSize is the largest Op chunk; see Device.free.
 const opSlabSize = 128
 
 // newOp returns a recycled Op, or a fresh one from the slab when none has
@@ -107,10 +108,11 @@ func (d *Device) newOp() *Op {
 		return op
 	}
 	if len(d.slab) == cap(d.slab) {
-		d.slab = make([]Op, 0, opSlabSize)
+		n := min(max(2*cap(d.slab), 8), opSlabSize)
+		d.slab = make([]Op, 0, n)
 		// free is empty here; size it for every op carved so far, so
 		// recycle never grows it.
-		d.free = make([]*Op, 0, cap(d.free)+opSlabSize)
+		d.free = make([]*Op, 0, cap(d.free)+n)
 	}
 	d.slab = d.slab[:len(d.slab)+1]
 	return &d.slab[len(d.slab)-1]

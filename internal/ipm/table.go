@@ -14,14 +14,14 @@ const DefaultTableSize = 8192
 // region fills up, entries spill to an overflow map and the spill is
 // counted — a monitored run can then report its own degraded fidelity.
 //
-// The open-addressing region is an index: each slot is 4 bytes naming an
-// entry in a dense, append-only slice, so a table costs 4 bytes per slot
+// The open-addressing region is an index: each slot is 2 bytes naming an
+// entry in a dense, append-only slice, so a table costs 2 bytes per slot
 // plus one entry per signature actually recorded. Probe order, the
 // one-slot headroom rule and the spill are those of a table of inline
 // entries; only where an occupied slot's payload lives differs.
 type Table struct {
 	mask     uint64
-	slots    []uint32 // 0 = empty, k = entries[k-1]
+	slots    []uint16 // 0 = empty, k = entries[k-1]
 	entries  []entry  // dense, in insertion order
 	overflow map[Sig]*Stats
 	probes   uint64 // total probe steps, for diagnostics/benchmarks
@@ -32,19 +32,24 @@ type entry struct {
 	stats Stats
 }
 
+// maxTableSize caps a table's capacity: with one slot of headroom, every
+// entry index then fits a 16-bit slot.
+const maxTableSize = 1 << 16
+
 // NewTable creates a table with the given capacity rounded up to a power
-// of two. capacity <= 0 selects DefaultTableSize.
+// of two, at most maxTableSize. capacity <= 0 selects DefaultTableSize.
 func NewTable(capacity int) *Table {
 	if capacity <= 0 {
 		capacity = DefaultTableSize
 	}
+	capacity = min(capacity, maxTableSize)
 	n := 1
 	for n < capacity {
 		n <<= 1
 	}
 	return &Table{
 		mask:  uint64(n - 1),
-		slots: make([]uint32, n),
+		slots: make([]uint16, n),
 	}
 }
 
@@ -112,7 +117,7 @@ func (t *Table) UpdateHashed(h uint64, sig Sig, d Stats) {
 		// Leave one slot of headroom so probes of absent keys terminate.
 		if len(t.entries) < len(t.slots)-1 {
 			t.entries = append(t.entries, entry{sig, d})
-			*slot = uint32(len(t.entries))
+			*slot = uint16(len(t.entries))
 			return
 		}
 		break

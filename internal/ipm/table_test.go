@@ -426,7 +426,7 @@ func TestTableMatchesFixedLayout(t *testing.T) {
 }
 
 // TestMonitorFootprint pins the monitor's own memory: a default-capacity
-// monitor that records 64 distinct signatures costs the 4-byte slot
+// monitor that records 64 distinct signatures costs the 2-byte slot
 // index plus the entries it holds, not a full entry per slot (≈917 KB
 // at DefaultTableSize).
 func TestMonitorFootprint(t *testing.T) {
@@ -440,8 +440,43 @@ func TestMonitorFootprint(t *testing.T) {
 			}
 		}
 	})
-	if kb := res.AllocedBytesPerOp() / 1024; kb > 48 {
-		t.Errorf("NewMonitor + 64 signatures allocates %d KB, want <= 48 KB", kb)
+	if kb := res.AllocedBytesPerOp() / 1024; kb > 32 {
+		t.Errorf("NewMonitor + 64 signatures allocates %d KB, want <= 32 KB", kb)
+	}
+}
+
+// TestTableIndexBoundary fills a table at the largest capacity: the
+// 65 535th entry takes the largest 16-bit index and is still found, and
+// the next signature spills. A larger capacity is clamped to it. Every
+// signature starts at its own home slot, so the fill takes one probe per
+// insert.
+func TestTableIndexBoundary(t *testing.T) {
+	if n := len(NewTable(1 << 20).slots); n != 1<<16 {
+		t.Fatalf("NewTable(1<<20) has %d slots, want %d", n, 1<<16)
+	}
+	tb := NewTable(1 << 16)
+	homed := make([]bool, 1<<16)
+	var absent Sig
+	var last Sig
+	for b := int64(0); tb.Len() < 1<<16-1; b++ {
+		sig := Sig{Name: "MPI_Send", Bytes: b}
+		if home := hashSig(sig) & tb.mask; !homed[home] {
+			homed[home] = true
+			tb.Update(sig, obs(time.Duration(b)))
+			last = sig
+		} else if absent.Name == "" {
+			absent = sig
+		}
+	}
+	if s, ok := tb.Lookup(last); !ok || s.Total != time.Duration(last.Bytes) {
+		t.Fatalf("entry 65535 (%v): Lookup = %+v, %v", last, s, ok)
+	}
+	tb.Update(absent, obs(time.Microsecond))
+	if tb.Overflowed() != 1 || tb.Len() != 1<<16 {
+		t.Errorf("after one more signature: %d spilled, %d stored; want 1, %d", tb.Overflowed(), tb.Len(), 1<<16)
+	}
+	if s, ok := tb.Lookup(absent); !ok || s.Total != time.Microsecond {
+		t.Errorf("spilled signature: Lookup = %+v, %v", s, ok)
 	}
 }
 

@@ -23,7 +23,7 @@ type collState struct {
 	root     int
 	op       Op
 	result   []byte
-	done     []*des.Signal // per-rank completion
+	done     []des.Signal // per-rank completion
 	err      error
 }
 
@@ -49,10 +49,10 @@ func (c *comm) enterColl(kind string, contrib []byte, root int, op Op,
 			contribs: make([][]byte, w.size),
 			root:     root,
 			op:       op,
-			done:     make([]*des.Signal, w.size),
+			done:     make([]des.Signal, w.size),
 		}
 		for i := range st.done {
-			st.done[i] = w.eng.NewSignal(kind)
+			w.eng.InitSignal(&st.done[i], kind)
 		}
 		w.colls[key] = st
 	}
@@ -71,7 +71,7 @@ func (c *comm) enterColl(kind string, contrib []byte, root int, op Op,
 			st.done[i].FireAt(st.maxT + off)
 		}
 	}
-	c.proc.Wait(st.done[c.rank])
+	c.proc.Wait(&st.done[c.rank])
 	return st, st.err
 }
 

@@ -67,8 +67,8 @@ func (w *World) MarkFailed(rank int) {
 		st := w.colls[k]
 		delete(w.colls, k)
 		st.err = err
-		for _, sig := range st.done {
-			sig.Fire()
+		for i := range st.done {
+			st.done[i].Fire()
 		}
 	}
 
