@@ -22,8 +22,10 @@ vet:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
+# -count=1: a cached "ok" would vouch for nothing, least of all the
+# timing-sensitive ./bench smoke runs.
 test:
-	$(GO) test ./...
+	$(GO) test -count=1 ./...
 
 # Race-enabled pass over the packages that run simulations concurrently:
 # the worker pool itself, the ensemble experiments that fan out on it,

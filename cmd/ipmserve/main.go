@@ -28,13 +28,14 @@
 //
 // With -peers the member joins a cluster: ingest is routed to the R
 // consistent-hash owners of each job id (acked at majority quorum).
-// /jobs, /agg and /regress are served from the router's mirror of every
-// member's jobs, revalidated with one conditional leg per peer inside
-// each query; /job/{id} (like any single-id selector) asks every peer
-// for that one job. Every answer is byte-identical to a single node
-// holding the whole corpus, and any unreachable member makes a read 503.
-// Every member is a router; -self names this member's own base URL
-// within -peers.
+// /jobs, /job/{id}, /agg and /regress are served from the router's
+// mirror of every member's jobs, revalidated inside each query with one
+// conditional leg per peer that can hold the answer: every peer for the
+// whole corpus, a tag or a command, only the id's other owners for a
+// single job id. Every answer is byte-identical to a single node holding
+// the whole corpus, and a read answers 503 when one of the peers it
+// needs cannot be asked. Every member is a router; -self names this
+// member's own base URL within -peers.
 //
 // With -selftest or -soak the command runs the store harness
 // (profstore.Soak) instead of serving. -selftest runs one in-process

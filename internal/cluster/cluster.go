@@ -35,6 +35,10 @@ import (
 	"ipmgo/internal/telemetry"
 )
 
+// metricsInterval is the virtual-time period of the live metrics publish
+// and of the power sampling tick (see Config.Metrics).
+const metricsInterval = 50 * time.Millisecond
+
 // Config describes one simulated job.
 type Config struct {
 	// Nodes is the number of cluster nodes used (each with one GPU).
@@ -93,11 +97,9 @@ type Config struct {
 	Telemetry *telemetry.Recorder
 	// Metrics, when non-nil, receives live Prometheus-style samples.
 	// Samples are published from inside the simulation loop every
-	// MetricsInterval of virtual time and once at job end, so an HTTP
+	// metricsInterval of virtual time and once at job end, so an HTTP
 	// scrape never races with the running simulation.
 	Metrics *telemetry.Registry
-	// MetricsInterval is the virtual-time publish period (default 50ms).
-	MetricsInterval time.Duration
 
 	// Faults, when non-nil, activates deterministic fault injection and
 	// the resilience machinery: per-rank CUDA error injectors, straggler
@@ -605,10 +607,6 @@ func Run(cfg Config, app func(env *Env)) (*Result, error) {
 	// are independent of worker count and wall-clock scheduling.
 	var powerFinal func()
 	if !dev.Power.Zero() && (powerVec != nil || cfg.Telemetry != nil) {
-		interval := cfg.MetricsInterval
-		if interval <= 0 {
-			interval = 50 * time.Millisecond
-		}
 		lastNJ := make([]int64, len(devices))
 		var lastAt time.Duration
 		sample := func() {
@@ -642,10 +640,10 @@ func Run(cfg Config, app func(env *Env)) (*Result, error) {
 		tick = func() {
 			sample()
 			if ranksDone < size {
-				eng.ScheduleAfter(interval, tick)
+				eng.ScheduleAfter(metricsInterval, tick)
 			}
 		}
-		eng.ScheduleAfter(interval, tick)
+		eng.ScheduleAfter(metricsInterval, tick)
 		powerFinal = sample
 	}
 
@@ -654,18 +652,14 @@ func Run(cfg Config, app func(env *Env)) (*Result, error) {
 		// tables never races with the ranks mutating them. The tick stops
 		// rescheduling itself once every rank has finished; otherwise it
 		// would keep the event queue non-empty forever.
-		interval := cfg.MetricsInterval
-		if interval <= 0 {
-			interval = 50 * time.Millisecond
-		}
 		var tick func()
 		tick = func() {
 			cfg.Metrics.Publish(cfg.Command, collectSamples(st))
 			if ranksDone < size {
-				eng.ScheduleAfter(interval, tick)
+				eng.ScheduleAfter(metricsInterval, tick)
 			}
 		}
-		eng.ScheduleAfter(interval, tick)
+		eng.ScheduleAfter(metricsInterval, tick)
 	}
 
 	res := &Result{Profilers: profilers, Counters: counters}

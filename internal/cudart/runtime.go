@@ -9,23 +9,22 @@ import (
 	"ipmgo/internal/perfmodel"
 )
 
+// Fixed host-side figures of the simulated node.
+const (
+	deviceCount   = 1                     // devices GetDeviceCount reports
+	mallocCost    = 10 * time.Microsecond // cudaMalloc host cost beyond context initialisation
+	hostMemcpyGBs = 8                     // host-to-host copy bandwidth, GB/s
+)
+
 // Options tunes host-side costs of the runtime that are not part of the
 // GPU specification.
 type Options struct {
 	// LaunchBlocking makes every Launch wait for kernel completion, like
 	// setting CUDA_LAUNCH_BLOCKING=1.
 	LaunchBlocking bool
-	// DeviceCount is the device count reported by GetDeviceCount
-	// (default 1).
-	DeviceCount int
 	// DeviceQueryCost is the per-call host cost of GetDeviceCount beyond
 	// the base API cost (a driver round trip; default 2us).
 	DeviceQueryCost time.Duration
-	// MallocCost is the host-side cost of cudaMalloc beyond context
-	// initialisation (default 10us).
-	MallocCost time.Duration
-	// HostMemcpyGBs is the host-to-host copy bandwidth (default 8 GB/s).
-	HostMemcpyGBs float64
 	// Inject, when non-nil, is consulted at the top of every
 	// device-touching API call with the cudaXxx symbol name and the
 	// current virtual time. A non-nil return becomes the call's (sticky)
@@ -44,17 +43,8 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.DeviceCount == 0 {
-		o.DeviceCount = 1
-	}
 	if o.DeviceQueryCost == 0 {
 		o.DeviceQueryCost = 2 * time.Microsecond
-	}
-	if o.MallocCost == 0 {
-		o.MallocCost = 10 * time.Microsecond
-	}
-	if o.HostMemcpyGBs == 0 {
-		o.HostMemcpyGBs = 8
 	}
 	return o
 }
@@ -171,7 +161,7 @@ func (r *Runtime) Malloc(n int64) (DevPtr, error) {
 	if err := r.inject("cudaMalloc"); err != nil {
 		return DevPtr{}, err
 	}
-	r.proc.Sleep(r.opts.MallocCost)
+	r.proc.Sleep(mallocCost)
 	p, err := r.dev.Alloc(n)
 	if err != nil {
 		return DevPtr{}, r.fail(errCode(CodeMemoryAllocation, "%v", err))
@@ -320,7 +310,7 @@ func (r *Runtime) Memcpy(dst, src Ptr, n int64, kind MemcpyKind) error {
 		return r.fail(err)
 	}
 	if kind == MemcpyHostToHost {
-		r.proc.Sleep(time.Duration(float64(n) / (r.opts.HostMemcpyGBs * 1e9) * float64(time.Second)))
+		r.proc.Sleep(time.Duration(float64(n) / (hostMemcpyGBs * 1e9) * float64(time.Second)))
 		if dst.Host != nil && src.Host != nil {
 			copy(dst.Host[:n], src.Host[:n])
 		}
@@ -723,7 +713,7 @@ func (r *Runtime) GetDeviceCount() (int, error) {
 	r.ensureInit()
 	r.base()
 	r.proc.Sleep(r.opts.DeviceQueryCost)
-	return r.opts.DeviceCount, nil
+	return deviceCount, nil
 }
 
 // GetDeviceProperties reports the properties of the device.
@@ -756,7 +746,7 @@ func (r *Runtime) GetDevice() (int, error) {
 // the Dirac model.
 func (r *Runtime) SetDevice(dev int) error {
 	r.base()
-	if dev < 0 || dev >= r.opts.DeviceCount {
+	if dev < 0 || dev >= deviceCount {
 		return r.fail(errCode(CodeInvalidValue, "no device %d", dev))
 	}
 	return nil

@@ -49,9 +49,6 @@ type Options struct {
 	// kernel timing, the fidelity improvement the paper lists as under
 	// investigation. Zero reproduces the published behaviour.
 	EventOverheadCorrection time.Duration
-	// WrapperOverhead is the host-side cost charged per intercepted call
-	// (default 150 ns, of the order IPM reports).
-	WrapperOverhead time.Duration
 	// KernelWatts, CopyWatts and MemsetWatts are the active power draws
 	// of the device's engine classes (from the devmodel backend's power
 	// model), used to attribute joules per call site: kernel energy is
@@ -77,9 +74,6 @@ type TraceEvent struct {
 func (o Options) withDefaults() Options {
 	if o.KTTSize <= 0 {
 		o.KTTSize = DefaultKTTSize
-	}
-	if o.WrapperOverhead == 0 {
-		o.WrapperOverhead = 150 * time.Nanosecond
 	}
 	return o
 }
@@ -184,11 +178,13 @@ func (m *Monitor) trace(layer, what string) {
 	}
 }
 
+// wrapperOverhead is the host-side cost charged per intercepted call, of
+// the order IPM reports.
+const wrapperOverhead = 150 * time.Nanosecond
+
 // overhead charges the wrapper's host cost outside the timed window.
 func (m *Monitor) overhead() {
-	if m.opts.WrapperOverhead > 0 {
-		m.proc.Sleep(m.opts.WrapperOverhead)
-	}
+	m.proc.Sleep(wrapperOverhead)
 }
 
 // timed runs fn bracketed by begin/end timers and records the duration

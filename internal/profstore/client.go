@@ -81,21 +81,11 @@ func (t reuseCountingTransport) RoundTrip(req *http.Request) (*http.Response, er
 	return t.inner.RoundTrip(req)
 }
 
-// SharedClient returns an HTTP client on the process-wide pooled
-// keep-alive transport, with connection reuse counted into
-// ipm_ingest_conn_reuse_total. The default for Poster and the cluster
-// peer clients.
-func SharedClient(timeout time.Duration) *http.Client {
-	return &http.Client{
-		Timeout:   timeout,
-		Transport: reuseCountingTransport{inner: sharedTransport},
-	}
-}
-
-// CountingTransport wraps an explicit RoundTripper (a test server's
-// client transport, a faultsim peer plan) with the same reuse counting
-// SharedClient applies to the shared pool; nil wraps the shared pooled
-// transport itself.
+// CountingTransport wraps a RoundTripper (a test server's client
+// transport, a faultsim peer plan) so that connection reuse is counted
+// into ipm_ingest_conn_reuse_total; nil wraps the process-wide pooled
+// keep-alive transport, the default for Poster and the cluster peer
+// clients.
 func CountingTransport(inner http.RoundTripper) http.RoundTripper {
 	if inner == nil {
 		inner = sharedTransport
@@ -236,7 +226,7 @@ func (p *Poster) post(xml []byte, id string, tags []string) (attempts int, body 
 	}
 	client := p.Client
 	if client == nil {
-		client = SharedClient(10 * time.Second)
+		client = &http.Client{Timeout: 10 * time.Second, Transport: CountingTransport(nil)}
 	}
 	sleep := p.Sleep
 	if sleep == nil {

@@ -351,15 +351,6 @@ func AggregateJobs(jobs []*Job, opts AggOptions) *AggReport {
 	return foldJobs(jobs).aggReport(opts)
 }
 
-// RegressJobs compares two explicit job lists — the router-side twin of
-// Store.Regress.
-func RegressJobs(baseJobs, headJobs []*Job, opts RegressOptions) *RegressReport {
-	if opts.Threshold <= 0 {
-		opts.Threshold = 10
-	}
-	return regressReport(foldJobs(baseJobs), foldJobs(headJobs), opts)
-}
-
 // FilterJobs applies a job selector (see Store.Select) to an explicit
 // job list, preserving order.
 func FilterJobs(jobs []*Job, sel string) []*Job {

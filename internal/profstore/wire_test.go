@@ -59,7 +59,15 @@ func (js sliceSource) Aggregate(o AggOptions) (*AggReport, error) {
 	return AggregateJobs(FilterJobs(js, o.Sel), o), nil
 }
 func (js sliceSource) Regress(o RegressOptions) (*RegressReport, error) {
-	return RegressJobs(FilterJobs(js, o.Base), FilterJobs(js, o.Head), o), nil
+	return regressJobs(FilterJobs(js, o.Base), FilterJobs(js, o.Head), o), nil
+}
+
+// regressJobs compares two explicit job lists as Store.Regress does.
+func regressJobs(base, head []*Job, o RegressOptions) *RegressReport {
+	if o.Threshold <= 0 {
+		o.Threshold = 10
+	}
+	return regressReport(foldJobs(base), foldJobs(head), o)
 }
 
 // checkJobViews holds the router's /jobs rows and /job/{id} details —
@@ -159,7 +167,7 @@ func FuzzRollupWire(f *testing.F) {
 		}
 		base := FilterJobs(merged, "tag:fuzz")
 		head := FilterJobs(merged, "tag:fixed")
-		if got := reportJSON(t, RegressJobs(base, head, RegressOptions{Base: "tag:fuzz", Head: "tag:fixed"})); got != wantRegress {
+		if got := reportJSON(t, regressJobs(base, head, RegressOptions{Base: "tag:fuzz", Head: "tag:fixed"})); got != wantRegress {
 			t.Errorf("merged /regress differs from single-store comparison\ngot:  %s\nwant: %s", got, wantRegress)
 		}
 		checkJobViews(t, single, merged)

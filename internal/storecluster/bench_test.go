@@ -133,7 +133,7 @@ func clusterIngestOp(tb testing.TB, shards int) func() {
 	for i, doc := range docs {
 		owner[i] = ring.Owners(profstore.DeriveID(doc), 1)[0]
 	}
-	client := profstore.SharedClient(10 * time.Second)
+	client := &http.Client{Timeout: 10 * time.Second, Transport: profstore.CountingTransport(nil)}
 	// Warm every member: connections established, ring state hot.
 	for i, doc := range docs {
 		if err := benchPost(client, owner[i], doc); err != nil {
@@ -181,7 +181,7 @@ func BenchmarkClusterIngest(b *testing.B) {
 func clusterAggOp(tb testing.TB, shards int, mixed bool) func() {
 	urls := benchCluster(tb, shards)
 	docs := benchDocs(tb, 64)
-	client := profstore.SharedClient(10 * time.Second)
+	client := &http.Client{Timeout: 10 * time.Second, Transport: profstore.CountingTransport(nil)}
 	post := func(i int) {
 		// Explicit ids: the mixed run replaces, the corpus keeps its size.
 		resp, err := client.Post(fmt.Sprintf("%s/ingest?id=bench-%d", urls[i%len(urls)], i%len(docs)),

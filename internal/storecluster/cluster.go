@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -65,10 +66,10 @@ type Config struct {
 	// Retry is the per-peer retry schedule for forwarded ingest; the zero
 	// value is the faultsim default (3 attempts, capped backoff).
 	Retry faultsim.RetryPolicy
-	// FanOut bounds concurrent peer requests per routed operation; 0
-	// means 4.
-	FanOut int
 }
+
+// fanOutLimit bounds concurrent peer requests per routed operation.
+const fanOutLimit = 4
 
 // Cluster is one member's router: it owns the ring, the peer clients
 // and the mirror the corpus-wide queries are served from (mirror.go).
@@ -76,6 +77,7 @@ type Cluster struct {
 	cfg     Config
 	ring    *Ring
 	peers   []string // canonical members minus self
+	all     []int    // every index into peers
 	quorum  int
 	client  *http.Client
 	posters map[string]*profstore.Poster
@@ -127,9 +129,6 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 10 * time.Second
 	}
-	if cfg.FanOut <= 0 {
-		cfg.FanOut = 4
-	}
 	c := &Cluster{
 		cfg:    cfg,
 		ring:   ring,
@@ -154,6 +153,7 @@ func New(cfg Config) (*Cluster, error) {
 		if m == cfg.Self {
 			continue
 		}
+		c.all = append(c.all, len(c.peers))
 		c.peers = append(c.peers, m)
 		// The /shard prefix keeps a forwarded ingest from being re-routed
 		// by the receiving member (Poster appends nothing when the URL
@@ -266,7 +266,7 @@ func (c *Cluster) Ingest(xml []byte, id string, tags []string) (*profstore.Job, 
 
 	start := time.Now()
 	results := make([]ownerResult, len(owners))
-	sem := make(chan struct{}, c.cfg.FanOut)
+	sem := make(chan struct{}, fanOutLimit)
 	var wg sync.WaitGroup
 	for i, owner := range owners {
 		wg.Add(1)
@@ -389,51 +389,56 @@ func (c *Cluster) get(url string, req *http.Request) (*http.Response, []byte, er
 	return resp, body, err
 }
 
-// fanOut runs leg for every peer concurrently (bounded by FanOut) and
-// returns the first failure. Reads are strict: any peer failure fails
-// the query, because an answer without that peer could silently drop
-// its exclusive jobs. Each leg is handed its first request, a GET of
-// paths[i] from its peer, built before any leg starts: the legs then
-// leave together instead of one request's set-up apart. Those first
-// requests share one peer timeout, counted from the fan-out's start.
-func (c *Cluster) fanOut(paths []string, leg func(i int, peer string, first *http.Request) error) error {
+// peersFor returns the peers a read of sel must revalidate, as indices
+// into c.peers: every peer for a corpus selector, but for a single job id
+// only the peers among its ring owners — no other member can hold it.
+func (c *Cluster) peersFor(sel string) []int {
+	if !profstore.IsIDSelector(sel) {
+		return c.all
+	}
+	owners := c.ring.Owners(sel, c.cfg.Replicas)
+	var peers []int
+	for i, peer := range c.peers {
+		if slices.Contains(owners, peer) {
+			peers = append(peers, i)
+		}
+	}
+	return peers
+}
+
+// fanOut runs leg for each of peers (indices into c.peers) concurrently,
+// bounded by fanOutLimit, and returns the first failure. Reads are
+// strict: any asked peer's failure fails the query, because an answer
+// without that peer could silently drop its exclusive jobs. Each leg is
+// handed its first request, a GET of paths[i] from peer i, built before
+// any leg starts: the legs then leave together instead of one request's
+// set-up apart. Those first requests share one peer timeout, counted from
+// the fan-out's start.
+func (c *Cluster) fanOut(peers []int, paths []string, leg func(i int, first *http.Request) error) error {
+	if len(peers) == 0 {
+		return nil
+	}
 	c.scatters.Add(1)
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.Timeout)
 	defer cancel()
-	first := make([]*http.Request, len(c.peers))
-	for i, peer := range c.peers {
-		first[i], _ = http.NewRequestWithContext(ctx, http.MethodGet, peer+paths[i], nil) // nil: the leg builds it and reports why
+	first := make([]*http.Request, len(peers))
+	for k, i := range peers {
+		first[k], _ = http.NewRequestWithContext(ctx, http.MethodGet, c.peers[i]+paths[i], nil) // nil: the leg builds it and reports why
 	}
-	sem := make(chan struct{}, c.cfg.FanOut)
-	errs := make(chan error, len(c.peers))
-	for i, peer := range c.peers {
-		go func(i int, peer string) {
+	sem := make(chan struct{}, fanOutLimit)
+	errs := make(chan error, len(peers))
+	for k, i := range peers {
+		go func() {
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			errs <- leg(i, peer, first[i])
-		}(i, peer)
+			errs <- leg(i, first[k])
+		}()
 	}
 	var firstErr error
-	for range c.peers {
+	for range peers {
 		if err := <-errs; err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	return firstErr
-}
-
-// scatter fetches path from every peer and returns the bodies in c.peers
-// order.
-func (c *Cluster) scatter(op, path string) ([][]byte, error) {
-	bodies, paths := make([][]byte, len(c.peers)), make([]string, len(c.peers))
-	for i := range paths {
-		paths[i] = path
-	}
-	err := c.fanOut(paths, func(i int, peer string, first *http.Request) (err error) {
-		start := time.Now()
-		bodies[i], _, err = c.peerGet(peer, path, first)
-		c.span("cluster/"+op, peer, start, int64(len(bodies[i])))
-		return err
-	})
-	return bodies, err
 }

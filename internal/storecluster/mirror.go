@@ -3,7 +3,6 @@ package storecluster
 import (
 	"fmt"
 	"net/http"
-	"net/url"
 	"slices"
 	"strconv"
 	"sync"
@@ -15,12 +14,14 @@ import (
 )
 
 // The router's read path. Each router mirrors every peer's jobs and,
-// inside every /jobs, /agg or /regress, revalidates the mirror with one
-// conditional leg per peer: /shard/rollups?since=<epoch>
-// answers "unchanged", "the jobs ingested since" or the full corpus
-// (profstore.Store.RollupsSince). The mirror is never served without
-// this query's successful revalidation of every peer, so reads stay as
-// strict and as fresh as the full scatter they replace; what a quiet
+// inside every /jobs, /job/{id}, /agg or /regress, revalidates the mirror
+// with one conditional leg per peer that can hold the answer:
+// /shard/rollups?since=<epoch> answers "unchanged", "the jobs ingested
+// since" or the full corpus (profstore.Store.RollupsSince). A corpus
+// selector asks every peer; a single job id asks only the peers among
+// its ring owners, since no other member can hold it. The mirror is never
+// served without this query's successful revalidation of those peers, so
+// reads stay as strict and as fresh as a full scatter; what a quiet
 // cluster no longer pays is the re-fetch, re-decode and re-merge of
 // every member's rollups per query. Reports are memoised under the
 // mirror's version by the same profstore.Memo protocol a single node
@@ -141,9 +142,9 @@ func (m *mirror) winner(id string) *profstore.Job {
 }
 
 // Select implements profstore.Corpus over the union corpus: local jobs
-// first, then the peers in canonical order, so every replica set
-// resolves to the same copy the full scatter picked. A single id is one
-// lookup of that winner.
+// first, then the peers in canonical order, so every router resolves a
+// replica set to the same copy. A single id is one lookup of that
+// winner.
 //
 // A rebuild snapshots the peer sets under the lock and merges outside it,
 // so the revalidations of concurrent queries do not queue behind a sort of
@@ -235,45 +236,38 @@ func (m *mirror) revalidatePeer(op string, i int, peer string, since uint64, fir
 
 func sincePath(since uint64) string { return "/shard/rollups?since=" + strconv.FormatUint(since, 10) }
 
-// revalidate is the freshness step of every mirror-served query: every
-// peer must answer, or the query fails (reads are strict — a mirror
-// nobody vouched for could silently miss that peer's newest jobs).
-func (m *mirror) revalidate(op string) error {
+// revalidate is the freshness step of every mirror-served query: each
+// of peers (indices into c.peers) must answer, or the query fails (reads
+// are strict — a mirror nobody vouched for could silently miss that
+// peer's newest jobs).
+func (m *mirror) revalidate(op string, peers []int) error {
 	since, paths := make([]uint64, len(m.peers)), make([]string, len(m.peers))
 	m.mu.Lock()
-	for i := range m.peers {
+	for _, i := range peers {
 		since[i] = m.peers[i].Epoch
 		paths[i] = sincePath(since[i])
 	}
 	m.mu.Unlock()
-	return m.c.fanOut(paths, func(i int, peer string, first *http.Request) error {
-		return m.revalidatePeer(op, i, peer, since[i], first)
+	return m.c.fanOut(peers, paths, func(i int, first *http.Request) error {
+		return m.revalidatePeer(op, i, m.c.peers[i], since[i], first)
 	})
 }
 
 // handleShardRollups is the member side of the router's read path: the
-// conditional whole-corpus form the mirror revalidates with (since=), or
-// the wire image of one selection (sel=).
+// conditional whole-corpus reply the mirror revalidates with.
 func (c *Cluster) handleShardRollups(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	var jobs []*profstore.Job
-	if q.Has("since") {
-		since, err := strconv.ParseUint(q.Get("since"), 10, 64)
-		if err != nil {
-			http.Error(w, fmt.Sprintf("bad since=%q", q.Get("since")), http.StatusBadRequest)
-			return
-		}
-		reply := c.cfg.Store.RollupsSince(since)
-		w.Header().Set(hdrRollupEpoch, strconv.FormatUint(reply.Epoch, 10))
-		w.Header().Set(hdrRollupKind, reply.Kind.String())
-		if reply.Kind == profstore.RollupUnchanged {
-			return
-		}
-		jobs = reply.Jobs
-	} else {
-		jobs = c.cfg.Store.Select(q.Get("sel"))
+	since, err := strconv.ParseUint(r.URL.Query().Get("since"), 10, 64)
+	if err != nil {
+		http.Error(w, fmt.Sprintf("bad since=%q", r.URL.Query().Get("since")), http.StatusBadRequest)
+		return
 	}
-	body, _ := profstore.EncodeWireJobs(jobs) // never fails
+	reply := c.cfg.Store.RollupsSince(since)
+	w.Header().Set(hdrRollupEpoch, strconv.FormatUint(reply.Epoch, 10))
+	w.Header().Set(hdrRollupKind, reply.Kind.String())
+	if reply.Kind == profstore.RollupUnchanged {
+		return
+	}
+	body, _ := profstore.EncodeWireJobs(reply.Jobs) // never fails
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Write(body)
 }
@@ -291,59 +285,31 @@ func decodeRollups(hdr http.Header, body []byte) (r profstore.Rollups, err error
 	return r, err
 }
 
-// pointRead resolves one job id — /job/{id}, /jobs?sel=<id> and
-// /agg?sel=<id> — with one /shard/rollups?sel= leg per peer and no
-// mirror: dragging the deltas of unrelated jobs through decode to answer
-// for one job cost the publish probe more than the mirror saved it. Like
-// every routed read it is strict: a peer that cannot be asked fails it.
-func (m *mirror) pointRead(op, id string) ([]*profstore.Job, error) {
-	sets := [][]*profstore.Job{m.c.cfg.Store.Select(id)}
-	if len(m.c.peers) > 0 {
-		bodies, err := m.c.scatter(op, "/shard/rollups?sel="+url.QueryEscape(id))
-		if err != nil {
-			return nil, err
-		}
-		for i, peer := range m.c.peers {
-			jobs, err := profstore.DecodeWireJobs(bodies[i])
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", peer, err)
-			}
-			sets = append(sets, jobs)
-		}
-	}
-	return profstore.MergeJobs(sets...), nil
-}
-
 // Jobs implements profstore.JobSource.
 func (m *mirror) Jobs(sel string) ([]*profstore.Job, error) {
-	if profstore.IsIDSelector(sel) {
-		return m.pointRead("jobs", sel)
-	}
-	if err := m.revalidate("jobs"); err != nil {
+	if err := m.revalidate("jobs", m.c.peersFor(sel)); err != nil {
 		return nil, err
 	}
 	return m.Select(sel), nil
 }
 
-// Aggregate implements profstore.JobSource.
+// Aggregate implements profstore.JobSource. A single id is folded
+// straight from its winning copy: the memo would only add lock round
+// trips, since the write a reader waits for has always moved the version.
 func (m *mirror) Aggregate(opts profstore.AggOptions) (*profstore.AggReport, error) {
-	if profstore.IsIDSelector(opts.Sel) {
-		jobs, err := m.pointRead("agg", opts.Sel)
-		if err != nil {
-			return nil, err
-		}
-		return profstore.AggregateJobs(jobs, opts), nil
-	}
-	if err := m.revalidate("agg"); err != nil {
+	if err := m.revalidate("agg", m.c.peersFor(opts.Sel)); err != nil {
 		return nil, err
+	}
+	if profstore.IsIDSelector(opts.Sel) {
+		return profstore.AggregateJobs(m.Select(opts.Sel), opts), nil
 	}
 	return m.memo.Aggregate(m, opts), nil
 }
 
 // Regress implements profstore.JobSource: both sides, whatever their
-// selectors, come out of one revalidation.
+// selectors, come out of one revalidation of every peer.
 func (m *mirror) Regress(opts profstore.RegressOptions) (*profstore.RegressReport, error) {
-	if err := m.revalidate("regress"); err != nil {
+	if err := m.revalidate("regress", m.c.all); err != nil {
 		return nil, err
 	}
 	return m.memo.Regress(m, opts), nil

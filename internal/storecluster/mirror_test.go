@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -526,6 +527,120 @@ func TestMirrorReadYourWrites(t *testing.T) {
 	}
 }
 
+// idReadConfigs are the cluster shapes the single-id read tests run on:
+// every owner set of a 4- or 5-member ring at R=2 and R=3 leaves members
+// that do not own the id.
+var idReadConfigs = []struct{ n, r int }{{4, 2}, {4, 3}, {5, 2}, {5, 3}}
+
+// TestMirrorIDReadsAskOnlyOwners: a single-id read revalidates only the
+// id's ring owners, and stays strict over them. Member u is unreachable
+// from every router, in turn each member of the cluster. When u does not
+// own x, /agg?sel=x, /jobs?sel=x and /job/x answer every other router
+// with the all-up cluster's bytes; when it does, they answer 503 with
+// Retry-After and an error naming u.
+func TestMirrorIDReadsAskOnlyOwners(t *testing.T) {
+	docs, tags := corpusDocs(12)
+	const x = "job-04"
+	queries := []string{"/agg?sel=" + x, "/jobs?sel=" + x, "/job/" + x}
+	for _, tt := range idReadConfigs {
+		t.Run(fmt.Sprintf("n=%d/r=%d", tt.n, tt.r), func(t *testing.T) {
+			up := startMemCluster(t, tt.n, tt.r, false, nil)
+			writes := up.load(docs, tags)
+			ring, err := NewRing(up.urls)
+			if err != nil {
+				t.Fatal(err)
+			}
+			xOwners := ring.Owners(x, tt.r)
+			for u := range up.members {
+				plan, err := faultsim.ParsePeerPlan([]byte(fmt.Sprintf(
+					`{"faults":[{"host":"member%d","at":1,"kind":"unreachable","count":-1}]}`, u)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				down := startMemCluster(t, tt.n, tt.r, false, func(_ int, net http.RoundTripper) http.RoundTripper {
+					return plan.Wrap(net)
+				})
+				// The writes land where routed ones would have: on every
+				// owner's store, without a request to u.
+				for id, w := range writes {
+					for _, owner := range ring.Owners(id, tt.r) {
+						k := slices.Index(down.urls, owner)
+						if _, err := down.members[k].store.Ingest(w.doc, id, strings.Split(w.tags, ",")); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				owner := slices.Contains(xOwners, up.urls[u])
+				for i := range down.members {
+					if i == u {
+						continue
+					}
+					for _, q := range queries {
+						rec := down.do(i, "GET", q, nil)
+						switch {
+						case !owner && answer(rec) != answer(up.do(i, "GET", q, nil)):
+							t.Errorf("%s via router %d, non-owner member %d unreachable: %s, want the all-up answer", q, i, u, answer(rec))
+						case owner && (rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" ||
+							!strings.Contains(rec.Body.String(), up.urls[u])):
+							t.Errorf("%s via router %d, owner member %d unreachable: %d %q (Retry-After %q), want 503 naming %s",
+								q, i, u, rec.Code, rec.Body, rec.Header().Get("Retry-After"), up.urls[u])
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestMirrorIDReadsSeeEveryWrite: though an id read asks only the id's
+// owners, a replacing write of x acknowledged by any router is in the
+// very next id read of x through every other router, owner or not.
+func TestMirrorIDReadsSeeEveryWrite(t *testing.T) {
+	docs, tags := corpusDocs(12)
+	const x = "job-04"
+	queries := []string{"/agg?sel=" + x, "/jobs?sel=" + x, "/job/" + x}
+	for _, tt := range idReadConfigs {
+		t.Run(fmt.Sprintf("n=%d/r=%d", tt.n, tt.r), func(t *testing.T) {
+			mc := startMemCluster(t, tt.n, tt.r, false, nil)
+			writes := mc.load(docs, tags)
+			mc.checkAllRouters(writes, append([]string{"/agg"}, queries...)) // every mirror warm
+			for k := 0; k < 2*tt.n; k++ {
+				router := k % tt.n
+				w := refWrite{docs[(k+5)%len(docs)], tags[k%len(tags)]}
+				if err := mc.post(router, w.doc, "id="+x+"&tags="+w.tags); err != nil {
+					t.Fatal(err)
+				}
+				writes[x] = w
+				want := reference(t, writes, queries)
+				for i := range mc.members {
+					if i == router {
+						continue
+					}
+					q := queries[(k+i)%len(queries)]
+					if got := answer(mc.do(i, "GET", q, nil)); got != want[q] {
+						t.Errorf("write %d via router %d: router %d's next %s does not reflect it\ngot:  %.200s\nwant: %.200s", k, router, i, q, got, want[q])
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestShardRollupsNeedsSince: the member side of the read path has one
+// form, the conditional reply to since=<epoch>; anything else is 400.
+func TestShardRollupsNeedsSince(t *testing.T) {
+	mc := startMemCluster(t, 2, 2, false, nil)
+	for _, path := range []string{"/shard/rollups", "/shard/rollups?sel=job-04", "/shard/rollups?since=x", "/shard/rollups?since=-1"} {
+		if rec := mc.do(0, "GET", path, nil); rec.Code != http.StatusBadRequest {
+			t.Errorf("GET %s: %d, want 400: %s", path, rec.Code, rec.Body)
+		}
+	}
+	rec := mc.do(0, "GET", "/shard/rollups?since=0", nil)
+	if rec.Code != 200 || rec.Header().Get(hdrRollupKind) != profstore.RollupFull.String() {
+		t.Errorf("GET /shard/rollups?since=0: %d, kind %q, want 200 and a full reply", rec.Code, rec.Header().Get(hdrRollupKind))
+	}
+}
+
 // TestMirrorStrictWhenPeerRefused: a warm mirror is no licence to answer
 // without a peer. Once the plan refuses member 1, router 0 answers 503 +
 // Retry-After — never the 200 its mirror and memo could still render.
@@ -554,6 +669,9 @@ func TestMirrorStrictWhenPeerRefused(t *testing.T) {
 		t.Fatal("warm /agg changed on a quiet cluster")
 	}
 	for _, q := range mirrorQueries {
+		if q == "/job/job-04" {
+			q = "/job/job-01" // job-04's only owner is member 0 itself; job-01's is member 1
+		}
 		rec := mc.do(0, "GET", q, nil)
 		if rec.Code != http.StatusServiceUnavailable {
 			t.Errorf("%s with member 1 refused: %d, want 503 (stale body: %v)", q, rec.Code, rec.Body.String() == warm)
@@ -601,12 +719,12 @@ func TestMirrorRefusesJSONRollups(t *testing.T) {
 		w.Header().Set(hdrRollupEpoch, "7")
 		w.Header().Set(hdrRollupKind, profstore.RollupFull.String())
 		w.Header().Set("Content-Type", "application/json")
-		io.WriteString(w, `[{"id":"j1","cmd":"./relax","tags":["a"],"ranks":2,"bytes":2000,"w":3900000000,`+
+		io.WriteString(w, `[{"id":"j4","cmd":"./relax","tags":["a"],"ranks":2,"bytes":2000,"w":3900000000,`+
 			`"sites":[{"n":"MPI_Allreduce","c":40,"t":400000000,"mn":4000000,"mx":20000000,"e":1}],`+
-			`"imb":[{"n":"MPI_Allreduce","m":1.5,"j":"j1"}]}]`)
+			`"imb":[{"n":"MPI_Allreduce","m":1.5,"j":"j4"}]}]`)
 	})
 	mc.net.mu.Unlock()
-	for _, q := range []string{"/agg", "/job/j1"} {
+	for _, q := range []string{"/agg", "/job/j4"} { // member 1 owns j4
 		rec := mc.do(0, "GET", q, nil)
 		if body := rec.Body.String(); rec.Code != http.StatusServiceUnavailable ||
 			!strings.Contains(body, peer) || !strings.Contains(body, "wire rollups") {
