@@ -10,7 +10,7 @@
 # plain `go test -bench` text.
 
 GO ?= go
-BENCH_PATTERN ?= BenchmarkObserveHot|BenchmarkTableUpdate|BenchmarkMapUpdateManyKeys|BenchmarkAblationHashTable|BenchmarkEnsembleParallel|BenchmarkObserveTelemetry|BenchmarkProfstoreIngest|BenchmarkProfstoreAgg|BenchmarkDESScheduleRun|BenchmarkProcContextSwitch|BenchmarkProcHandoff|BenchmarkProcSleepPastCallback|BenchmarkSpanRecord|BenchmarkQueueSubmit|BenchmarkRuntimeSubmit|BenchmarkClusterIngest|BenchmarkClusterAgg|BenchmarkScanXML|BenchmarkParseXMLTolerant
+BENCH_PATTERN ?= BenchmarkObserveHot|BenchmarkTableUpdate|BenchmarkMapUpdateManyKeys|BenchmarkAblationHashTable|BenchmarkEnsembleParallel|BenchmarkObserveTelemetry|BenchmarkProfstoreIngest|BenchmarkProfstoreAgg|BenchmarkDESScheduleRun|BenchmarkProcContextSwitch|BenchmarkProcHandoff|BenchmarkProcSleepPastCallback|BenchmarkSpanRecord|BenchmarkQueueSubmit|BenchmarkRuntimeSubmit|BenchmarkClusterIngest|BenchmarkClusterAgg|BenchmarkScanXML|BenchmarkParseXMLTolerant|BenchmarkWriteXML
 
 .PHONY: build vet test race results-check serve serve-load serve-e2e soak soak-short soak-cluster soak-cluster-short fuzz verify bench bench-e2e bench-pair loc profile profile-ensemble experiments trace faults clean
 
@@ -22,8 +22,9 @@ vet:
 	$(GO) vet ./...
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# -count=1: a cached "ok" would vouch for nothing, least of all the
-# timing-sensitive ./bench smoke runs.
+# -count=1 here, in race and in serve-e2e: a cached "ok" would vouch for
+# nothing, least of all the timing-sensitive ./bench smoke runs and the
+# race detector, whose findings depend on each run's interleaving.
 test:
 	$(GO) test -count=1 ./...
 
@@ -40,8 +41,8 @@ test:
 # command queue, queued device loss, straggler skew, monitor panic), with
 # faultsim and ipmparse beside the packages above.
 race:
-	$(GO) test -race ./internal/des ./internal/parallel ./internal/experiments ./internal/cluster ./internal/ipm ./internal/telemetry ./internal/profstore ./internal/cmdqueue ./internal/storecluster ./internal/workloads ./internal/mpisim ./internal/gpusim ./internal/cudart ./internal/clsim ./internal/ipmcuda ./internal/faultsim ./internal/ipmparse
-	$(GO) test -race -run 'RankDeath|Watchdog|QueueDeviceLoss|Straggler|MonitorPanic' .
+	$(GO) test -count=1 -race ./internal/des ./internal/parallel ./internal/experiments ./internal/cluster ./internal/ipm ./internal/telemetry ./internal/profstore ./internal/cmdqueue ./internal/storecluster ./internal/workloads ./internal/mpisim ./internal/gpusim ./internal/cudart ./internal/clsim ./internal/ipmcuda ./internal/faultsim ./internal/ipmparse
+	$(GO) test -count=1 -race -run 'RankDeath|Watchdog|QueueDeviceLoss|Straggler|MonitorPanic' .
 
 # Regenerate every paper table and figure at full scale (seed 2011) into
 # a temporary directory and diff each file against the committed copy in
@@ -71,7 +72,7 @@ serve-load:
 # from results/ and pin /agg to a golden, then the store harness with
 # one in-process member over 120 jobs (the serve-load run).
 serve-e2e:
-	$(GO) test -race -run ServeE2E .
+	$(GO) test -count=1 -race -run ServeE2E .
 
 # Kill/restart durability soak: ipmserve re-execs itself as
 # -soak-members child servers (one plain server by default; a cluster
@@ -94,8 +95,9 @@ soak-cluster-short:
 	$(GO) run ./cmd/ipmserve -soak -soak-members 3 -soak-replicas 2 -soak-jobs 60 -soak-cycles 1 -soak-timeout 30s
 
 # Short native-fuzz pass over both parser entry points (strict and
-# tolerant), the scanner-vs-decoder differential, and the framed-WAL
-# replay path; longer sessions:
+# tolerant), the XML writer against encoding/xml (FuzzWriteXML), the
+# scanner-vs-decoder differential, and the framed-WAL replay path;
+# longer sessions:
 # go test -fuzz FuzzScanVsParse ./internal/profstore
 # -fuzzminimizetime 1x caps the minimization of each new interesting
 # input at one run: under the default 60 s budget the minimizer, not the
@@ -105,6 +107,7 @@ FUZZFLAGS = -run '^$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1x
 fuzz:
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzParse ./internal/ipmparse
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzTolerant ./internal/ipmparse
+	$(GO) test $(FUZZFLAGS) -fuzz FuzzWriteXML ./internal/ipm
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzScanVsParse ./internal/profstore
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzWALReplay ./internal/profstore
 	$(GO) test $(FUZZFLAGS) -fuzz FuzzRollupWire ./internal/profstore

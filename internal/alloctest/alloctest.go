@@ -44,11 +44,13 @@ const slack = 1.30
 // allocs or bytes per call, measured by PerRun over runs calls. The
 // reference is the figure the op measured when the pin was last taken;
 // the measured one is logged, so `go test -v -run <pin>` re-takes it.
+// The message gives the window's raw allocation count too: one stray
+// allocation in 200 calls fails a zero reference yet rounds to 0.0/op.
 func Pin(t testing.TB, name string, runs int, f func(), allocs, bytes float64) {
 	t.Helper()
 	gotAllocs, gotBytes := PerRun(runs, f)
-	msg := fmt.Sprintf("%s: %.1f allocs/op, %.0f B/op; ceilings %.0f, %.0f (reference %.0f, %.0f + 30 %%)",
-		name, gotAllocs, gotBytes, slack*allocs, slack*bytes, allocs, bytes)
+	msg := fmt.Sprintf("%s: %.1f allocs/op (%.0f in %d calls), %.0f B/op; ceilings %.0f, %.0f (reference %.0f, %.0f + 30 %%)",
+		name, gotAllocs, gotAllocs*float64(runs), runs, gotBytes, slack*allocs, slack*bytes, allocs, bytes)
 	if gotAllocs > slack*allocs || gotBytes > slack*bytes {
 		t.Error(msg)
 	} else {

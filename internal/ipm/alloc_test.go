@@ -34,3 +34,9 @@ func TestReaderAllocs(t *testing.T) {
 	alloctest.Pin(t, "ScanXML", 200, scanXMLOp(t), 5, 792)
 	alloctest.Pin(t, "ParseXMLTolerant", 200, parseXMLTolerantOp(t), 1177, 78910)
 }
+
+// The XML writer appends into one buffer, at most one flush's worth:
+// its allocations are that buffer and the region grouping's scratch.
+func TestWriteXMLAllocs(t *testing.T) {
+	alloctest.Pin(t, "WriteXML", 200, writeXMLOp(t), 5, 41484)
+}

@@ -13,7 +13,6 @@ type RankProfile struct {
 	Host      string
 	Wallclock time.Duration
 	Entries   []Entry
-	MemGB     float64 // resident memory high-water mark, if modelled
 
 	// Overflow is the number of signatures that spilled out of the fixed
 	// hash table region, LoadFactor the fill ratio of that region, and

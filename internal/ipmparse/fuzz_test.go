@@ -14,8 +14,7 @@ import (
 
 // Native fuzz targets for the two parser entry points. The contract
 // under test: the strict loader may reject anything but must never
-// panic or accept what encoding/xml's unmarshal into ipm.XMLLog
-// rejects, and the tolerant loader — which the profile store feeds with
+// panic or accept what encoding/xml's unmarshal into xmlLog rejects, and the tolerant loader — which the profile store feeds with
 // arbitrary network input — must never panic AND must always hand back
 // a profile the downstream consumers (banner, XML re-encode) can
 // process without panicking. `make fuzz` runs a short pass as part of
@@ -27,6 +26,51 @@ import (
 // drifts toward documents with thousands of bare <task> elements whose
 // O(ranks × funcs) banner render drops the exec rate to single digits.
 const maxFuzzInput = 16 << 10
+
+// xmlLog is the log's struct form for encoding/xml's unmarshal: every
+// attribute the readers convert, typed as they convert it (the same tree
+// internal/ipm's tests encode as the writer's oracle).
+type xmlLog struct {
+	XMLName   xml.Name `xml:"ipm_log"`
+	Version   string   `xml:"version,attr"`
+	Command   string   `xml:"command,attr"`
+	NTasks    int      `xml:"ntasks,attr"`
+	NHosts    int      `xml:"nhosts,attr"`
+	Start     string   `xml:"start,attr"`
+	Stop      string   `xml:"stop,attr"`
+	Wallclock float64  `xml:"wallclock,attr"`
+	Tasks     []struct {
+		Rank         int     `xml:"mpi_rank,attr"`
+		Host         string  `xml:"host,attr"`
+		Wallclock    float64 `xml:"wallclock,attr"`
+		HashLoad     float64 `xml:"hashtable_load,attr"`
+		HashOverflow int     `xml:"hashtable_overflow,attr"`
+		HashProbes   uint64  `xml:"hashtable_probes,attr"`
+		Errors       int64   `xml:"error_total,attr"`
+		SubmitStall  float64 `xml:"submit_stall_total,attr"`
+		Energy       float64 `xml:"energy_total,attr"`
+		Device       string  `xml:"device,attr"`
+		MonitorErrs  int64   `xml:"monitor_errors,attr"`
+		Status       string  `xml:"status,attr"`
+		LostAt       float64 `xml:"lost_at,attr"`
+		LostReason   string  `xml:"lost_reason,attr"`
+		Regions      []struct {
+			Name  string `xml:"name,attr"`
+			Funcs []struct {
+				Name        string  `xml:"name,attr"`
+				Bytes       int64   `xml:"bytes,attr"`
+				Count       int64   `xml:"count,attr"`
+				TTot        float64 `xml:"ttot,attr"`
+				TMin        float64 `xml:"tmin,attr"`
+				TMax        float64 `xml:"tmax,attr"`
+				Errors      int64   `xml:"error_count,attr"`
+				SubmitN     int64   `xml:"submit_count,attr"`
+				SubmitStall float64 `xml:"submit_stall,attr"`
+				Energy      float64 `xml:"energy,attr"`
+			} `xml:"func"`
+		} `xml:"region"`
+	} `xml:"task"`
+}
 
 // seedCorpus feeds every checked-in fixture plus a couple of
 // hand-picked structural edge cases.
@@ -69,9 +113,9 @@ func FuzzParse(f *testing.F) {
 		}
 		// The strict reader accepts nothing encoding/xml's own strict
 		// unmarshal of the log rejects.
-		var doc ipm.XMLLog
+		var doc xmlLog
 		if err := xml.NewDecoder(bytes.NewReader(data)).Decode(&doc); err != nil {
-			t.Fatalf("strict Load accepted a log the XMLLog unmarshal rejects: %v", err)
+			t.Fatalf("strict Load accepted a log the xmlLog unmarshal rejects: %v", err)
 		}
 		// Whatever the strict decoder accepted must survive the full
 		// downstream pipeline.
